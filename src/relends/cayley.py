@@ -9,29 +9,12 @@ its shortlex normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .presentation import Presentation, SubgroupSpec, Word, check_small_cancellation
+from .presentation import Presentation, SubgroupSpec, check_small_cancellation
 from .schreier import Ball, DEFAULT_NODE_BUDGET, stable_ball
-
-
-@dataclass
-class CayleyBall(Ball):
-    gen_names: tuple[str, ...]
-    table: list[list[int]]
-    dist: list[int]
-    radius: int
-    slack: int
-    stable: bool
-    parent: list[int]
-    parent_letter: list[int]
-
-    def key(self, v: int) -> Word:
-        """Shortlex normal form of vertex v (BFS-tree word)."""
-        return self.word_to(v)
 
 
 def build_ball(
@@ -39,7 +22,7 @@ def build_ball(
     radius: int,
     strategy,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> CayleyBall:
+) -> Ball:
     """Radius-R ball of the Cayley graph, exact and stability-certified.
 
     Under the dehn strategy the presentation must be C'(1/6) (closure then
@@ -74,57 +57,53 @@ def build_ball(
             raise UndecidedWithinBound(
                 f"word problem undecided within strategy bound (cap {cap})"
             )
-    return CayleyBall(
-        gen_names=b.gen_names,
-        table=b.table,
-        dist=b.dist,
-        radius=b.radius,
-        slack=b.slack,
-        stable=b.stable,
-        parent=b.parent,
-        parent_letter=b.parent_letter,
-    )
+    return b
 
 
 class UncertifiedDistance(ValueError):
     """A geodesic for this pair may leave the enumerated ball."""
 
 
-def _all_pairs(ball: Ball) -> np.ndarray:
-    """All-pairs BFS distances inside the ball, cached on the ball."""
-    cached = getattr(ball, "_apsp", None)
-    if cached is not None:
-        return cached
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
+def pair_certified(dist, radius: int, u, v, d):
+    """Whether d, the in-ball distance from u to v, is the true distance.
 
-    n = ball.n_vertices
-    rows, cols = [], []
-    for x in range(ball.n_letters):
-        col = ball.table[x]
-        for v in range(n):
-            t = col[v]
-            if t >= 0:
-                rows.append(v)
-                cols.append(t)
-    adj = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
-    )
-    d = shortest_path(adj, method="D", directed=True, unweighted=True)
-    if np.isinf(d).any():
+    Distances to the base vertex are exact; other pairs need headroom,
+    2 dist(u) + d <= 2 radius and the same at v, so that no true geodesic
+    can have left the enumerated region.  Vertices may be ints (dist a
+    list) or index arrays (dist a numpy array); arrays compare elementwise.
+    """
+    r2 = 2 * radius
+    return (u == 0) | (v == 0) | ((2 * dist[u] + d <= r2) & (2 * dist[v] + d <= r2))
+
+
+def _distances_from(ball: Ball, src: int) -> np.ndarray:
+    """BFS distances from src along the ball's edges, cached per source."""
+    row = ball._rows.get(src)
+    if row is not None:
+        return row
+    out = [-1] * ball.n_vertices
+    out[src] = 0
+    frontier = [src]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for col in ball.table:
+                t = col[v]
+                if t >= 0 and out[t] < 0:
+                    out[t] = d
+                    nxt.append(t)
+        frontier = nxt
+    row = np.array(out, dtype=np.int32)
+    if (row < 0).any():
         raise ValueError("ball is not connected")
-    d = d.astype(np.int32)
-    ball._apsp = d
-    return d
+    ball._rows[src] = row
+    return row
 
 
-def _cert_matrix(ball: Ball, d: np.ndarray) -> np.ndarray:
-    dist0 = np.asarray(ball.dist, dtype=np.int32)
-    r2 = 2 * ball.radius
-    c = (2 * dist0[:, None] + d <= r2) & (2 * dist0[None, :] + d <= r2)
-    c[0, :] = True
-    c[:, 0] = True
-    return c
+def _distance_rows(ball: Ball, sources) -> np.ndarray:
+    return np.stack([_distances_from(ball, int(s)) for s in sources]).astype(np.int64)
 
 
 def in_ball_distance(ball: Ball, u: int, v: int) -> tuple[int, bool]:
@@ -133,10 +112,8 @@ def in_ball_distance(ball: Ball, u: int, v: int) -> tuple[int, bool]:
     Both endpoints need dist0 <= radius - d/2, so any true geodesic stays
     inside the enumerated region; pairs through the base are always exact.
     """
-    d = _all_pairs(ball)
-    duv = int(d[u, v])
-    cert = bool(_cert_matrix(ball, d)[u, v])
-    return duv, cert
+    duv = int(_distances_from(ball, u)[v])
+    return duv, bool(pair_certified(ball.dist, ball.radius, u, v, duv))
 
 
 def gromov_product(ball: Ball, x: int, y: int, base: int) -> Fraction:
@@ -168,9 +145,8 @@ def estimate_delta(
     """
     if ball.radius < 1:
         raise ValueError("ball radius must be >= 1")
-    d = _all_pairs(ball).astype(np.int64)
-    cert = _cert_matrix(ball, d)
     n = ball.n_vertices
+    dist0 = np.asarray(ball.dist, dtype=np.int64)
     best = 0
     if sample is None:
         if n > exhaustive_cap:
@@ -178,6 +154,9 @@ def estimate_delta(
                 f"{n} vertices exceed the exhaustive cap {exhaustive_cap}; "
                 f"pass sample= for a seeded randomized scan"
             )
+        d = _distance_rows(ball, range(n))
+        idx = np.arange(n)
+        cert = pair_certified(dist0, ball.radius, idx[:, None], idx[None, :], d)
         for b in range(n):
             db = d[b]
             certb = cert[b]
@@ -203,15 +182,19 @@ def estimate_delta(
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, n, size=(4, sample), dtype=np.int64)
         bb, xx, yy, zz = idx
-        p2 = lambda u, v: d[bb, u] + d[bb, v] - d[u, v]
+        sources = np.unique(idx[:3])
+        rows = _distance_rows(ball, sources)
+        d = lambda u, v: rows[np.searchsorted(sources, u), v]
+        cert = lambda u, v: pair_certified(dist0, ball.radius, u, v, d(u, v))
+        p2 = lambda u, v: d(bb, u) + d(bb, v) - d(u, v)
         vals = np.minimum(p2(xx, zz), p2(yy, zz)) - p2(xx, yy)
         ok = (
-            cert[bb, xx]
-            & cert[bb, yy]
-            & cert[bb, zz]
-            & cert[xx, yy]
-            & cert[xx, zz]
-            & cert[yy, zz]
+            cert(bb, xx)
+            & cert(bb, yy)
+            & cert(bb, zz)
+            & cert(xx, yy)
+            & cert(xx, zz)
+            & cert(yy, zz)
         )
         if ok.any():
             best = max(best, int(vals[ok].max()))
@@ -259,15 +242,15 @@ def estimate_epsilon(ball: Ball, h: SubgroupSpec) -> int:
     orbit = orbit_in_ball(ball, h)
     if len(orbit) < 2:
         raise ValueError("fewer than 2 orbit points in ball")
-    d = _all_pairs(ball)
-    cert = _cert_matrix(ball, d)
-    to_orbit = d[np.asarray(orbit, dtype=np.int64)].min(axis=0)
+    rows = _distance_rows(ball, orbit)
+    to_orbit = rows.min(axis=0)
     eps = 0
     for i, p in enumerate(orbit):
-        for q in orbit[i + 1 :]:
-            if not cert[p, q]:
+        for j in range(i + 1, len(orbit)):
+            q = orbit[j]
+            if not pair_certified(ball.dist, ball.radius, p, q, rows[i, q]):
                 continue
-            on_geo = d[p] + d[q] == d[p, q]
+            on_geo = rows[i] + rows[j] == rows[i, q]
             far = int(to_orbit[on_geo].max())
             if far > eps:
                 eps = far

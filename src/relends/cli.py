@@ -15,10 +15,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from argparse import Namespace
 from fractions import Fraction
 from pathlib import Path
 
+from .cayley import build_ball
 from .constants import (
     ConstantsLedger,
     Estimates,
@@ -26,14 +27,12 @@ from .constants import (
     empirical_ledger,
 )
 from .ends import (
-    INFINITE,
     UNCERTIFIED,
     UnstableBallError,
     check_dag,
     check_ddag,
+    count_relative_ends,
     empirical_ends,
-    probe_class_history,
-    stabilization_verdict,
 )
 from .oracle import CoreGraph, free_schreier_ball, graphs_isomorphic, stallings_fold
 from .presentation import (
@@ -79,50 +78,34 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run depends on; validated before any computation."""
+def _int_at_least(least: int):
+    """argparse type: an integer no smaller than least."""
 
-    subcommand: str
-    input: Path | None
-    subgroup_from_file: bool
-    subgroup_words: str | None
-    word: str | None
-    strategy: str
-    radius: int | None
-    radius_cap: int | None
-    start_slack: int
-    max_slack: int
-    probe_r0s: tuple[int, ...] | None
-    radii: tuple[int, ...] | None
-    ball_radius: int | None
-    window: int
-    mode: str
-    inner_offset: Fraction
-    outer_gap: int
-    delta: Fraction | None
-    epsilon: int | None
-    eta: Fraction | None
-    n0: int
-    diam_core: int
-    m: int | None
-    k: int | None
-    delta_xh: Fraction | None
-    r_cap: int | None
-    block_length: int
-    covering_radius: int | None
-    out_path: Path | None
-    json_path: str | None
-    dot_path: Path | None
-    node_budget: int
-    seed: int
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+def _ascending(least: int):
+    """argparse type: a nonempty ascending comma-separated integer list."""
+
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(t) for t in text.split(",") if t.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+        if not values or list(values) != sorted(values) or values[0] < least:
+            raise argparse.ArgumentTypeError(f"must be ascending integers, least {least}")
+        return values
+
+    return parse
 
 
 def _fraction(text: str) -> Fraction:
@@ -133,7 +116,9 @@ def _fraction(text: str) -> Fraction:
 
 
 def _build_parser() -> _Parser:
-    budget_default = int(os.environ.get("ENDS_NODE_BUDGET", DEFAULT_NODE_BUDGET))
+    # a string default goes through the type check, so a bad environment
+    # value is a usage error like a bad flag
+    budget_default = os.environ.get("ENDS_NODE_BUDGET", str(DEFAULT_NODE_BUDGET))
     p = _Parser(
         prog="ends",
         description="Count relative ends e(G, H) and run the supporting machinery.",
@@ -154,9 +139,11 @@ def _build_parser() -> _Parser:
                 metavar="WORDS",
                 help="comma-separated generator words for H",
             )
+        else:
+            sp.set_defaults(subgroup_from_file=False, subgroup=None)
         sp.add_argument("--json", dest="json_path", metavar="PATH",
                         help="write the JSON report here ('-' for stdout)")
-        sp.add_argument("--node-budget", type=int, default=budget_default,
+        sp.add_argument("--node-budget", type=_int_at_least(1), default=budget_default,
                         help="coset table cell budget (env ENDS_NODE_BUDGET; "
                              f"default {budget_default})")
         sp.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
@@ -173,7 +160,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("ball", help="build a certified Cayley ball")
     common(sp, subgroup=False)
-    sp.add_argument("--radius", type=int, required=True)
+    sp.add_argument("--radius", type=_int_at_least(0), required=True)
     sp.add_argument("--strategy", choices=("auto", "dehn", "bounded-bfs"), default="auto")
     sp.add_argument("--radius-cap", type=int, default=None,
                     help="bounded-bfs cap (default: radius + 4)")
@@ -181,7 +168,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("schreier", help="enumerate a Schreier ball for (G, H)")
     common(sp)
-    sp.add_argument("--radius", type=int, required=True)
+    sp.add_argument("--radius", type=_int_at_least(0), required=True)
     sp.add_argument("--start-slack", type=int, default=0)
     sp.add_argument("--max-slack", type=int, default=12)
     sp.add_argument("--covering-check", dest="covering_radius", type=int, metavar="R",
@@ -190,9 +177,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("count", help="count relative ends by stabilized sphere classes")
     common(sp)
-    sp.add_argument("--probe-r0", dest="probe_r0s", type=_int_list, metavar="LIST",
+    sp.add_argument("--probe-r0", dest="probe_r0s", type=_ascending(1), metavar="LIST",
                     help="comma-separated probe radii, e.g. 2,3,4,5")
-    sp.add_argument("--window", type=int, default=3,
+    sp.add_argument("--window", type=_int_at_least(1), default=3,
                     help="consecutive equal counts required (default 3)")
     sp.add_argument("--mode", choices=("empirical", "certified"), default="empirical")
     sp.add_argument("--inner-offset", type=_fraction, default=Fraction(3),
@@ -210,7 +197,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("check-ddag", help="annulus connectivity check with tolerance K")
     common(sp)
-    sp.add_argument("--radius", type=int, required=True)
+    sp.add_argument("--radius", type=_int_at_least(0), required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--delta", type=_fraction, default=Fraction(0))
@@ -220,7 +207,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("check-dag", help="sphere-pair connectivity check in the quotient")
     common(sp)
-    sp.add_argument("--radius", type=int, required=True)
+    sp.add_argument("--radius", type=_int_at_least(0), required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--delta-xh", type=_fraction, required=True)
     sp.add_argument("--r-cap", type=int,
@@ -229,17 +216,17 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("empirical", help="raw end counts from complement components")
     common(sp)
-    sp.add_argument("--radii", type=_int_list, required=True, metavar="LIST",
+    sp.add_argument("--radii", type=_ascending(0), required=True, metavar="LIST",
                     help="comma-separated radii, e.g. 2,3,4,5")
     sp.add_argument("--ball-radius", type=int,
                     help="enumerate out to this radius instead of radii[-1]+1; "
                          "room past the largest cut damps rim artifacts")
-    sp.add_argument("--window", type=int, default=3)
+    sp.add_argument("--window", type=_int_at_least(1), default=3)
     sp.add_argument("--max-slack", type=int, default=12)
 
     sp = sub.add_parser("rips", help="build a C'(1/6) pair (G, H) over a quotient Q")
     common(sp, subgroup=False)
-    sp.add_argument("--block-length", type=int, default=480,
+    sp.add_argument("--block-length", type=_int_at_least(8), default=480,
                     help="minimum length of the fresh a-words (default 480)")
     sp.add_argument("-o", "--out", dest="out_path", type=Path,
                     help="write the G presentation file here")
@@ -251,78 +238,19 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("oracle-compare",
                         help="enumerated Schreier ball vs the folded-core oracle")
     common(sp)
-    sp.add_argument("--radius", type=int, required=True)
+    sp.add_argument("--radius", type=_int_at_least(0), required=True)
 
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    get = lambda name, default=None: getattr(args, name, default)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        input=get("input"),
-        subgroup_from_file=bool(get("subgroup_from_file", False)),
-        subgroup_words=get("subgroup"),
-        word=get("word"),
-        strategy=get("strategy", "auto"),
-        radius=get("radius"),
-        radius_cap=get("radius_cap"),
-        start_slack=get("start_slack", 0),
-        max_slack=get("max_slack", 12),
-        probe_r0s=get("probe_r0s"),
-        radii=get("radii"),
-        ball_radius=get("ball_radius"),
-        window=get("window", 3),
-        mode=get("mode", "empirical"),
-        inner_offset=get("inner_offset", Fraction(3)),
-        outer_gap=get("outer_gap", 1),
-        delta=get("delta"),
-        epsilon=get("epsilon"),
-        eta=get("eta"),
-        n0=get("n0", 1),
-        diam_core=get("diam_core", 0),
-        m=get("m"),
-        k=get("k"),
-        delta_xh=get("delta_xh"),
-        r_cap=get("r_cap"),
-        block_length=get("block_length", 480),
-        covering_radius=get("covering_radius"),
-        out_path=get("out_path"),
-        json_path=get("json_path"),
-        dot_path=get("dot_path"),
-        node_budget=args.node_budget,
-        seed=args.seed,
-    )
-    if cfg.node_budget <= 0:
-        raise _UsageError("--node-budget must be positive")
-    if cfg.radius is not None and cfg.radius < 0:
-        raise _UsageError("--radius must be nonnegative")
-    if cfg.window < 1:
-        raise _UsageError("--window must be at least 1")
-    for name, lst, least in (
-        ("--probe-r0", cfg.probe_r0s, 1),
-        ("--radii", cfg.radii, 0),
-    ):
-        if lst is not None:
-            if not lst or list(lst) != sorted(lst) or lst[0] < least:
-                raise _UsageError(f"{name} must be ascending integers, least {least}")
-    if cfg.block_length < 8:
-        raise _UsageError("--block-length must be at least 8")
-    return cfg
-
-
-def _load(cfg: RunConfig) -> ParsedInput:
-    text = cfg.input.read_text()
-    parsed = parse_file(text)
-    if cfg.subgroup_from_file:
+def _load(args: Namespace) -> ParsedInput:
+    parsed = parse_file(args.input.read_text())
+    if args.subgroup_from_file:
         return parsed
-    if cfg.subgroup_words is not None:
-        words = tuple(
-            word_from_text(t.strip(), parsed.presentation.generators)
-            for t in cfg.subgroup_words.split(",")
-        )
-        return ParsedInput(parsed.presentation, SubgroupSpec(words))
-    return ParsedInput(parsed.presentation, SubgroupSpec(()))
+    p = parsed.presentation
+    texts = args.subgroup.split(",") if args.subgroup is not None else []
+    words = tuple(word_from_text(t.strip(), p.generators) for t in texts)
+    return ParsedInput(p, SubgroupSpec(words))
 
 
 def _hash(p: Presentation, h: SubgroupSpec) -> str:
@@ -337,27 +265,27 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _emit(cfg: RunConfig, started: float, digest: str, payload: dict, lines: list[str]) -> None:
+def _emit(args: Namespace, started: float, digest: str, payload: dict, lines: list[str]) -> None:
     # human lines are suppressed when the JSON report itself goes to stdout
-    if cfg.json_path != "-":
+    if args.json_path != "-":
         for line in lines:
             print(line)
-    if cfg.json_path is None:
+    if args.json_path is None:
         return
     report = {
-        "subcommand": cfg.subcommand,
-        "input": str(cfg.input) if cfg.input else None,
+        "subcommand": args.subcommand,
+        "input": str(args.input) if args.input else None,
         "presentation_hash": digest,
-        "node_budget": cfg.node_budget,
-        "seed": cfg.seed,
+        "node_budget": args.node_budget,
+        "seed": args.seed,
         "runtime_ms": int((time.time() - started) * 1000),
         **payload,
     }
     text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
-    if cfg.json_path == "-":
+    if args.json_path == "-":
         sys.stdout.write(text)
     else:
-        Path(cfg.json_path).write_text(text)
+        Path(args.json_path).write_text(text)
 
 
 def _dot_text(graph: Ball | CoreGraph, with_dist: bool) -> str:
@@ -374,9 +302,9 @@ def _dot_text(graph: Ball | CoreGraph, with_dist: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_dot(cfg: RunConfig, graph: Ball | CoreGraph, with_dist: bool = True) -> None:
-    if cfg.dot_path is not None:
-        cfg.dot_path.write_text(_dot_text(graph, with_dist))
+def _write_dot(args: Namespace, graph: Ball | CoreGraph, with_dist: bool = True) -> None:
+    if args.dot_path is not None:
+        args.dot_path.write_text(_dot_text(graph, with_dist))
 
 
 def _sphere_sizes(ball: Ball) -> list[int]:
@@ -396,19 +324,19 @@ def _sc_payload(report) -> dict:
     }
 
 
-def _strategy_for(cfg: RunConfig, p: Presentation, radius: int) -> WordProblemStrategy:
-    cap = cfg.radius_cap if cfg.radius_cap is not None else radius + 4
-    if cfg.strategy == "dehn":
+def _strategy_for(args: Namespace, p: Presentation, radius: int) -> WordProblemStrategy:
+    cap = args.radius_cap if args.radius_cap is not None else radius + 4
+    if args.strategy == "dehn":
         return WordProblemStrategy("dehn")
-    if cfg.strategy == "bounded-bfs":
+    if args.strategy == "bounded-bfs":
         return WordProblemStrategy("bounded_bfs", radius_cap=cap)
     return choose_strategy(p, radius_cap=cap)
 
 
-def _cmd_parse(cfg: RunConfig, started: float) -> int:
+def _cmd_parse(args: Namespace, started: float) -> int:
     # inspect the file as written: the subgroup section shows even without
     # --subgroup-from-file
-    parsed = parse_file(cfg.input.read_text())
+    parsed = parse_file(args.input.read_text())
     p, h = parsed.presentation, parsed.subgroup
     sc = check_small_cancellation(p)
     lines = [
@@ -424,46 +352,41 @@ def _cmd_parse(cfg: RunConfig, started: float) -> int:
         "subgroup_words": [p.word_to_text(w) for w in h.words],
         "small_cancellation": _sc_payload(sc),
     }
-    _emit(cfg, started, _hash(p, h), payload, lines)
+    _emit(args, started, _hash(p, h), payload, lines)
     return OK
 
 
-def _cmd_word_reduce(cfg: RunConfig, started: float) -> int:
-    parsed = _load(cfg)
+def _cmd_word_reduce(args: Namespace, started: float) -> int:
+    parsed = _load(args)
     p = parsed.presentation
-    word = p.word_from_text(cfg.word)
-    strategy = _strategy_for(cfg, p, max(len(free_reduce(word)), 1))
+    word = p.word_from_text(args.word)
+    radius = max(len(free_reduce(word)), 1)
+    strategy = _strategy_for(args, p, radius)
     if strategy.kind == "dehn":
         reduced = dehn_reduce(word, p)
     else:
-        from .cayley import build_ball
-
-        fr = free_reduce(word)
-        radius = max(len(fr), 1)
-        ball = build_ball(p, radius, strategy, node_budget=cfg.node_budget)
+        ball = build_ball(p, radius, strategy, node_budget=args.node_budget)
         reduced = shortlex_normal_form(word, ball)
     lines = [
         f"reduced: {p.word_to_text(reduced) if reduced else '1'}",
         f"identity: {'yes' if not reduced else 'no'}",
     ]
     payload = {
-        "word": cfg.word,
+        "word": args.word,
         "reduced": p.word_to_text(reduced),
         "is_identity": not reduced,
         "strategy": strategy.kind,
     }
-    _emit(cfg, started, _hash(p, parsed.subgroup), payload, lines)
+    _emit(args, started, _hash(p, parsed.subgroup), payload, lines)
     return OK
 
 
-def _cmd_ball(cfg: RunConfig, started: float) -> int:
-    from .cayley import build_ball
-
-    parsed = _load(cfg)
+def _cmd_ball(args: Namespace, started: float) -> int:
+    parsed = _load(args)
     p = parsed.presentation
-    strategy = _strategy_for(cfg, p, cfg.radius)
-    ball = build_ball(p, cfg.radius, strategy, node_budget=cfg.node_budget)
-    _write_dot(cfg, ball)
+    strategy = _strategy_for(args, p, args.radius)
+    ball = build_ball(p, args.radius, strategy, node_budget=args.node_budget)
+    _write_dot(args, ball)
     sizes = _sphere_sizes(ball)
     lines = [
         f"vertices: {ball.n_vertices} (radius {ball.radius}, slack {ball.slack})",
@@ -477,23 +400,23 @@ def _cmd_ball(cfg: RunConfig, started: float) -> int:
         "stable": ball.stable,
         "strategy": strategy.kind,
     }
-    _emit(cfg, started, _hash(p, SubgroupSpec(())), payload, lines)
+    _emit(args, started, _hash(p, SubgroupSpec(())), payload, lines)
     return OK
 
 
-def _cmd_schreier(cfg: RunConfig, started: float) -> int:
-    parsed = _load(cfg)
+def _cmd_schreier(args: Namespace, started: float) -> int:
+    parsed = _load(args)
     p, h = parsed.presentation, parsed.subgroup
     ball = stable_ball(
-        p, h, cfg.radius,
-        start_slack=cfg.start_slack, max_slack=cfg.max_slack,
-        node_budget=cfg.node_budget,
+        p, h, args.radius,
+        start_slack=args.start_slack, max_slack=args.max_slack,
+        node_budget=args.node_budget,
     )
-    _write_dot(cfg, ball)
+    _write_dot(args, ball)
     sizes = _sphere_sizes(ball)
     covering = None
-    if cfg.covering_radius is not None:
-        rep = covering_degree_check(ball, cfg.covering_radius)
+    if args.covering_radius is not None:
+        rep = covering_degree_check(ball, args.covering_radius)
         covering = {
             "passed": rep.passed,
             "exclusion_radius": rep.exclusion_radius,
@@ -510,7 +433,7 @@ def _cmd_schreier(cfg: RunConfig, started: float) -> int:
     ]
     if covering is not None:
         lines.append(
-            f"covering check outside radius {cfg.covering_radius}: "
+            f"covering check outside radius {args.covering_radius}: "
             f"{'passed' if covering['passed'] else 'failed'} ({covering['checked']} cosets)"
         )
     payload = {
@@ -522,81 +445,71 @@ def _cmd_schreier(cfg: RunConfig, started: float) -> int:
         "subgroup_words": [p.word_to_text(w) for w in h.words],
         "covering": covering,
     }
-    _emit(cfg, started, _hash(p, h), payload, lines)
+    _emit(args, started, _hash(p, h), payload, lines)
     return OK if ball.stable else UNCERT
 
 
-def _count_ledger(cfg: RunConfig, p: Presentation) -> tuple[ConstantsLedger, tuple[int, ...]]:
-    if cfg.mode == "certified":
-        if cfg.delta is None or cfg.epsilon is None:
+def _count_ledger(args: Namespace, p: Presentation) -> tuple[ConstantsLedger, tuple[int, ...]]:
+    if args.mode == "certified":
+        if args.delta is None or args.epsilon is None:
             raise _UsageError("certified mode needs --delta and --epsilon")
         ledger = derive_certified(
-            cfg.delta, cfg.epsilon, cfg.eta, cfg.n0, cfg.diam_core,
+            args.delta, args.epsilon, args.eta, args.n0, args.diam_core,
             n_generators=len(p.generators),
         )
-        probes = cfg.probe_r0s if cfg.probe_r0s else (ledger.r0,)
+        probes = args.probe_r0s if args.probe_r0s else (ledger.r0,)
         return ledger, probes
-    if not cfg.probe_r0s:
+    if not args.probe_r0s:
         raise _UsageError("empirical mode needs --probe-r0")
-    probes = cfg.probe_r0s
+    probes = args.probe_r0s
     r0 = probes[-1]
     estimates = None
-    if cfg.delta is not None or cfg.epsilon is not None:
+    if args.delta is not None or args.epsilon is not None:
         estimates = Estimates(
-            delta_x=cfg.delta if cfg.delta is not None else Fraction(0),
-            epsilon=cfg.epsilon if cfg.epsilon is not None else 0,
+            delta_x=args.delta if args.delta is not None else Fraction(0),
+            epsilon=args.epsilon if args.epsilon is not None else 0,
         )
     ledger = empirical_ledger(
         r0=r0,
-        inner_offset=cfg.inner_offset,
-        outer_radius=r0 + cfg.outer_gap,
+        inner_offset=args.inner_offset,
+        outer_radius=r0 + args.outer_gap,
         estimates=estimates,
-        m=cfg.m,
+        m=args.m,
     )
     return ledger, probes
 
 
-def _cmd_count(cfg: RunConfig, started: float) -> int:
-    from .ends import count_relative_ends
-
-    parsed = _load(cfg)
+def _cmd_count(args: Namespace, started: float) -> int:
+    parsed = _load(args)
     p, h = parsed.presentation, parsed.subgroup
-    ledger, probes = _count_ledger(cfg, p)
+    ledger, probes = _count_ledger(args, p)
     digest = _hash(p, h)
+    payload = {
+        "subgroup": [p.word_to_text(w) for w in h.words],
+        "probe_r0s": list(probes),
+        "window": args.window,
+        "mode": args.mode,
+        "ledger": ledger.to_json_dict(),
+    }
     try:
         report = count_relative_ends(
             p, h, ledger, list(probes),
-            stabilization_window=cfg.window,
-            node_budget=cfg.node_budget,
-            max_slack=cfg.max_slack,
+            stabilization_window=args.window,
+            node_budget=args.node_budget,
+            max_slack=args.max_slack,
         )
     except UnstableBallError as exc:
-        lines = [f"verdict: {UNCERTIFIED} ({exc})"]
-        payload = {
-            "subgroup": [p.word_to_text(w) for w in h.words],
-            "probe_r0s": list(probes),
-            "window": cfg.window,
-            "class_history": None,
-            "verdict": UNCERTIFIED,
-            "stable": False,
-            "mode": cfg.mode,
-            "ledger": ledger.to_json_dict(),
-        }
-        _emit(cfg, started, digest, payload, lines)
+        payload.update(class_history=None, verdict=UNCERTIFIED, stable=False)
+        _emit(args, started, digest, payload, [f"verdict: {UNCERTIFIED} ({exc})"])
         return UNCERT
+    payload.update(
+        class_history=list(report.class_history),
+        verdict=report.count,
+        stable=report.stable_ball,
+    )
     history = ", ".join(f"{r}->{c}" for r, c in zip(report.probe_r0s, report.class_history))
     lines = [f"classes per probe: {history}", f"verdict: {report.count}"]
-    payload = {
-        "subgroup": [p.word_to_text(w) for w in h.words],
-        "probe_r0s": list(report.probe_r0s),
-        "window": report.window,
-        "class_history": list(report.class_history),
-        "verdict": report.count,
-        "stable": report.stable_ball,
-        "mode": cfg.mode,
-        "ledger": ledger.to_json_dict(),
-    }
-    _emit(cfg, started, digest, payload, lines)
+    _emit(args, started, digest, payload, lines)
     return UNCERT if report.count == UNCERTIFIED else OK
 
 
@@ -613,11 +526,14 @@ def _condition_payload(rep, ball) -> dict:
     }
 
 
-def _cmd_check_ddag(cfg: RunConfig, started: float) -> int:
-    parsed = _load(cfg)
+def _cmd_check(args: Namespace, started: float) -> int:
+    parsed = _load(args)
     p, h = parsed.presentation, parsed.subgroup
-    ball = stable_ball(p, h, cfg.radius, max_slack=cfg.max_slack, node_budget=cfg.node_budget)
-    rep = check_ddag(ball, cfg.m, cfg.k, delta_x=cfg.delta, r_cap=cfg.r_cap)
+    ball = stable_ball(p, h, args.radius, max_slack=args.max_slack, node_budget=args.node_budget)
+    if args.subcommand == "check-ddag":
+        rep = check_ddag(ball, args.m, args.k, delta_x=args.delta, r_cap=args.r_cap)
+    else:
+        rep = check_dag(ball, args.m, delta_xh=args.delta_xh, r_cap=args.r_cap)
     lines = [
         f"{rep.condition}: {'holds' if rep.holds_within_ball else 'fails'} within radius "
         f"{ball.radius} (witness L = {rep.witness_l}, {rep.pairs_checked} pairs)"
@@ -625,64 +541,48 @@ def _cmd_check_ddag(cfg: RunConfig, started: float) -> int:
     if rep.counterexample:
         r, x, y = rep.counterexample
         lines.append(f"counterexample at R = {r}: vertices {x}, {y}")
-    _emit(cfg, started, _hash(p, h), _condition_payload(rep, ball), lines)
+    _emit(args, started, _hash(p, h), _condition_payload(rep, ball), lines)
     return OK if ball.stable else UNCERT
 
 
-def _cmd_check_dag(cfg: RunConfig, started: float) -> int:
-    parsed = _load(cfg)
+def _cmd_empirical(args: Namespace, started: float) -> int:
+    parsed = _load(args)
     p, h = parsed.presentation, parsed.subgroup
-    ball = stable_ball(p, h, cfg.radius, max_slack=cfg.max_slack, node_budget=cfg.node_budget)
-    rep = check_dag(ball, cfg.m, delta_xh=cfg.delta_xh, r_cap=cfg.r_cap)
-    lines = [
-        f"{rep.condition}: {'holds' if rep.holds_within_ball else 'fails'} within radius "
-        f"{ball.radius} (witness L = {rep.witness_l}, {rep.pairs_checked} pairs)"
-    ]
-    if rep.counterexample:
-        r, x, y = rep.counterexample
-        lines.append(f"counterexample at R = {r}: vertices {x}, {y}")
-    _emit(cfg, started, _hash(p, h), _condition_payload(rep, ball), lines)
-    return OK if ball.stable else UNCERT
-
-
-def _cmd_empirical(cfg: RunConfig, started: float) -> int:
-    parsed = _load(cfg)
-    p, h = parsed.presentation, parsed.subgroup
-    radius = cfg.ball_radius if cfg.ball_radius is not None else cfg.radii[-1] + 1
-    if radius <= cfg.radii[-1]:
+    radius = args.ball_radius if args.ball_radius is not None else args.radii[-1] + 1
+    if radius <= args.radii[-1]:
         raise _UsageError("--ball-radius must exceed the largest cut radius")
-    ball = stable_ball(p, h, radius, max_slack=cfg.max_slack, node_budget=cfg.node_budget)
-    rep = empirical_ends(ball, list(cfg.radii), window=cfg.window)
+    ball = stable_ball(p, h, radius, max_slack=args.max_slack, node_budget=args.node_budget)
+    rep = empirical_ends(ball, list(args.radii), window=args.window)
     counts = ", ".join(f"{r}->{c}" for r, c in zip(rep.radii, rep.counts))
     lines = [f"components per radius: {counts}", f"verdict: {rep.verdict}"]
     payload = {
         "radii": list(rep.radii),
         "counts": list(rep.counts),
-        "window": cfg.window,
+        "window": args.window,
         "verdict": rep.verdict,
         "stable": ball.stable,
     }
-    _emit(cfg, started, _hash(p, h), payload, lines)
+    _emit(args, started, _hash(p, h), payload, lines)
     if not ball.stable or rep.verdict == UNCERTIFIED:
         return UNCERT
     return OK
 
 
-def _cmd_rips(cfg: RunConfig, started: float) -> int:
-    parsed = _load(cfg)
+def _cmd_rips(args: Namespace, started: float) -> int:
+    parsed = _load(args)
     q = parsed.presentation
     try:
-        out = rips_construct(q, block_length=cfg.block_length)
+        out = rips_construct(q, block_length=args.block_length)
     except RuntimeError as exc:
         print(f"construction failed: {exc}")
-        _emit(cfg, started, _hash(q, SubgroupSpec(())), {"constructed": False}, [])
+        _emit(args, started, _hash(q, SubgroupSpec(())), {"constructed": False}, [])
         return UNCERT
     g = out.g_presentation
     rep = verify_rips(out)
     text = g.to_text(out.h_generators)
-    if cfg.out_path is not None:
-        cfg.out_path.write_text(text)
-    elif cfg.json_path != "-":
+    if args.out_path is not None:
+        args.out_path.write_text(text)
+    elif args.json_path != "-":
         # keep stdout parseable when the JSON report goes there
         sys.stdout.write(text)
     lines = [
@@ -697,7 +597,7 @@ def _cmd_rips(cfg: RunConfig, started: float) -> int:
         "block_length": out.block_length,
         "n_generators": len(g.generators),
         "n_relators": len(g.relators),
-        "out_path": str(cfg.out_path) if cfg.out_path else None,
+        "out_path": str(args.out_path) if args.out_path else None,
         "verify": {
             "small_cancellation": _sc_payload(rep.small_cancellation),
             "quotient_recovered": rep.quotient_recovered,
@@ -705,43 +605,43 @@ def _cmd_rips(cfg: RunConfig, started: float) -> int:
             "passes": rep.passes,
         },
     }
-    _emit(cfg, started, _hash(q, SubgroupSpec(())), payload, lines)
+    _emit(args, started, _hash(q, SubgroupSpec(())), payload, lines)
     return OK if rep.passes else UNCERT
 
 
-def _cmd_oracle_fold(cfg: RunConfig, started: float) -> int:
-    parsed = _load(cfg)
+def _cmd_oracle_fold(args: Namespace, started: float) -> int:
+    parsed = _load(args)
     p, h = parsed.presentation, parsed.subgroup
     if not h.words:
         raise _UsageError("oracle-fold needs a subgroup (--subgroup-from-file or --subgroup)")
     core = stallings_fold(p, h)
-    _write_dot(cfg, core, with_dist=False)
+    _write_dot(args, core, with_dist=False)
     n_edges = sum(1 for col in core.table[::2] for t in col if t >= 0)
     lines = [f"core graph: {core.n_vertices} vertices, {n_edges} edges"]
     payload = {"n_vertices": core.n_vertices, "n_edges": n_edges,
                "generators": list(core.gen_names)}
-    _emit(cfg, started, _hash(p, h), payload, lines)
+    _emit(args, started, _hash(p, h), payload, lines)
     return OK
 
 
-def _cmd_oracle_compare(cfg: RunConfig, started: float) -> int:
-    parsed = _load(cfg)
+def _cmd_oracle_compare(args: Namespace, started: float) -> int:
+    parsed = _load(args)
     p, h = parsed.presentation, parsed.subgroup
     core = stallings_fold(p, h)
-    oracle_ball = free_schreier_ball(core, cfg.radius)
-    mine = enumerate_cosets(p, h, cfg.radius, node_budget=cfg.node_budget)
+    oracle_ball = free_schreier_ball(core, args.radius)
+    mine = enumerate_cosets(p, h, args.radius, node_budget=args.node_budget)
     same = graphs_isomorphic(mine, oracle_ball)
     lines = [
         f"enumerated: {mine.n_vertices} cosets; oracle: {oracle_ball.n_vertices}; "
         f"{'isomorphic' if same else 'MISMATCH'}"
     ]
     payload = {
-        "radius": cfg.radius,
+        "radius": args.radius,
         "isomorphic": same,
         "enumerated_cosets": mine.n_vertices,
         "oracle_cosets": oracle_ball.n_vertices,
     }
-    _emit(cfg, started, _hash(p, h), payload, lines)
+    _emit(args, started, _hash(p, h), payload, lines)
     return OK if same else UNCERT
 
 
@@ -751,8 +651,8 @@ _DISPATCH = {
     "ball": _cmd_ball,
     "schreier": _cmd_schreier,
     "count": _cmd_count,
-    "check-ddag": _cmd_check_ddag,
-    "check-dag": _cmd_check_dag,
+    "check-ddag": _cmd_check,
+    "check-dag": _cmd_check,
     "empirical": _cmd_empirical,
     "rips": _cmd_rips,
     "oracle-fold": _cmd_oracle_fold,
@@ -761,24 +661,14 @@ _DISPATCH = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+        args = _build_parser().parse_args(argv)
+        return _DISPATCH[args.subcommand](args, time.time())
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for bad arguments; fold the
         # latter into the usage code so 2 stays reserved for uncertified.
         return OK if not exc.code else USAGE
-    started = time.time()
-    try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.subcommand](cfg, started)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except (ParseError, OSError, StrategyError, ValueError) as exc:
+    except (_UsageError, ParseError, OSError, StrategyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except BudgetExceeded as exc:

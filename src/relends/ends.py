@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 
+from .cayley import pair_certified
 from .constants import ConstantsLedger, annulus_inner_radius
 from .presentation import Presentation, SubgroupSpec
-from .schreier import Ball, BudgetExceeded, DEFAULT_NODE_BUDGET, SchreierBall, stable_ball
+from .schreier import Ball, DEFAULT_NODE_BUDGET, stable_ball
 
 INFINITE = "infinite (non-stabilizing)"
 UNCERTIFIED = "uncertified"
@@ -28,11 +29,6 @@ UNCERTIFIED = "uncertified"
 
 class UnstableBallError(RuntimeError):
     """Slack escalation hit its cap without two agreeing truncations."""
-
-
-def sphere(ball: Ball, r: int) -> list[int]:
-    """Vertices at distance exactly r from the base."""
-    return ball.sphere(r)
 
 
 @dataclass(frozen=True)
@@ -70,6 +66,20 @@ class _UnionFind:
         return True
 
 
+def _components(ball: Ball, allowed: list[bool]) -> _UnionFind:
+    """Union-find over the table edges with both ends in the allowed set."""
+    uf = _UnionFind(ball.n_vertices)
+    table = ball.table
+    for v in range(ball.n_vertices):
+        if not allowed[v]:
+            continue
+        for col in table:
+            t = col[v]
+            if t > v and allowed[t]:
+                uf.union(v, t)
+    return uf
+
+
 def sphere_classes(ball: Ball, ledger: ConstantsLedger) -> SphereClasses:
     """Partition of S(R0) by connectivity inside the annulus.
 
@@ -89,16 +99,7 @@ def sphere_classes(ball: Ball, ledger: ConstantsLedger) -> SphereClasses:
     dist = ball.dist
     n = ball.n_vertices
     in_annulus = [inner < dist[v] <= outer for v in range(n)]
-    uf = _UnionFind(n)
-    L = ball.n_letters
-    table = ball.table
-    for v in range(n):
-        if not in_annulus[v]:
-            continue
-        for x in range(L):
-            t = table[x][v]
-            if t > v and in_annulus[t]:
-                uf.union(v, t)
+    uf = _components(ball, in_annulus)
     groups: dict[int, list[int]] = {}
     for v in range(n):
         if dist[v] != r0:
@@ -112,7 +113,7 @@ def sphere_classes(ball: Ball, ledger: ConstantsLedger) -> SphereClasses:
         outer_radius=outer,
         classes=tuple(classes),
         representatives=tuple(c[0] for c in classes),
-        ball_stable=getattr(ball, "stable", True),
+        ball_stable=ball.stable,
     )
 
 
@@ -160,16 +161,7 @@ def shadow_consistency_check(
     if len(outside) < 2:
         return ShadowReport(True, 0, ())
     # connectivity in the complement of the inner ball, whole region
-    uf = _UnionFind(n)
-    allowed = [dist[v] > inner for v in range(n)]
-    L = ball.n_letters
-    for v in range(n):
-        if not allowed[v]:
-            continue
-        for x in range(L):
-            t = ball.table[x][v]
-            if t > v and allowed[t]:
-                uf.union(v, t)
+    uf = _components(ball, [d > inner for d in dist])
     rng = Random(seed)
     violations: list[tuple[int, int]] = []
     checked = 0
@@ -387,15 +379,6 @@ def _bfs_region(
     return found
 
 
-def _pair_certified(ball: Ball, u: int, v: int, d: int) -> bool:
-    # distances to the base vertex are exact; others need headroom so a
-    # true geodesic cannot have left the enumerated region
-    if u == 0 or v == 0:
-        return True
-    r2 = 2 * ball.radius
-    return 2 * ball.dist[u] + d <= r2 and 2 * ball.dist[v] + d <= r2
-
-
 def _floor(x: Fraction) -> int:
     f = Fraction(x)
     return f.numerator // f.denominator
@@ -423,7 +406,7 @@ def _run_condition(
                     continue
                 if dist[y] == r and y < x:
                     continue  # unordered sphere pairs once
-                if _pair_certified(ball, x, y, d):
+                if pair_certified(dist, ball.radius, x, y, d):
                     partners.append(y)
             if not partners:
                 continue
@@ -481,7 +464,7 @@ def check_ddag(
 
 
 def check_dag(
-    ball: SchreierBall,
+    ball: Ball,
     m: int,
     ledger: ConstantsLedger | None = None,
     delta_xh: Fraction | int | None = None,

@@ -10,11 +10,10 @@ BFS.  Used as ground truth in tests and in the fold/compare commands.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .presentation import Presentation, SubgroupSpec, Word
-from .schreier import Ball, SchreierBall
+from .schreier import Ball
 
 
 @dataclass
@@ -148,7 +147,7 @@ def stallings_fold(
     return CoreGraph(gen_names=p.generators, table=table)
 
 
-def free_schreier_ball(core: CoreGraph, radius: int) -> SchreierBall:
+def free_schreier_ball(core: CoreGraph, radius: int) -> Ball:
     """Exact radius-R Schreier ball over a free group, from the folded core.
 
     Every missing direction at a vertex carries an infinite tree; geodesics
@@ -202,13 +201,11 @@ def free_schreier_ball(core: CoreGraph, radius: int) -> SchreierBall:
         for i, t in enumerate(col):
             if t == -2:
                 col[i] = -1
-    return SchreierBall(
+    return Ball(
         gen_names=core.gen_names,
         table=table,
         dist=dist,
         radius=radius,
-        slack=0,
-        stable=True,
         parent=parent,
         parent_letter=parent_letter,
     )

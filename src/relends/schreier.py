@@ -31,12 +31,15 @@ class BudgetExceeded(RuntimeError):
     """The enumeration needed more table cells than the configured budget."""
 
 
+@dataclass
 class Ball:
-    """Shared shape of Cayley and Schreier balls: a truncated labeled graph.
+    """A truncated, canonically labeled Schreier ball of (G, H).
 
-    table has one column per letter; table[x][v] is the target coset or -1
-    when the edge leaves the ball (or leads out of the enumerated region).
-    Vertex 0 is the base; dist is the BFS distance from it.
+    The Cayley ball is the case H = 1.  table has one column per letter;
+    table[x][v] is the target coset or -1 when the edge leaves the ball (or
+    leads out of the enumerated region).  Vertex 0 is the base; dist is the
+    BFS distance from it.  stable records whether slack + 1 reproduced the
+    identical ball; results from unstable balls are uncertified.
     """
 
     gen_names: tuple[str, ...]
@@ -45,6 +48,11 @@ class Ball:
     radius: int
     parent: list[int]
     parent_letter: list[int]
+    slack: int = 0
+    stable: bool = True
+    subgroup_words: tuple[Word, ...] = ()
+    # in-ball BFS distances per source vertex, filled on demand by cayley
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -62,26 +70,10 @@ class Ball:
             v = self.parent[v]
         return tuple(reversed(out))
 
-    def step(self, v: int, letter: int) -> int:
-        return self.table[letter][v]
-
     def sphere(self, r: int) -> list[int]:
         if r > self.radius:
             raise ValueError(f"sphere radius {r} exceeds ball radius {self.radius}")
         return [v for v, d in enumerate(self.dist) if d == r]
-
-
-@dataclass
-class SchreierBall(Ball):
-    gen_names: tuple[str, ...]
-    table: list[list[int]]
-    dist: list[int]
-    radius: int
-    slack: int
-    stable: bool
-    parent: list[int]
-    parent_letter: list[int]
-    subgroup_words: tuple[Word, ...] = ()
 
 
 def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, node_budget: int):
@@ -240,16 +232,18 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
     return cols, uf, pdist, find
 
 
-def _finalize(p: Presentation, raw, radius: int):
-    """Truncate to the radius and relabel cosets in canonical BFS order."""
-    cols, uf, _pdist, find = raw
-    L = p.n_letters
-    root = find(0)
+def _relabel(cols: list[list[int]], find, root: int, radius: int):
+    """Truncate to the radius around root and relabel in canonical BFS order.
+
+    Letters are visited in column order, so parent_letter indexes cols;
+    find resolves a stored target to its live representative.
+    """
     canon = {root: 0}
     order = [root]
     dist = [0]
     parent = [-1]
     parent_letter = [-1]
+    L = len(cols)
     head = 0
     while head < len(order):
         v = order[head]
@@ -269,8 +263,7 @@ def _finalize(p: Presentation, raw, radius: int):
                 parent.append(canon[v])
                 parent_letter.append(x)
     table: list[list[int]] = []
-    for x in range(L):
-        col_in = cols[x]
+    for col_in in cols:
         col_out = []
         for v in order:
             t = col_in[v]
@@ -279,6 +272,12 @@ def _finalize(p: Presentation, raw, radius: int):
             col_out.append(t)
         table.append(col_out)
     return table, dist, parent, parent_letter
+
+
+def _finalize(p: Presentation, raw, radius: int):
+    """Truncate to the radius and relabel cosets in canonical BFS order."""
+    cols, _uf, _pdist, find = raw
+    return _relabel(cols, find, find(0), radius)
 
 
 def _truncated_run(
@@ -292,13 +291,35 @@ def _truncated_run(
     return _finalize(p, raw, radius)
 
 
+def _agree(a, b) -> bool:
+    """Two truncated runs give the identical ball (same table and distances)."""
+    return a[0] == b[0] and a[1] == b[1]
+
+
+def _ball_from(
+    p: Presentation, h: SubgroupSpec, radius: int, run, slack: int, stable: bool
+) -> Ball:
+    table, dist, parent, parent_letter = run
+    return Ball(
+        gen_names=p.generators,
+        table=table,
+        dist=dist,
+        radius=radius,
+        parent=parent,
+        parent_letter=parent_letter,
+        slack=slack,
+        stable=stable,
+        subgroup_words=h.words,
+    )
+
+
 def enumerate_cosets(
     p: Presentation,
     h: SubgroupSpec,
     radius: int,
     slack: int = 0,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> SchreierBall:
+) -> Ball:
     """Ball of the Schreier graph of (G, H) out to the given radius.
 
     Cosets are enumerated to radius + slack, closed under subgroup loops at
@@ -309,19 +330,7 @@ def enumerate_cosets(
         raise ValueError("radius and slack must be nonnegative")
     this = _truncated_run(p, h.words, radius, slack, node_budget)
     nxt = _truncated_run(p, h.words, radius, slack + 1, node_budget)
-    table, dist, parent, parent_letter = this
-    stable = this[0] == nxt[0] and this[1] == nxt[1]
-    return SchreierBall(
-        gen_names=p.generators,
-        table=table,
-        dist=dist,
-        radius=radius,
-        slack=slack,
-        stable=stable,
-        parent=parent,
-        parent_letter=parent_letter,
-        subgroup_words=h.words,
-    )
+    return _ball_from(p, h, radius, this, slack, _agree(this, nxt))
 
 
 def stable_ball(
@@ -331,7 +340,7 @@ def stable_ball(
     start_slack: int = 0,
     max_slack: int = 12,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> SchreierBall:
+) -> Ball:
     """Escalate slack until two consecutive truncations agree.
 
     Returns the first stable ball, or the last attempt flagged unstable when
@@ -341,31 +350,15 @@ def stable_ball(
     prev = _truncated_run(p, h.words, radius, s, node_budget)
     while True:
         nxt = _truncated_run(p, h.words, radius, s + 1, node_budget)
-        if prev[0] == nxt[0] and prev[1] == nxt[1]:
-            stable = True
-            break
-        if s + 1 > max_slack:
-            prev = nxt
-            s += 1
-            stable = False
-            break
+        if _agree(prev, nxt):
+            return _ball_from(p, h, radius, prev, s, True)
         prev = nxt
         s += 1
-    table, dist, parent, parent_letter = prev
-    return SchreierBall(
-        gen_names=p.generators,
-        table=table,
-        dist=dist,
-        radius=radius,
-        slack=s,
-        stable=stable,
-        parent=parent,
-        parent_letter=parent_letter,
-        subgroup_words=h.words,
-    )
+        if s > max_slack:
+            return _ball_from(p, h, radius, prev, s, False)
 
 
-def quotient_distance(ball: SchreierBall, v: int) -> int:
+def quotient_distance(ball: Ball, v: int) -> int:
     """BFS distance from the base coset (the quotient metric)."""
     if not 0 <= v < ball.n_vertices:
         raise ValueError(f"coset {v} not in ball")
@@ -388,7 +381,7 @@ class CoveringReport:
     violations: tuple[CoveringViolation, ...]
 
 
-def covering_degree_check(ball: SchreierBall, exclusion_radius: int) -> CoveringReport:
+def covering_degree_check(ball: Ball, exclusion_radius: int) -> CoveringReport:
     """Check the ball looks like a covering of a wedge outside the exclusion.
 
     Every coset with exclusion_radius <= dist < radius must have all 2#S
@@ -419,7 +412,7 @@ def covering_degree_check(ball: SchreierBall, exclusion_radius: int) -> Covering
     return CoveringReport(not violations, exclusion_radius, checked, tuple(violations))
 
 
-def restrict_to_generators(ball: Ball, names: tuple[str, ...]) -> SchreierBall:
+def restrict_to_generators(ball: Ball, names: tuple[str, ...]) -> Ball:
     """Subgraph on a sub-alphabet, re-BFS'd from the base.
 
     Distances are recomputed inside the restricted graph; vertices that the
@@ -434,42 +427,15 @@ def restrict_to_generators(ball: Ball, names: tuple[str, ...]) -> SchreierBall:
         except ValueError:
             raise ValueError(f"generator {name!r} not in ball alphabet") from None
         keep.append(i)
-    letters = [x for i in keep for x in (2 * i, 2 * i + 1)]
-    canon = {0: 0}
-    order = [0]
-    dist = [0]
-    parent = [-1]
-    parent_letter = [-1]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        d = dist[head]
-        head += 1
-        if d == ball.radius:
-            continue
-        for xi, x in enumerate(letters):
-            t = ball.table[x][v]
-            if t < 0 or t in canon:
-                continue
-            canon[t] = len(order)
-            order.append(t)
-            dist.append(d + 1)
-            parent.append(canon[v])
-            parent_letter.append(xi)
-    table = []
-    for x in letters:
-        col = []
-        for v in order:
-            t = ball.table[x][v]
-            col.append(canon.get(t, -1) if t >= 0 else -1)
-        table.append(col)
-    return SchreierBall(
+    cols = [ball.table[x] for i in keep for x in (2 * i, 2 * i + 1)]
+    table, dist, parent, parent_letter = _relabel(cols, lambda t: t, 0, ball.radius)
+    return Ball(
         gen_names=tuple(names),
         table=table,
         dist=dist,
         radius=ball.radius,
-        slack=getattr(ball, "slack", 0),
-        stable=getattr(ball, "stable", True),
         parent=parent,
         parent_letter=parent_letter,
+        slack=ball.slack,
+        stable=ball.stable,
     )

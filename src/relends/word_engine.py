@@ -131,17 +131,11 @@ def is_identity(w: Word, p: Presentation, strategy: WordProblemStrategy) -> bool
     if strategy.kind == "dehn":
         return len(dehn_reduce(word, p)) == 0
     cap = strategy.radius_cap
-    assert cap is not None
     if len(word) > cap:
         raise UndecidedWithinBound(
             f"word of length {len(word)} exceeds the BFS radius cap {cap}"
         )
-    ball = _cached_ball(p, cap)
-    v = 0
-    for x in word:
-        v = ball.table[x][v]
-        assert v >= 0, "prefix of a cap-length word left the ball"
-    return v == 0
+    return shortlex_normal_form(word, _cached_ball(p, cap)) == ()
 
 
 def shortlex_normal_form(w: Word, ball) -> Word:

@@ -72,6 +72,13 @@ def test_env_var_sets_the_default_budget(files, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_env_budget_is_a_usage_error(files, monkeypatch, capsys, value):
+    monkeypatch.setenv("ENDS_NODE_BUDGET", value)
+    assert run(["parse", files["z"]]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_explicit_flag_beats_the_env_var(files, monkeypatch, capsys):
     monkeypatch.setenv("ENDS_NODE_BUDGET", "100")
     rc = run(
