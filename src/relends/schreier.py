@@ -7,10 +7,11 @@ scans sweep every coset whose provisional distance is within radius + slack,
 filling gaps for cosets strictly inside the horizon and closing
 single-edge gaps on the horizon itself.  Coincidences go through a FIFO
 queue over a union-find with path halving; reads resolve stale targets
-lazily via find.  Sweeps repeat, with exact BFS distances recomputed
-between them, until nothing changes.  The returned ball is truncated to
-the requested radius and relabeled in BFS order (generators in declared
-order, positive letter before inverse), so equal balls have equal tables.
+lazily via find.  Sweeps repeat until nothing changes; before each, the
+distances are settled to exact BFS distances from the rows whose edges
+changed.  The returned ball is truncated to the requested radius and
+relabeled in BFS order (generators in declared order, positive letter
+before inverse), so equal balls have equal tables.
 
 Stability is certified empirically: a ball is stable when rerunning with
 slack + 1 yields the identical truncated table.  Results from unstable
@@ -28,7 +29,19 @@ DEFAULT_NODE_BUDGET = 5_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    """The enumeration needed more table cells than the configured budget."""
+    """The enumeration needed more table cells than the budget; horizon and
+    rows are the run's horizon and the rows it had allocated."""
+
+    def __init__(self, node_budget: int, horizon: int, rows: int):
+        super().__init__(node_budget, horizon, rows)
+        self.node_budget, self.horizon, self.rows = node_budget, horizon, rows
+
+    def __str__(self) -> str:
+        # certified ledgers ask for horizons too long to print in full
+        bits = self.horizon.bit_length()
+        horizon = self.horizon if bits <= 64 else f"2^{bits - 1} or more"
+        return (f"enumeration needs more than {self.node_budget} table cells "
+                f"(horizon {horizon}, {self.rows} rows allocated)")
 
 
 @dataclass
@@ -77,13 +90,19 @@ class Ball:
 
 
 def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, node_budget: int):
-    """Run closure out to the horizon; returns (cols, parent_uf, pdist)."""
+    """Run closure out to the horizon; returns (cols, parent_uf, pdist, find).
+
+    pdist holds exact BFS distances on live rows (uf[c] == c); find resolves
+    a stored target to its live row.
+    """
     L = p.n_letters
-    relators = [r for r in p.relators]
+    relators = list(p.relators)
     cols: list[list[int]] = [[-1] for _ in range(L)]
     uf: list[int] = [0]
     pdist: list[int] = [0]
     pending: deque[tuple[int, int]] = deque()
+    # an end of every edge added since the last settle; see settle()
+    dirty: list[int] = []
 
     def find(c: int) -> int:
         while uf[c] != c:
@@ -94,9 +113,7 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
     def new_row(src: int, x: int) -> int:
         t = len(uf)
         if (t + 1) * L > node_budget:
-            raise BudgetExceeded(
-                f"enumeration needs more than {node_budget} table cells"
-            )
+            raise BudgetExceeded(node_budget, horizon, t)
         for col in cols:
             col.append(-1)
         uf.append(t)
@@ -117,6 +134,7 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
             uf[b] = a
             if pdist[b] < pdist[a]:
                 pdist[a] = pdist[b]
+            dirty.append(a)
             for x in range(L):
                 tb = cols[x][b]
                 if tb < 0:
@@ -178,34 +196,45 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
             return True
         cols[x][f] = b
         cols[x ^ 1][b] = f
+        dirty.append(f)
+        dirty.append(b)
         return True
 
-    def redistance() -> None:
-        """Exact BFS distances over live rows; junk keeps a large stand-in."""
-        big = horizon + len(uf)
-        for c in range(len(uf)):
-            pdist[c] = big
-        root = find(0)
-        pdist[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            d = pdist[v] + 1
-            for x in range(L):
-                t = cols[x][v]
-                if t < 0:
-                    continue
-                t = find(t)
-                if pdist[t] > d:
-                    pdist[t] = d
-                    queue.append(t)
+    def settle() -> None:
+        """Lower pdist to exact BFS distances on live rows.
+
+        pdist only falls and is always the length of some walk.  An edge
+        whose ends differ by more than one has its nearer end dirty: scan
+        marks both ends of an edge it closes, merge marks the representative
+        whose pdist it may lower (the merged row's edges that differ by more
+        than one already had a dirty nearer end), and a new row starts at
+        pdist[src] + 1.  So pushing every dirty row outward in distance
+        order (Dial's buckets) restores exactness.
+        """
+        buckets: dict[int, list[int]] = {}
+        for s in {find(c) for c in dirty}:
+            buckets.setdefault(pdist[s], []).append(s)
+        dirty.clear()
+        d = min(buckets, default=0)
+        while buckets:
+            for v in buckets.pop(d, ()):
+                if pdist[v] != d:
+                    continue  # lowered again after it was queued
+                for x in range(L):
+                    t = cols[x][v]
+                    if t >= 0:
+                        t = find(t)
+                        if pdist[t] > d + 1:
+                            pdist[t] = d + 1
+                            buckets.setdefault(d + 1, []).append(t)
+            d += 1
 
     for w in h_words:
         scan(0, w, fill=True)
 
     changed = True
     while changed:
-        redistance()
+        settle()
         changed = False
         c = 0
         while c < len(uf):
@@ -216,10 +245,6 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
                         if cols[x][c] < 0:
                             new_row(c, x)
                             changed = True
-                    if uf[c] != c:
-                        # a merge during scanning relocated this row
-                        c += 1
-                        continue
                 if d <= horizon:
                     inside = d < horizon
                     for w in relators:

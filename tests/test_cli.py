@@ -1,9 +1,14 @@
 """Command line behavior: exit codes, JSON reports, output routing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relends
 from relends.cli import run
 
 from conftest import FREE2, GENUS2, LINE, TRIVIAL_Q_TEXT
@@ -53,6 +58,48 @@ def test_parse_reports_the_file_contents(files, capsys):
 def test_count_the_line(files, capsys):
     assert run(["count", files["z"], "--probe-r0", "2,3,4,5"]) == 0
     assert "verdict: 2" in capsys.readouterr().out
+
+
+# Runs in a fresh interpreter: every top-level import outside the standard
+# library and the declared dependencies fails, including modules that site
+# hooks loaded before the package.
+DECLARED_ONLY = """
+import sys
+allowed = set(sys.stdlib_module_names) | {"numpy", "relends"}
+for name in list(sys.modules):
+    if name.partition(".")[0] not in allowed:
+        del sys.modules[name]
+
+
+class Undeclared:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] not in allowed:
+            raise ModuleNotFoundError(f"undeclared dependency {name!r}", name=name)
+
+
+sys.meta_path.insert(0, Undeclared())
+from relends import parse_presentation, stable_ball
+from relends.cli import run
+from relends.presentation import SubgroupSpec
+
+line = parse_presentation("generators: a\\nrelators: none\\n")
+print("vertices:", stable_ball(line, SubgroupSpec(()), 3).n_vertices)
+sys.exit(run(["count", sys.argv[1], "--probe-r0", "2,3,4,5"]))
+"""
+
+
+def test_package_runs_with_only_its_declared_dependencies(files):
+    src = str(Path(relends.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", DECLARED_ONLY, files["z"]],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "vertices: 7" in proc.stdout
+    assert "verdict: 2" in proc.stdout
 
 
 def test_short_probe_lists_stay_uncertified(files, capsys):

@@ -1,5 +1,10 @@
 """Coset enumeration: truncated balls, stability escalation, budgets."""
 
+import hashlib
+import json
+from collections import deque
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,11 +18,38 @@ from relends import (
     restrict_to_generators,
     stable_ball,
 )
+from relends.schreier import DEFAULT_NODE_BUDGET, _finalize, _raw_enumerate
 
-from conftest import sub, walk
+from conftest import FREE2, GENUS2, TORUS, sub, walk
 
 # a presentation whose radius-2 ball shrinks once the enumeration digs deeper
 SHIFTY = "generators: a b\nrelators: bbabbb\n"
+
+# (name, presentation, subgroup generators) for the enumerator invariants
+CORPUS = [
+    ("genus2", GENUS2, ()),
+    ("genus2-a", GENUS2, ("a",)),
+    ("torus", TORUS, ()),
+    ("shifty", SHIFTY, ()),
+    ("f2-sub", FREE2, ("ab", "bbA")),
+]
+# finite groups whose coincidences lower distances far from the edges the
+# scans close, with the horizon that shows it
+COLLAPSING = [
+    ("a5", "generators: a b\nrelators: aa bbb ababababab\n", (), 5),
+    ("s3", "generators: a b\nrelators: aaa bb abab\n", (), 6),
+]
+# _finalize digests for CORPUS, pinned from the enumerator that ran a full
+# BFS before every sweep; no raw table or row count is pinned, so the
+# enumerator may renumber its rows
+BALL_DIGESTS = Path(__file__).parent / "golden" / "ball-digests.json"
+
+
+def raw_runs(text, gens, horizons=range(5)):
+    p = parse_presentation(text)
+    words = sub(p, *gens).words
+    for horizon in horizons:
+        yield horizon, p, _raw_enumerate(p, words, horizon, DEFAULT_NODE_BUDGET)
 
 
 def sphere_sizes(ball):
@@ -91,8 +123,43 @@ def test_generous_start_slack_is_already_stable():
 
 
 def test_budget_cuts_enumeration_short(genus2, trivial):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as info:
         stable_ball(genus2, trivial, 4, node_budget=100)
+    # 8 letters per row: the 13th row would need 104 cells
+    assert (info.value.horizon, info.value.rows) == (4, 12)
+    assert "horizon 4, 12 rows" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "name, text, gens, top",
+    [(*case, 5) for case in CORPUS] + COLLAPSING,
+    ids=[c[0] for c in CORPUS + COLLAPSING],
+)
+def test_enumerator_distances_are_bfs_distances(name, text, gens, top):
+    for horizon, _p, (cols, uf, pdist, find) in raw_runs(text, gens, range(top + 1)):
+        dist = {0: 0}
+        queue = deque([0])
+        while queue:
+            v = queue.popleft()
+            for t in (find(col[v]) for col in cols if col[v] >= 0):
+                if t not in dist:
+                    dist[t] = dist[v] + 1
+                    queue.append(t)
+        live = [c for c in range(len(uf)) if uf[c] == c]
+        assert sorted(dist) == live, horizon
+        assert [pdist[c] for c in live] == [dist[c] for c in live], horizon
+
+
+def test_finalized_balls_match_pinned_digests():
+    digests = {}
+    for name, text, gens in CORPUS:
+        for horizon, p, raw in raw_runs(text, gens):
+            # slack 0 and slack 1, so the unstable shifty run at r2 s0 is in
+            for radius in range(max(horizon - 1, 0), horizon + 1):
+                table, dist, _, _ = _finalize(p, raw, radius)
+                blob = json.dumps([table, dist]).encode()
+                digests[f"{name} h{horizon} r{radius}"] = hashlib.sha256(blob).hexdigest()
+    assert digests == json.loads(BALL_DIGESTS.read_text())
 
 
 def test_quotient_distance_equals_ball_distance(genus2):
