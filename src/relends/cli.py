@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 from argparse import Namespace
 from fractions import Fraction
 from pathlib import Path
@@ -265,7 +264,7 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _emit(args: Namespace, started: float, digest: str, payload: dict, lines: list[str]) -> None:
+def _emit(args: Namespace, digest: str, payload: dict, lines: list[str]) -> None:
     # human lines are suppressed when the JSON report itself goes to stdout
     if args.json_path != "-":
         for line in lines:
@@ -278,7 +277,6 @@ def _emit(args: Namespace, started: float, digest: str, payload: dict, lines: li
         "presentation_hash": digest,
         "node_budget": args.node_budget,
         "seed": args.seed,
-        "runtime_ms": int((time.time() - started) * 1000),
         **payload,
     }
     text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
@@ -333,7 +331,7 @@ def _strategy_for(args: Namespace, p: Presentation, radius: int) -> WordProblemS
     return choose_strategy(p, radius_cap=cap)
 
 
-def _cmd_parse(args: Namespace, started: float) -> int:
+def _cmd_parse(args: Namespace) -> int:
     # inspect the file as written: the subgroup section shows even without
     # --subgroup-from-file
     parsed = parse_file(args.input.read_text())
@@ -352,11 +350,11 @@ def _cmd_parse(args: Namespace, started: float) -> int:
         "subgroup_words": [p.word_to_text(w) for w in h.words],
         "small_cancellation": _sc_payload(sc),
     }
-    _emit(args, started, _hash(p, h), payload, lines)
+    _emit(args, _hash(p, h), payload, lines)
     return OK
 
 
-def _cmd_word_reduce(args: Namespace, started: float) -> int:
+def _cmd_word_reduce(args: Namespace) -> int:
     parsed = _load(args)
     p = parsed.presentation
     word = p.word_from_text(args.word)
@@ -377,11 +375,11 @@ def _cmd_word_reduce(args: Namespace, started: float) -> int:
         "is_identity": not reduced,
         "strategy": strategy.kind,
     }
-    _emit(args, started, _hash(p, parsed.subgroup), payload, lines)
+    _emit(args, _hash(p, parsed.subgroup), payload, lines)
     return OK
 
 
-def _cmd_ball(args: Namespace, started: float) -> int:
+def _cmd_ball(args: Namespace) -> int:
     parsed = _load(args)
     p = parsed.presentation
     strategy = _strategy_for(args, p, args.radius)
@@ -400,11 +398,11 @@ def _cmd_ball(args: Namespace, started: float) -> int:
         "stable": ball.stable,
         "strategy": strategy.kind,
     }
-    _emit(args, started, _hash(p, SubgroupSpec(())), payload, lines)
+    _emit(args, _hash(p, SubgroupSpec(())), payload, lines)
     return OK
 
 
-def _cmd_schreier(args: Namespace, started: float) -> int:
+def _cmd_schreier(args: Namespace) -> int:
     parsed = _load(args)
     p, h = parsed.presentation, parsed.subgroup
     ball = stable_ball(
@@ -445,7 +443,7 @@ def _cmd_schreier(args: Namespace, started: float) -> int:
         "subgroup_words": [p.word_to_text(w) for w in h.words],
         "covering": covering,
     }
-    _emit(args, started, _hash(p, h), payload, lines)
+    _emit(args, _hash(p, h), payload, lines)
     return OK if ball.stable else UNCERT
 
 
@@ -479,7 +477,7 @@ def _count_ledger(args: Namespace, p: Presentation) -> tuple[ConstantsLedger, tu
     return ledger, probes
 
 
-def _cmd_count(args: Namespace, started: float) -> int:
+def _cmd_count(args: Namespace) -> int:
     parsed = _load(args)
     p, h = parsed.presentation, parsed.subgroup
     ledger, probes = _count_ledger(args, p)
@@ -500,7 +498,7 @@ def _cmd_count(args: Namespace, started: float) -> int:
         )
     except UnstableBallError as exc:
         payload.update(class_history=None, verdict=UNCERTIFIED, stable=False)
-        _emit(args, started, digest, payload, [f"verdict: {UNCERTIFIED} ({exc})"])
+        _emit(args, digest, payload, [f"verdict: {UNCERTIFIED} ({exc})"])
         return UNCERT
     payload.update(
         class_history=list(report.class_history),
@@ -509,7 +507,7 @@ def _cmd_count(args: Namespace, started: float) -> int:
     )
     history = ", ".join(f"{r}->{c}" for r, c in zip(report.probe_r0s, report.class_history))
     lines = [f"classes per probe: {history}", f"verdict: {report.count}"]
-    _emit(args, started, digest, payload, lines)
+    _emit(args, digest, payload, lines)
     return UNCERT if report.count == UNCERTIFIED else OK
 
 
@@ -526,7 +524,7 @@ def _condition_payload(rep, ball) -> dict:
     }
 
 
-def _cmd_check(args: Namespace, started: float) -> int:
+def _cmd_check(args: Namespace) -> int:
     parsed = _load(args)
     p, h = parsed.presentation, parsed.subgroup
     ball = stable_ball(p, h, args.radius, max_slack=args.max_slack, node_budget=args.node_budget)
@@ -541,11 +539,11 @@ def _cmd_check(args: Namespace, started: float) -> int:
     if rep.counterexample:
         r, x, y = rep.counterexample
         lines.append(f"counterexample at R = {r}: vertices {x}, {y}")
-    _emit(args, started, _hash(p, h), _condition_payload(rep, ball), lines)
+    _emit(args, _hash(p, h), _condition_payload(rep, ball), lines)
     return OK if ball.stable else UNCERT
 
 
-def _cmd_empirical(args: Namespace, started: float) -> int:
+def _cmd_empirical(args: Namespace) -> int:
     parsed = _load(args)
     p, h = parsed.presentation, parsed.subgroup
     radius = args.ball_radius if args.ball_radius is not None else args.radii[-1] + 1
@@ -562,20 +560,20 @@ def _cmd_empirical(args: Namespace, started: float) -> int:
         "verdict": rep.verdict,
         "stable": ball.stable,
     }
-    _emit(args, started, _hash(p, h), payload, lines)
+    _emit(args, _hash(p, h), payload, lines)
     if not ball.stable or rep.verdict == UNCERTIFIED:
         return UNCERT
     return OK
 
 
-def _cmd_rips(args: Namespace, started: float) -> int:
+def _cmd_rips(args: Namespace) -> int:
     parsed = _load(args)
     q = parsed.presentation
     try:
         out = rips_construct(q, block_length=args.block_length)
     except RuntimeError as exc:
         print(f"construction failed: {exc}")
-        _emit(args, started, _hash(q, SubgroupSpec(())), {"constructed": False}, [])
+        _emit(args, _hash(q, SubgroupSpec(())), {"constructed": False}, [])
         return UNCERT
     g = out.g_presentation
     rep = verify_rips(out)
@@ -605,11 +603,11 @@ def _cmd_rips(args: Namespace, started: float) -> int:
             "passes": rep.passes,
         },
     }
-    _emit(args, started, _hash(q, SubgroupSpec(())), payload, lines)
+    _emit(args, _hash(q, SubgroupSpec(())), payload, lines)
     return OK if rep.passes else UNCERT
 
 
-def _cmd_oracle_fold(args: Namespace, started: float) -> int:
+def _cmd_oracle_fold(args: Namespace) -> int:
     parsed = _load(args)
     p, h = parsed.presentation, parsed.subgroup
     if not h.words:
@@ -620,11 +618,11 @@ def _cmd_oracle_fold(args: Namespace, started: float) -> int:
     lines = [f"core graph: {core.n_vertices} vertices, {n_edges} edges"]
     payload = {"n_vertices": core.n_vertices, "n_edges": n_edges,
                "generators": list(core.gen_names)}
-    _emit(args, started, _hash(p, h), payload, lines)
+    _emit(args, _hash(p, h), payload, lines)
     return OK
 
 
-def _cmd_oracle_compare(args: Namespace, started: float) -> int:
+def _cmd_oracle_compare(args: Namespace) -> int:
     parsed = _load(args)
     p, h = parsed.presentation, parsed.subgroup
     core = stallings_fold(p, h)
@@ -641,7 +639,7 @@ def _cmd_oracle_compare(args: Namespace, started: float) -> int:
         "enumerated_cosets": mine.n_vertices,
         "oracle_cosets": oracle_ball.n_vertices,
     }
-    _emit(args, started, _hash(p, h), payload, lines)
+    _emit(args, _hash(p, h), payload, lines)
     return OK if same else UNCERT
 
 
@@ -663,7 +661,7 @@ _DISPATCH = {
 def run(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _DISPATCH[args.subcommand](args, time.time())
+        return _DISPATCH[args.subcommand](args)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for bad arguments; fold the
         # latter into the usage code so 2 stays reserved for uncertified.

@@ -14,9 +14,8 @@ which formula produced which field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Mapping
 
 Rational = Fraction | int | str
 
@@ -25,7 +24,6 @@ FORMULA = "formula"
 ESTIMATED = "estimated"
 DEFAULT = "default"
 USER = "user"
-OVERRIDE = "override"
 
 
 @dataclass(frozen=True)
@@ -34,19 +32,26 @@ class Estimates:
 
     delta_x: Fraction
     epsilon: Fraction
-    method: str = "exhaustive"
+
+
+def _encode(value):
+    """JSON form of a ledger value; an int too long for decimal text is hex."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:
+            return hex(value)
+    return value
 
 
 @dataclass(frozen=True)
 class ConstantsLedger:
     """All named constants, with per-field provenance.
 
-    geodesic_extension_adjusted selects the constant that certifies the
-    geodesic extension property of the quotient: when true, mu is the
-    derived 4*delta_XH + delta_X; when false the quotient is asserted to
-    extend geodesics with delta_XH itself and mu = delta_XH.  The flag
-    never feeds back into delta_XH, M or R0: the golden arithmetic pins
-    those to the unreplaced value.
+    mu = 4 delta_XH + delta_X certifies the geodesic extension property of
+    the quotient, which reports mark "geodesic_extension_adjusted": true.
     """
 
     delta_x: Fraction
@@ -64,80 +69,47 @@ class ConstantsLedger:
     inner_offset: Fraction
     outer_radius: int | None
     mode: str  # certified | empirical
-    geodesic_extension_adjusted: bool
-    provenance: Mapping[str, str]
+    provenance: dict[str, str]
 
     def __post_init__(self):
         if self.mode not in ("certified", "empirical"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
-    def with_overrides(self, **fields) -> "ConstantsLedger":
-        """Replace fields verbatim, tagging each as an override.
-
-        No recomputation happens: an override is the caller taking
-        responsibility for the value.
-        """
-        prov = dict(self.provenance)
-        for name in fields:
-            if name not in prov:
-                raise ValueError(f"not an overridable field: {name}")
-            prov[name] = OVERRIDE
-        return replace(self, provenance=prov, **fields)
-
     def to_json_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, Fraction):
-                return str(v) if v.denominator != 1 else str(v.numerator)
-            return v
-
-        return {
-            "delta_x": enc(self.delta_x),
-            "epsilon": enc(self.epsilon),
-            "eta": enc(self.eta),
-            "tau": enc(self.tau),
-            "n0": self.n0,
-            "alpha": enc(self.alpha),
-            "diam_core": enc(self.diam_core),
-            "rho": enc(self.rho),
-            "delta_xh": enc(self.delta_xh),
-            "mu": enc(self.mu),
-            "m": self.m,
-            "r0": self.r0,
-            "inner_offset": enc(self.inner_offset),
-            "outer_radius": self.outer_radius,
-            "mode": self.mode,
-            "geodesic_extension_adjusted": self.geodesic_extension_adjusted,
-            "provenance": dict(self.provenance),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ConstantsLedger":
-        def dec(v):
-            return Fraction(v)
-
-        return cls(
-            delta_x=dec(d["delta_x"]),
-            epsilon=dec(d["epsilon"]),
-            eta=dec(d["eta"]),
-            tau=dec(d["tau"]),
-            n0=int(d["n0"]),
-            alpha=dec(d["alpha"]),
-            diam_core=dec(d["diam_core"]),
-            rho=dec(d["rho"]),
-            delta_xh=dec(d["delta_xh"]),
-            mu=dec(d["mu"]),
-            m=int(d["m"]),
-            r0=int(d["r0"]),
-            inner_offset=dec(d["inner_offset"]),
-            outer_radius=None if d["outer_radius"] is None else int(d["outer_radius"]),
-            mode=d["mode"],
-            geodesic_extension_adjusted=bool(d["geodesic_extension_adjusted"]),
-            provenance=dict(d["provenance"]),
-        )
+        out = {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+        out["provenance"] = dict(self.provenance)
+        out["geodesic_extension_adjusted"] = True
+        return out
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+def _chain(
+    dx: Fraction, eps: Fraction, eta: Rational | None, n0: int, dc: Fraction, prov: dict
+) -> dict:
+    """The inputs, eta (default delta_x) and the formula fields of both modes.
+
+    tau = 12 delta_x + 2 epsilon + 2 eta
+    alpha = (132 + 100 n0) delta_x
+    rho = diam_core + alpha + delta_x
+    delta_xh = 2 (diam_core + alpha + epsilon) + 65 delta_x
+    mu = 4 delta_xh + delta_x
+    """
+    et = dx if eta is None else Fraction(eta)
+    prov["eta"] = DEFAULT if eta is None else USER
+    alpha = (132 + 100 * n0) * dx
+    delta_xh = 2 * (dc + alpha + eps) + 65 * dx
+    prov.update(dict.fromkeys(("tau", "alpha", "rho", "delta_xh", "mu"), FORMULA))
+    return dict(
+        delta_x=dx,
+        epsilon=eps,
+        n0=n0,
+        diam_core=dc,
+        eta=et,
+        tau=12 * dx + 2 * eps + 2 * et,
+        alpha=alpha,
+        rho=dc + alpha + dx,
+        delta_xh=delta_xh,
+        mu=4 * delta_xh + dx,
+    )
 
 
 def derive_certified(
@@ -147,85 +119,41 @@ def derive_certified(
     n0: int,
     diam_core: Rational,
     n_generators: int | None = None,
-    geodesic_extension_adjusted: bool = True,
 ) -> ConstantsLedger:
     """Full certified chain, exact.
 
-    tau = 12 delta_x + 2 epsilon + 2 eta
-    alpha = (132 + 100 n0) delta_x
-    rho = diam_core + alpha + delta_x
-    delta_xh = 2 (diam_core + alpha + epsilon) + 65 delta_x
-    M = smallest integer >= 43 delta_xh + 4,  R0 = ceil(M + delta_xh)
-    inner_offset = 3 delta_xh
+    Past the fields of _chain: M = smallest integer >= 43 delta_xh + 4,
+    R0 = ceil(M + delta_xh), inner_offset = 3 delta_xh, and
     outer_radius = R0 + ceil(10 delta_x (2 n_generators)^R0), which needs
     the generator count; left None (tagged) when it is not supplied.
     """
-    dx = Fraction(delta_x)
-    eps = Fraction(epsilon)
-    prov: dict[str, str] = {}
-    if eta is None:
-        et = dx
-        prov["eta"] = DEFAULT
-    else:
-        et = Fraction(eta)
-        prov["eta"] = USER
-    if dx < 0 or eps < 0 or et < 0:
+    dx, eps, dc = Fraction(delta_x), Fraction(epsilon), Fraction(diam_core)
+    prov = dict.fromkeys(("delta_x", "epsilon", "n0", "diam_core"), USER)
+    chain = _chain(dx, eps, eta, n0, dc, prov)
+    if dx < 0 or eps < 0 or chain["eta"] < 0:
         raise ValueError("delta_x, epsilon, eta must be nonnegative")
     if n0 < 1:
         raise ValueError("n0 must be a positive integer")
-    dc = Fraction(diam_core)
     if dc < 0:
         raise ValueError("diam_core must be nonnegative")
-
-    tau = 12 * dx + 2 * eps + 2 * et
-    alpha = (132 + 100 * n0) * dx
-    rho = dc + alpha + dx
-    delta_xh = 2 * (dc + alpha + eps) + 65 * dx
-    mu = (4 * delta_xh + dx) if geodesic_extension_adjusted else delta_xh
-    m = _ceil(43 * delta_xh + 4)
-    r0 = _ceil(m + delta_xh)
-    inner_offset = 3 * delta_xh
-    if n_generators is not None:
-        if n_generators < 1:
-            raise ValueError("n_generators must be positive")
-        outer_radius = r0 + _ceil(10 * dx * Fraction(2 * n_generators) ** r0)
-        prov["outer_radius"] = FORMULA
-    else:
-        outer_radius = None
+    if n_generators is not None and n_generators < 1:
+        raise ValueError("n_generators must be positive")
+    m = math.ceil(43 * chain["delta_xh"] + 4)
+    r0 = math.ceil(m + chain["delta_xh"])
+    prov.update(dict.fromkeys(("m", "r0", "inner_offset", "outer_radius"), FORMULA))
+    outer_radius = None
+    if n_generators is None:
         prov["outer_radius"] = "unavailable (generator count not supplied)"
-
-    prov.update(
-        delta_x=USER,
-        epsilon=USER,
-        n0=USER,
-        diam_core=USER,
-        tau=FORMULA,
-        alpha=FORMULA,
-        rho=FORMULA,
-        delta_xh=FORMULA,
-        mu=FORMULA,
-        m=FORMULA,
-        r0=FORMULA,
-        inner_offset=FORMULA,
-    )
+    else:
+        outer_radius = r0 + math.ceil(10 * dx * Fraction(2 * n_generators) ** r0)
     return ConstantsLedger(
-        delta_x=dx,
-        epsilon=eps,
-        eta=et,
-        tau=tau,
-        n0=n0,
-        alpha=alpha,
-        diam_core=dc,
-        rho=rho,
-        delta_xh=delta_xh,
-        mu=mu,
         m=m,
         r0=r0,
-        inner_offset=inner_offset,
+        inner_offset=3 * chain["delta_xh"],
         outer_radius=outer_radius,
         mode="certified",
-        geodesic_extension_adjusted=geodesic_extension_adjusted,
         provenance=prov,
+        **chain,
     )
 
 
@@ -235,16 +163,12 @@ def empirical_ledger(
     outer_radius: int,
     estimates: Estimates | None = None,
     m: int | None = None,
-    eta: Rational | None = None,
-    n0: int = 1,
-    diam_core: Rational = 0,
-    geodesic_extension_adjusted: bool = True,
 ) -> ConstantsLedger:
     """Ledger whose three working radii come straight from the user.
 
     The derived chain is still computed (from the estimates when given,
-    from zeros otherwise) so reports show the formula values next to the
-    radii actually used.
+    from zeros otherwise, with n0 = 1 and diam_core = 0) so reports show
+    the formula values next to the radii actually used.
     """
     inner = Fraction(inner_offset)
     if not (0 < inner and 0 < r0 < outer_radius):
@@ -252,57 +176,19 @@ def empirical_ledger(
             f"need inner_offset > 0 and 0 < R0 < outer_radius, "
             f"got inner_offset={inner}, R0={r0}, outer_radius={outer_radius}"
         )
-    dx = estimates.delta_x if estimates else Fraction(0)
-    eps = estimates.epsilon if estimates else Fraction(0)
+    est = estimates or Estimates(delta_x=Fraction(0), epsilon=Fraction(0))
     est_tag = ESTIMATED if estimates else DEFAULT
-    prov: dict[str, str] = {"delta_x": est_tag, "epsilon": est_tag}
-    if eta is None:
-        et = dx
-        prov["eta"] = DEFAULT
-    else:
-        et = Fraction(eta)
-        prov["eta"] = USER
-    dc = Fraction(diam_core)
-    tau = 12 * dx + 2 * eps + 2 * et
-    alpha = (132 + 100 * n0) * dx
-    rho = dc + alpha + dx
-    delta_xh = 2 * (dc + alpha + eps) + 65 * dx
-    mu = (4 * delta_xh + dx) if geodesic_extension_adjusted else delta_xh
-    if m is None:
-        m = r0
-        prov["m"] = DEFAULT
-    else:
-        prov["m"] = USER
-    prov.update(
-        n0=USER if n0 != 1 else DEFAULT,
-        diam_core=USER if dc != 0 else DEFAULT,
-        tau=FORMULA,
-        alpha=FORMULA,
-        rho=FORMULA,
-        delta_xh=FORMULA,
-        mu=FORMULA,
-        r0=USER,
-        inner_offset=USER,
-        outer_radius=USER,
-    )
+    prov = {"delta_x": est_tag, "epsilon": est_tag, "n0": DEFAULT, "diam_core": DEFAULT}
+    prov.update(dict.fromkeys(("r0", "inner_offset", "outer_radius"), USER))
+    prov["m"] = DEFAULT if m is None else USER
     return ConstantsLedger(
-        delta_x=dx,
-        epsilon=eps,
-        eta=et,
-        tau=tau,
-        n0=n0,
-        alpha=alpha,
-        diam_core=dc,
-        rho=rho,
-        delta_xh=delta_xh,
-        mu=mu,
-        m=m,
+        m=r0 if m is None else m,
         r0=r0,
         inner_offset=inner,
         outer_radius=outer_radius,
         mode="empirical",
-        geodesic_extension_adjusted=geodesic_extension_adjusted,
         provenance=prov,
+        **_chain(est.delta_x, est.epsilon, None, 1, Fraction(0), prov),
     )
 
 
@@ -316,10 +202,4 @@ def annulus_inner_radius(ledger: ConstantsLedger) -> int:
     deeper than R0 clamps to zero: the smallest cut that still counts
     anything is the base point alone.
     """
-    gap = ledger.r0 - ledger.inner_offset
-    return max(gap.numerator // gap.denominator, 0)
-
-
-def exhaustive_outer_radius(ledger: ConstantsLedger) -> int | None:
-    """Certified annulus reach; None when the ledger cannot know it."""
-    return ledger.outer_radius
+    return max(math.floor(ledger.r0 - ledger.inner_offset), 0)

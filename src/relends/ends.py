@@ -14,6 +14,7 @@ history reads as infinite; anything else is "uncertified".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
@@ -379,11 +380,6 @@ def _bfs_region(
     return found
 
 
-def _floor(x: Fraction) -> int:
-    f = Fraction(x)
-    return f.numerator // f.denominator
-
-
 def _run_condition(
     ball: Ball,
     label: str,
@@ -455,11 +451,11 @@ def check_ddag(
     dx = Fraction(delta_x)
     if m < 1 or k < 0 or dx < 0:
         raise ValueError("need m >= 1, k >= 0, delta_x >= 0")
-    lo_r = max(-_floor(-(k + 2 * dx)), 1)  # ceil, and spheres start at 1
+    lo_r = max(math.ceil(k + 2 * dx), 1)  # spheres start at 1
     hi_r = ball.radius - k if r_cap is None else min(ball.radius - k, r_cap)
     admissible = [r for r in range(lo_r, hi_r + 1)]
     band = {r: (r - k, r + k) for r in admissible}
-    threshold = {r: _floor(r - k - 2 * dx) for r in admissible}
+    threshold = {r: math.floor(r - k - 2 * dx) for r in admissible}
     return _run_condition(ball, f"ddag(M={m},K={k})", admissible, band, threshold, m)
 
 
@@ -485,9 +481,9 @@ def check_dag(
     dxh = Fraction(delta_xh) if delta_xh is not None else ledger.delta_xh
     if m < 1 or dxh < 0:
         raise ValueError("need m >= 1, delta_xh >= 0")
-    lo_r = max(-_floor(-max(m + dxh, 8 * dxh)), 1)
+    lo_r = max(math.ceil(max(m + dxh, 8 * dxh)), 1)
     hi_r = ball.radius if r_cap is None else min(ball.radius, r_cap)
     admissible = [r for r in range(lo_r, hi_r + 1)]
     band = {r: (r, r) for r in admissible}
-    threshold = {r: _floor(r - 8 * dxh) for r in admissible}
+    threshold = {r: math.floor(r - 8 * dxh) for r in admissible}
     return _run_condition(ball, f"dag(M={m})", admissible, band, threshold, m)

@@ -19,10 +19,6 @@ class ParseError(ValueError):
     """Raised on malformed presentation text or unknown symbols."""
 
 
-def inverse_letter(x: int) -> int:
-    return x ^ 1
-
-
 def invert(word: Sequence[int]) -> Word:
     """Formal inverse: reverse the word and invert every letter."""
     return tuple(x ^ 1 for x in reversed(word))
@@ -159,22 +155,14 @@ class SubgroupSpec:
     """Subgroup generators as words in the ambient alphabet.
 
     Words are freely reduced on construction; reductions to the identity are
-    dropped (they generate nothing).  declared_epsilon overrides the empirical
-    quasi-convexity constant downstream.
+    dropped (they generate nothing).
     """
 
     words: tuple[Word, ...]
-    declared_epsilon: int | None = None
 
     def __post_init__(self) -> None:
         reduced = tuple(w for w in (free_reduce(w) for w in self.words) if w)
         object.__setattr__(self, "words", reduced)
-        if self.declared_epsilon is not None and self.declared_epsilon < 0:
-            raise ValueError("declared_epsilon must be nonnegative")
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.words
 
 
 def word_from_text(text: str, names: Sequence[str]) -> Word:
@@ -265,15 +253,15 @@ class SmallCancellationReport:
     threshold: Fraction
 
 
-def check_small_cancellation(p: Presentation, lam: Fraction | float = Fraction(1, 6)) -> SmallCancellationReport:
-    """C'(lam) check: every piece shorter than lam times the relator length.
+def check_small_cancellation(p: Presentation) -> SmallCancellationReport:
+    """C'(1/6) check: every piece shorter than a sixth of the relator length.
 
     A piece is a maximal common prefix of two distinct symmetrized relators.
     The maximum over all pairs is attained by a lexicographically adjacent
     pair, so one sort replaces the quadratic prefix scan.  No relators is a
     vacuous pass.
     """
-    lam = Fraction(lam).limit_denominator() if isinstance(lam, float) else Fraction(lam)
+    lam = Fraction(1, 6)
     sym = p.symmetrized
     if not sym:
         return SmallCancellationReport(True, 0, 0, True, lam)

@@ -383,13 +383,6 @@ def stable_ball(
             return _ball_from(p, h, radius, prev, s, False)
 
 
-def quotient_distance(ball: Ball, v: int) -> int:
-    """BFS distance from the base coset (the quotient metric)."""
-    if not 0 <= v < ball.n_vertices:
-        raise ValueError(f"coset {v} not in ball")
-    return ball.dist[v]
-
-
 @dataclass(frozen=True)
 class CoveringViolation:
     coset: int

@@ -308,10 +308,7 @@ def test_criterion_8_reports_are_byte_identical(tmp_path):
         assert (
             run(["count", str(src), "--probe-r0", "2,3,4,5", "--json", str(path)]) == 0
         )
-        raw = path.read_bytes()
-        return b"\n".join(
-            line for line in raw.splitlines() if b'"runtime_ms"' not in line
-        )
+        return path.read_bytes()
 
     first = one_run(tmp_path / "one.json")
     second = one_run(tmp_path / "two.json")

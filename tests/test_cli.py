@@ -158,9 +158,21 @@ def test_json_report_is_deterministic(files, capsys):
     first = json.loads(capsys.readouterr().out)
     run(argv)
     second = json.loads(capsys.readouterr().out)
-    first.pop("runtime_ms")
-    second.pop("runtime_ms")
     assert first == second
+
+
+def test_certified_count_writes_its_report(tmp_path, capsys):
+    # R0 + ceil(10 delta (2n)^R0) has thousands of digits; the report
+    # carries it as hex text instead of failing to print it
+    z3 = tmp_path / "z3.grp"
+    z3.write_text("generators: a\nrelators: aaa\n")
+    argv = ["count", str(z3), "--probe-r0", "2,3,4,5", "--mode", "certified",
+            "--delta", "1", "--epsilon", "0", "--json", "-"]
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == 0
+    ledger = report["ledger"]
+    assert int(ledger["outer_radius"], 16) == ledger["r0"] + 10 * 2 ** ledger["r0"]
 
 
 def test_json_to_file_keeps_stdout_for_humans(files, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Constant derivations: golden values and bookkeeping."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,8 +13,9 @@ from relends import (
     annulus_inner_radius,
     derive_certified,
     empirical_ledger,
-    exhaustive_outer_radius,
 )
+
+PINNED_LEDGERS = Path(__file__).parent / "golden" / "ledgers.json"
 
 
 def test_certified_chain_golden_values():
@@ -36,7 +39,6 @@ def test_certified_chain_collapses_at_zero():
 def test_outer_radius_needs_the_generator_count():
     led = derive_certified(1, 0, 1, 1, 0)
     assert led.outer_radius is None
-    assert exhaustive_outer_radius(led) is None
     assert "generator count" in led.provenance["outer_radius"]
 
 
@@ -58,7 +60,26 @@ def test_empirical_ledger_copies_measurements():
     assert led.m == 2
     assert led.provenance["delta_x"] == "estimated"
     assert led.provenance["m"] == "user"
-    assert exhaustive_outer_radius(led) == 6
+
+
+def test_ledger_reports_match_pinned_values():
+    # to_json_dict() of both modes, captured before the two constructors
+    # shared one derivation; compared as text so "3" versus 3 shows
+    ledgers = {
+        "certified d1 e0 eta1 n0=1 core0": derive_certified(1, 0, 1, 1, 0),
+        "certified d0 e0 eta-default n0=1 core0 gens2": derive_certified(
+            0, 0, None, 1, 0, n_generators=2
+        ),
+        "certified d1/2 e1 eta1/3 n0=2 core1/2": derive_certified(
+            Fraction(1, 2), 1, Fraction(1, 3), 2, Fraction(1, 2)
+        ),
+        "empirical r0=3 offset3 outer6 d1/2 e1 m2": empirical_ledger(
+            3, Fraction(3), 6, Estimates(delta_x=Fraction(1, 2), epsilon=1), m=2
+        ),
+    }
+    reports = {name: led.to_json_dict() for name, led in ledgers.items()}
+    text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
+    assert text == PINNED_LEDGERS.read_text()
 
 
 def test_empirical_defaults():

@@ -2,9 +2,9 @@
 
 tests/golden/cases.json lists one invocation per case, covering every
 subcommand and the exit-1, exit-2 and exit-3 paths.  Each case runs with
-"--json -" inside a scratch copy of the golden .grp files; the report, less
-its runtime_ms line, must equal tests/golden/<name>.json byte for byte.  A
-case without such a file must print no report at all.
+"--json -" inside a scratch copy of the golden .grp files; the report must
+equal tests/golden/<name>.json byte for byte.  A case without such a file
+must print no report at all.
 """
 
 import json
@@ -26,10 +26,7 @@ def test_report_matches_golden(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("ENDS_NODE_BUDGET", raising=False)
     code = run(case["argv"] + ["--json", "-"])
-    out = capsys.readouterr().out
-    report = "".join(
-        line for line in out.splitlines(keepends=True) if '"runtime_ms"' not in line
-    )
+    report = capsys.readouterr().out
     golden = GOLDEN / f"{case['name']}.json"
     assert code == case["exit"]
     assert report == (golden.read_text() if golden.exists() else "")

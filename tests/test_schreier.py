@@ -14,7 +14,6 @@ from relends import (
     enumerate_cosets,
     orbit_in_ball,
     parse_presentation,
-    quotient_distance,
     restrict_to_generators,
     stable_ball,
 )
@@ -160,13 +159,6 @@ def test_finalized_balls_match_pinned_digests():
                 blob = json.dumps([table, dist]).encode()
                 digests[f"{name} h{horizon} r{radius}"] = hashlib.sha256(blob).hexdigest()
     assert digests == json.loads(BALL_DIGESTS.read_text())
-
-
-def test_quotient_distance_equals_ball_distance(genus2):
-    ball = stable_ball(genus2, sub(genus2, "a"), 2)
-    assert all(
-        quotient_distance(ball, v) == ball.dist[v] for v in range(ball.n_vertices)
-    )
 
 
 def test_orbit_in_ball_lists_the_axis(f2):
