@@ -35,29 +35,20 @@ def build_ball(
 
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    trivial = SubgroupSpec(())
     if strategy.kind == "dehn":
         if not check_small_cancellation(p).passes:
             raise StrategyError("dehn strategy needs a C'(1/6) presentation")
-        b = stable_ball(p, trivial, radius, max_slack=12, node_budget=node_budget)
-        if not b.stable:
-            raise UndecidedWithinBound(
-                f"closure did not stabilize by slack {b.slack}"
-            )
+        max_slack = 12
     else:
-        cap = strategy.radius_cap
-        if cap is None or cap < radius:
+        max_slack = strategy.radius_cap - radius
+        if max_slack < 0:
             raise UndecidedWithinBound(
-                f"radius_cap {cap} is below the requested radius {radius}"
+                f"radius_cap {strategy.radius_cap} is below the requested radius {radius}"
             )
-        b = stable_ball(
-            p, trivial, radius, max_slack=cap - radius, node_budget=node_budget
-        )
-        if not b.stable:
-            raise UndecidedWithinBound(
-                f"word problem undecided within strategy bound (cap {cap})"
-            )
-    return b
+    ball = stable_ball(p, SubgroupSpec(()), radius, max_slack=max_slack, node_budget=node_budget)
+    if not ball.stable:
+        raise UndecidedWithinBound(f"closure did not stabilize by slack {ball.slack}")
+    return ball
 
 
 class UncertifiedDistance(ValueError):
@@ -82,19 +73,9 @@ def _distances_from(ball: Ball, src: int) -> np.ndarray:
     if row is not None:
         return row
     out = [-1] * ball.n_vertices
-    out[src] = 0
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for col in ball.table:
-                t = col[v]
-                if t >= 0 and out[t] < 0:
-                    out[t] = d
-                    nxt.append(t)
-        frontier = nxt
+    for d, layer in enumerate(ball.layers(src)):
+        for v in layer:
+            out[v] = d
     row = np.array(out, dtype=np.int32)
     if (row < 0).any():
         raise ValueError("ball is not connected")

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from argparse import Namespace
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -168,8 +169,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("schreier", help="enumerate a Schreier ball for (G, H)")
     common(sp)
     sp.add_argument("--radius", type=_int_at_least(0), required=True)
-    sp.add_argument("--start-slack", type=int, default=0)
-    sp.add_argument("--max-slack", type=int, default=12)
+    sp.add_argument("--start-slack", type=_int_at_least(0), default=0)
+    sp.add_argument("--max-slack", type=_int_at_least(0), default=12)
     sp.add_argument("--covering-check", dest="covering_radius", type=int, metavar="R",
                     help="also verify covering degree outside radius R")
     sp.add_argument("--dot", dest="dot_path", type=Path, help="write a DOT rendering here")
@@ -192,7 +193,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n0", type=int, default=1, help="chain bound (certified)")
     sp.add_argument("--diam-core", type=int, default=0, help="convex core diameter (certified)")
     sp.add_argument("--m", type=int, help="connectivity constant override")
-    sp.add_argument("--max-slack", type=int, default=12)
+    sp.add_argument("--max-slack", type=_int_at_least(0), default=12)
 
     sp = sub.add_parser("check-ddag", help="annulus connectivity check with tolerance K")
     common(sp)
@@ -202,7 +203,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--delta", type=_fraction, default=Fraction(0))
     sp.add_argument("--r-cap", type=int,
                     help="largest sphere R to test; leave room to the ball edge")
-    sp.add_argument("--max-slack", type=int, default=12)
+    sp.add_argument("--max-slack", type=_int_at_least(0), default=12)
 
     sp = sub.add_parser("check-dag", help="sphere-pair connectivity check in the quotient")
     common(sp)
@@ -211,7 +212,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--delta-xh", type=_fraction, required=True)
     sp.add_argument("--r-cap", type=int,
                     help="largest sphere R to test; leave room to the ball edge")
-    sp.add_argument("--max-slack", type=int, default=12)
+    sp.add_argument("--max-slack", type=_int_at_least(0), default=12)
 
     sp = sub.add_parser("empirical", help="raw end counts from complement components")
     common(sp)
@@ -221,7 +222,7 @@ def _build_parser() -> _Parser:
                     help="enumerate out to this radius instead of radii[-1]+1; "
                          "room past the largest cut damps rim artifacts")
     sp.add_argument("--window", type=_int_at_least(1), default=3)
-    sp.add_argument("--max-slack", type=int, default=12)
+    sp.add_argument("--max-slack", type=_int_at_least(0), default=12)
 
     sp = sub.add_parser("rips", help="build a C'(1/6) pair (G, H) over a quotient Q")
     common(sp, subgroup=False)
@@ -259,8 +260,6 @@ def _hash(p: Presentation, h: SubgroupSpec) -> str:
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, Path):
-        return str(obj)
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
@@ -273,7 +272,7 @@ def _emit(args: Namespace, digest: str, payload: dict, lines: list[str]) -> None
         return
     report = {
         "subcommand": args.subcommand,
-        "input": str(args.input) if args.input else None,
+        "input": str(args.input),
         "presentation_hash": digest,
         "node_budget": args.node_budget,
         "seed": args.seed,
@@ -312,16 +311,6 @@ def _sphere_sizes(ball: Ball) -> list[int]:
     return sizes
 
 
-def _sc_payload(report) -> dict:
-    return {
-        "passes": report.passes,
-        "max_piece_len": report.max_piece_len,
-        "min_relator_len": report.min_relator_len,
-        "vacuous": report.vacuous,
-        "threshold": str(report.threshold),
-    }
-
-
 def _strategy_for(args: Namespace, p: Presentation, radius: int) -> WordProblemStrategy:
     cap = args.radius_cap if args.radius_cap is not None else radius + 4
     if args.strategy == "dehn":
@@ -348,7 +337,7 @@ def _cmd_parse(args: Namespace) -> int:
         "generators": list(p.generators),
         "relator_lengths": [len(r) for r in p.relators],
         "subgroup_words": [p.word_to_text(w) for w in h.words],
-        "small_cancellation": _sc_payload(sc),
+        "small_cancellation": asdict(sc),
     }
     _emit(args, _hash(p, h), payload, lines)
     return OK
@@ -414,16 +403,7 @@ def _cmd_schreier(args: Namespace) -> int:
     sizes = _sphere_sizes(ball)
     covering = None
     if args.covering_radius is not None:
-        rep = covering_degree_check(ball, args.covering_radius)
-        covering = {
-            "passed": rep.passed,
-            "exclusion_radius": rep.exclusion_radius,
-            "checked": rep.checked,
-            "violations": [
-                {"coset": v.coset, "dist": v.dist, "kind": v.kind, "letter": v.letter}
-                for v in rep.violations
-            ],
-        }
+        covering = covering_degree_check(ball, args.covering_radius)
     lines = [
         f"cosets: {ball.n_vertices} (radius {ball.radius}, slack {ball.slack}, "
         f"{'stable' if ball.stable else 'UNSTABLE'})",
@@ -432,7 +412,7 @@ def _cmd_schreier(args: Namespace) -> int:
     if covering is not None:
         lines.append(
             f"covering check outside radius {args.covering_radius}: "
-            f"{'passed' if covering['passed'] else 'failed'} ({covering['checked']} cosets)"
+            f"{'passed' if covering.passed else 'failed'} ({covering.checked} cosets)"
         )
     payload = {
         "radius": ball.radius,
@@ -441,7 +421,7 @@ def _cmd_schreier(args: Namespace) -> int:
         "slack": ball.slack,
         "stable": ball.stable,
         "subgroup_words": [p.word_to_text(w) for w in h.words],
-        "covering": covering,
+        "covering": asdict(covering) if covering is not None else None,
     }
     _emit(args, _hash(p, h), payload, lines)
     return OK if ball.stable else UNCERT
@@ -503,25 +483,12 @@ def _cmd_count(args: Namespace) -> int:
     payload.update(
         class_history=list(report.class_history),
         verdict=report.count,
-        stable=report.stable_ball,
+        stable=True,  # an unstable ball raised above
     )
     history = ", ".join(f"{r}->{c}" for r, c in zip(report.probe_r0s, report.class_history))
     lines = [f"classes per probe: {history}", f"verdict: {report.count}"]
     _emit(args, digest, payload, lines)
     return UNCERT if report.count == UNCERTIFIED else OK
-
-
-def _condition_payload(rep, ball) -> dict:
-    return {
-        "condition": rep.condition,
-        "holds_within_ball": rep.holds_within_ball,
-        "witness_l": rep.witness_l,
-        "counterexample": list(rep.counterexample) if rep.counterexample else None,
-        "admissible_rs": list(rep.admissible_rs),
-        "pairs_checked": rep.pairs_checked,
-        "radius": ball.radius,
-        "stable": ball.stable,
-    }
 
 
 def _cmd_check(args: Namespace) -> int:
@@ -539,7 +506,8 @@ def _cmd_check(args: Namespace) -> int:
     if rep.counterexample:
         r, x, y = rep.counterexample
         lines.append(f"counterexample at R = {r}: vertices {x}, {y}")
-    _emit(args, _hash(p, h), _condition_payload(rep, ball), lines)
+    payload = {**asdict(rep), "radius": ball.radius, "stable": ball.stable}
+    _emit(args, _hash(p, h), payload, lines)
     return OK if ball.stable else UNCERT
 
 
@@ -596,12 +564,7 @@ def _cmd_rips(args: Namespace) -> int:
         "n_generators": len(g.generators),
         "n_relators": len(g.relators),
         "out_path": str(args.out_path) if args.out_path else None,
-        "verify": {
-            "small_cancellation": _sc_payload(rep.small_cancellation),
-            "quotient_recovered": rep.quotient_recovered,
-            "conjugators_formal": rep.conjugators_formal,
-            "passes": rep.passes,
-        },
+        "verify": {**asdict(rep), "passes": rep.passes},
     }
     _emit(args, _hash(q, SubgroupSpec(())), payload, lines)
     return OK if rep.passes else UNCERT

@@ -188,7 +188,7 @@ def empirical_ledger(
         outer_radius=outer_radius,
         mode="empirical",
         provenance=prov,
-        **_chain(est.delta_x, est.epsilon, None, 1, Fraction(0), prov),
+        **_chain(Fraction(est.delta_x), Fraction(est.epsilon), None, 1, Fraction(0), prov),
     )
 
 

@@ -199,10 +199,7 @@ def stabilization_verdict(history: list[int], window: int) -> int | str:
 class EndsReport:
     count: int | str
     class_history: tuple[int, ...]
-    ledger: ConstantsLedger
-    stable_ball: bool
     probe_r0s: tuple[int, ...]
-    window: int
 
 
 def probe_class_history(
@@ -251,12 +248,7 @@ def count_relative_ends(
     history = probe_class_history(ball, ledger, probe_r0s)
     verdict = stabilization_verdict(history, stabilization_window)
     return EndsReport(
-        count=verdict,
-        class_history=tuple(history),
-        ledger=ledger,
-        stable_ball=ball.stable,
-        probe_r0s=tuple(probe_r0s),
-        window=stabilization_window,
+        count=verdict, class_history=tuple(history), probe_r0s=tuple(probe_r0s)
     )
 
 
@@ -332,54 +324,6 @@ class ConditionReport:
     pairs_checked: int
 
 
-def _bfs_within(ball: Ball, src: int, cap: int) -> dict[int, int]:
-    """In-ball distances from src, cut off at cap."""
-    out = {src: 0}
-    frontier = [src]
-    d = 0
-    while frontier and d < cap:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for col in ball.table:
-                t = col[v]
-                if t >= 0 and t not in out:
-                    out[t] = d
-                    nxt.append(t)
-        frontier = nxt
-    return out
-
-
-def _bfs_region(
-    ball: Ball, src: int, allowed: list[bool], targets: set[int]
-) -> dict[int, int]:
-    """Shortest paths from src staying inside the allowed region."""
-    found: dict[int, int] = {}
-    if not allowed[src]:
-        return found
-    seen = {src}
-    if src in targets:
-        found[src] = 0
-    frontier = [src]
-    d = 0
-    missing = len(targets - found.keys())
-    while frontier and missing:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for col in ball.table:
-                t = col[v]
-                if t < 0 or t in seen or not allowed[t]:
-                    continue
-                seen.add(t)
-                nxt.append(t)
-                if t in targets:
-                    found[t] = d
-                    missing -= 1
-        frontier = nxt
-    return found
-
-
 def _run_condition(
     ball: Ball,
     label: str,
@@ -395,19 +339,26 @@ def _run_condition(
         lo, hi = band[r]
         allowed = [dist[v] > threshold[r] for v in range(ball.n_vertices)]
         for x in ball.sphere(r):
-            near = _bfs_within(ball, x, m)
             partners = []
-            for y, d in near.items():
-                if y == x or not (lo <= dist[y] <= hi):
-                    continue
-                if dist[y] == r and y < x:
-                    continue  # unordered sphere pairs once
-                if pair_certified(dist, ball.radius, x, y, d):
-                    partners.append(y)
+            for d, layer in zip(range(m + 1), ball.layers(x)):
+                for y in layer:
+                    if y == x or not (lo <= dist[y] <= hi):
+                        continue
+                    if dist[y] == r and y < x:
+                        continue  # unordered sphere pairs once
+                    if pair_certified(dist, ball.radius, x, y, d):
+                        partners.append(y)
             if not partners:
                 continue
             pairs += len(partners)
-            reached = _bfs_region(ball, x, allowed, set(partners))
+            # shortest paths from x inside the allowed region, out to the
+            # layer that reaches the last partner
+            targets = set(partners)
+            reached: dict[int, int] = {}
+            for d, layer in enumerate(ball.layers(x, allowed)):
+                reached.update((y, d) for y in layer if y in targets)
+                if len(reached) == len(targets):
+                    break
             for y in partners:
                 if y not in reached:
                     return ConditionReport(

@@ -88,6 +88,28 @@ class Ball:
             raise ValueError(f"sphere radius {r} exceeds ball radius {self.radius}")
         return [v for v, d in enumerate(self.dist) if d == r]
 
+    def layers(self, src: int, allowed: list[bool] | None = None):
+        """In-ball BFS from src: yields the vertices at distance 0, 1, ...
+
+        Only vertices that allowed marks are entered, src included (all
+        when allowed is None).  Within a layer, vertices come in discovery
+        order, letters in column order.
+        """
+        if allowed is not None and not allowed[src]:
+            return
+        seen = {src}
+        layer = [src]
+        while layer:
+            yield layer
+            nxt = []
+            for v in layer:
+                for col in self.table:
+                    t = col[v]
+                    if t >= 0 and t not in seen and (allowed is None or allowed[t]):
+                        seen.add(t)
+                        nxt.append(t)
+            layer = nxt
+
 
 def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, node_budget: int):
     """Run closure out to the horizon; returns (cols, parent_uf, pdist, find).
@@ -307,35 +329,20 @@ def _finalize(p: Presentation, raw, radius: int):
 
 def _truncated_run(
     p: Presentation,
-    h_words: tuple[Word, ...],
+    h: SubgroupSpec,
     radius: int,
     slack: int,
     node_budget: int,
-):
-    raw = _raw_enumerate(p, h_words, radius + slack, node_budget)
-    return _finalize(p, raw, radius)
-
-
-def _agree(a, b) -> bool:
-    """Two truncated runs give the identical ball (same table and distances)."""
-    return a[0] == b[0] and a[1] == b[1]
-
-
-def _ball_from(
-    p: Presentation, h: SubgroupSpec, radius: int, run, slack: int, stable: bool
 ) -> Ball:
-    table, dist, parent, parent_letter = run
-    return Ball(
-        gen_names=p.generators,
-        table=table,
-        dist=dist,
-        radius=radius,
-        parent=parent,
-        parent_letter=parent_letter,
-        slack=slack,
-        stable=stable,
-        subgroup_words=h.words,
-    )
+    raw = _raw_enumerate(p, h.words, radius + slack, node_budget)
+    table, dist, parent, parent_letter = _finalize(p, raw, radius)
+    return Ball(p.generators, table, dist, radius, parent, parent_letter,
+                slack=slack, subgroup_words=h.words)
+
+
+def _agree(a: Ball, b: Ball) -> bool:
+    """Two truncated runs give the identical ball (same table and distances)."""
+    return a.table == b.table and a.dist == b.dist
 
 
 def enumerate_cosets(
@@ -353,9 +360,9 @@ def enumerate_cosets(
     """
     if radius < 0 or slack < 0:
         raise ValueError("radius and slack must be nonnegative")
-    this = _truncated_run(p, h.words, radius, slack, node_budget)
-    nxt = _truncated_run(p, h.words, radius, slack + 1, node_budget)
-    return _ball_from(p, h, radius, this, slack, _agree(this, nxt))
+    ball = _truncated_run(p, h, radius, slack, node_budget)
+    ball.stable = _agree(ball, _truncated_run(p, h, radius, slack + 1, node_budget))
+    return ball
 
 
 def stable_ball(
@@ -371,16 +378,17 @@ def stable_ball(
     Returns the first stable ball, or the last attempt flagged unstable when
     max_slack is exhausted.
     """
-    s = start_slack
-    prev = _truncated_run(p, h.words, radius, s, node_budget)
+    if radius < 0 or start_slack < 0:
+        raise ValueError("radius and start_slack must be nonnegative")
+    ball = _truncated_run(p, h, radius, start_slack, node_budget)
     while True:
-        nxt = _truncated_run(p, h.words, radius, s + 1, node_budget)
-        if _agree(prev, nxt):
-            return _ball_from(p, h, radius, prev, s, True)
-        prev = nxt
-        s += 1
-        if s > max_slack:
-            return _ball_from(p, h, radius, prev, s, False)
+        nxt = _truncated_run(p, h, radius, ball.slack + 1, node_budget)
+        if _agree(ball, nxt):
+            return ball
+        ball = nxt
+        if ball.slack > max_slack:
+            ball.stable = False
+            return ball
 
 
 @dataclass(frozen=True)

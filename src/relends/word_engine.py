@@ -9,6 +9,7 @@ identity, erring out loudly when the bound is too small to answer.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,73 +50,38 @@ def choose_strategy(p: Presentation, radius_cap: int = 12) -> WordProblemStrateg
     return WordProblemStrategy("bounded_bfs", radius_cap=radius_cap)
 
 
-# Keep replacement tables only for desk-scale symmetrized closures; beyond
-# this we scan relators directly per window instead of materializing keys.
-_TABLE_CHAR_LIMIT = 200_000
-
-
-@lru_cache(maxsize=16)
-def _replacement_table(p: Presentation) -> dict[Word, Word] | None:
-    sym = p.symmetrized
-    if sum(len(r) for r in sym) > _TABLE_CHAR_LIMIT:
-        return None
-    table: dict[Word, Word] = {}
-    for r in sym:
-        n = len(r)
-        for cut in range(n // 2 + 1, n + 1):
-            # prefixes longer than any piece determine the relator uniquely
-            table.setdefault(r[:cut], invert(r[cut:]))
-    return table
-
-
 def dehn_reduce(w: Word, p: Presentation) -> Word:
     """Dehn-irreducible form of w; empty iff w is trivial (C'(1/6) only).
 
-    Replacement scan is leftmost-first, longest match at that position;
-    the symmetrized closure is sorted, so equal-length matches resolve to
-    the lexicographically least relator.  Each replacement strictly
-    shortens the word (the threshold 2|u| > |r| is strict), so the loop
-    terminates.
+    Rewrites the leftmost subword that is more than half of a symmetrized
+    relator, then starts over.  Under C'(1/6) at most one relator matches
+    more than half of itself at a position: two would share a prefix longer
+    than any piece.  That relator shares the longest prefix with the rest of
+    the word, so in the sorted closure it sits next to the word's insertion
+    point.  Each replacement strictly shortens the word (the threshold
+    2|u| > |r| is strict), so the loop terminates.
     """
     report = check_small_cancellation(p)
     if not report.passes and not report.vacuous:
         raise StrategyError("Dehn's algorithm needs a C'(1/6) presentation")
     sym = p.symmetrized
-    if not sym:
-        return free_reduce(w)
-    table = _replacement_table(p)
-    max_len = max(len(r) for r in sym)
+    max_len = max((len(r) for r in sym), default=0)
     word = free_reduce(w)
-    while True:
-        replaced = False
-        for i in range(len(word)):
-            window_top = min(len(word) - i, max_len)
-            if table is not None:
-                for cut in range(window_top, 0, -1):
-                    repl = table.get(word[i : i + cut])
-                    if repl is not None:
-                        word = free_reduce(word[:i] + repl + word[i + cut :])
-                        replaced = True
-                        break
-            else:
-                best_cut = 0
-                best_repl: Word = ()
-                for r in sym:
-                    n = len(r)
-                    top = min(window_top, n)
-                    k = 0
-                    while k < top and word[i + k] == r[k]:
-                        k += 1
-                    if 2 * k > n and k > best_cut:
-                        best_cut = k
-                        best_repl = invert(r[k:])
-                if best_cut:
-                    word = free_reduce(word[:i] + best_repl + word[i + best_cut :])
-                    replaced = True
-            if replaced:
+    i = 0
+    while i < len(word):
+        window = word[i : i + max_len]
+        j = bisect_left(sym, window)
+        for r in sym[max(j - 1, 0) : j + 1]:
+            k = 0
+            while k < len(window) and k < len(r) and window[k] == r[k]:
+                k += 1
+            if 2 * k > len(r):
+                word = free_reduce(word[:i] + invert(r[k:]) + word[i + k :])
+                i = 0  # leftmost first: rescan from the start
                 break
-        if not replaced:
-            return word
+        else:
+            i += 1
+    return word
 
 
 def is_identity(w: Word, p: Presentation, strategy: WordProblemStrategy) -> bool:

@@ -175,6 +175,14 @@ def test_certified_count_writes_its_report(tmp_path, capsys):
     assert int(ledger["outer_radius"], 16) == ledger["r0"] + 10 * 2 ** ledger["r0"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--epsilon", "1"], ["--delta", "1/2"]])
+def test_ledger_estimates_are_always_text(files, capsys, flags):
+    assert run(["count", files["z"], "--probe-r0", "2,3,4,5", *flags, "--json", "-"]) == 0
+    ledger = json.loads(capsys.readouterr().out)["ledger"]
+    assert isinstance(ledger["delta_x"], str)
+    assert isinstance(ledger["epsilon"], str)
+
+
 def test_json_to_file_keeps_stdout_for_humans(files, tmp_path, capsys):
     target = tmp_path / "report.json"
     rc = run(["count", files["z"], "--probe-r0", "2,3,4,5", "--json", str(target)])

@@ -1,4 +1,5 @@
-"""Source hygiene: no dead imports, and the public API lists what it imports."""
+"""Source hygiene: no dead imports or private leftovers, and the public API
+lists what it imports."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,33 @@ def test_all_lists_exactly_the_public_imports():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     public = {name for name in _imported_names(tree) if not name.startswith("_")}
     assert set(relends.__all__) == public | {"__version__"}
+
+
+def _module_private_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_name_is_used():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    unused = {
+        f"{name}:{n}"
+        for name, tree in trees.items()
+        for n in _module_private_names(tree) - used
+    }
+    assert not unused, f"private names nothing in the package uses: {sorted(unused)}"

@@ -83,6 +83,44 @@ def test_radius_zero_and_negative(f2, trivial):
         enumerate_cosets(f2, trivial, -1)
 
 
+@pytest.mark.parametrize("radius, start_slack", [(-1, 0), (1, -3)])
+def test_stable_ball_refuses_a_negative_radius_or_slack(f2, trivial, radius, start_slack):
+    # a negative slack would cut the enumeration inside the ball it certifies
+    with pytest.raises(ValueError):
+        stable_ball(f2, trivial, radius, start_slack=start_slack)
+
+
+@pytest.mark.parametrize(
+    "text, gens", [(GENUS2, ()), (GENUS2, ("a",)), (FREE2, ("ab", "bbA"))],
+    ids=["genus2", "genus2-a", "f2-sub"],
+)
+def test_layers_from_the_base_are_the_ball_distances(text, gens):
+    p = parse_presentation(text)
+    ball = stable_ball(p, sub(p, *gens), 3)
+    dist = [-1] * ball.n_vertices
+    for d, layer in enumerate(ball.layers(0)):
+        for v in layer:
+            assert dist[v] == -1, v
+            dist[v] = d
+    assert dist == ball.dist
+
+
+def test_layers_stay_inside_the_allowed_region(genus2):
+    from relends.ends import _components
+
+    ball = stable_ball(genus2, sub(genus2, "a"), 3)
+    allowed = [d != 1 for d in ball.dist]
+    uf = _components(ball, allowed)
+    for src in range(ball.n_vertices):
+        reached = [v for layer in ball.layers(src, allowed) for v in layer]
+        assert all(allowed[v] for v in reached)
+        assert len(set(reached)) == len(reached)
+        # everything the region joins to src, and nothing else
+        expected = [v for v in range(ball.n_vertices)
+                    if allowed[src] and allowed[v] and uf.find(v) == uf.find(src)]
+        assert sorted(reached) == expected
+
+
 def test_parent_pointers_walk_back_to_base(genus2, trivial):
     ball = stable_ball(genus2, trivial, 2)
     for v in range(ball.n_vertices):

@@ -10,6 +10,7 @@ from relends import (
     choose_strategy,
     dehn_reduce,
     free_reduce,
+    invert,
     is_identity,
     shortlex_normal_form,
 )
@@ -68,6 +69,36 @@ def test_dehn_replaces_a_majority_piece(genus2):
 
 def test_dehn_sees_through_conjugation(genus2):
     assert dehn_reduce(genus2.word_from_text("dabABcdCDD"), genus2) == ()
+
+
+@pytest.fixture(
+    scope="module",
+    params=["generators: x y\nrelators: none\n", "generators: x y\nrelators: xyXY\n"],
+    ids=["q-f2", "q-z2"],
+)
+def rips_g(request):
+    """A Rips group over Q: relators of 480 to 985 letters."""
+    from relends import parse_presentation, rips_construct
+
+    return rips_construct(parse_presentation(request.param)).g_presentation
+
+
+def test_dehn_kills_long_relators_and_their_conjugates(rips_g):
+    g = rips_g
+    u = g.word_from_text("x a Y b")
+    rs = g.relators
+    for r in rs:
+        for w in (r, invert(r), u + r + invert(u)):
+            assert dehn_reduce(w, g) == ()
+    # a product of two conjugates needs a rewrite inside the word
+    assert dehn_reduce(u + rs[0] + invert(u) + rs[-1], g) == ()
+
+
+def test_dehn_rewrites_a_long_majority_piece(rips_g):
+    for r in rips_g.relators:
+        k = len(r) // 2 + 1
+        assert dehn_reduce(r[:k], rips_g) == invert(r[k:])
+        assert dehn_reduce(r[: k - 1], rips_g) == r[: k - 1]
 
 
 def test_dehn_refuses_thick_presentations(torus):
