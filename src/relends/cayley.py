@@ -9,9 +9,8 @@ its shortlex normal form.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-
-import numpy as np
 
 from .presentation import Presentation, SubgroupSpec, check_small_cancellation
 from .schreier import Ball, DEFAULT_NODE_BUDGET, stable_ball
@@ -55,36 +54,26 @@ class UncertifiedDistance(ValueError):
     """A geodesic for this pair may leave the enumerated ball."""
 
 
-def pair_certified(dist, radius: int, u, v, d):
+def pair_certified(dist: list[int], radius: int, u: int, v: int, d: int) -> bool:
     """Whether d, the in-ball distance from u to v, is the true distance.
 
     Distances to the base vertex are exact; other pairs need headroom,
     2 dist(u) + d <= 2 radius and the same at v, so that no true geodesic
-    can have left the enumerated region.  Vertices may be ints (dist a
-    list) or index arrays (dist a numpy array); arrays compare elementwise.
+    can have left the enumerated region.
     """
     r2 = 2 * radius
-    return (u == 0) | (v == 0) | ((2 * dist[u] + d <= r2) & (2 * dist[v] + d <= r2))
+    return u == 0 or v == 0 or (2 * dist[u] + d <= r2 and 2 * dist[v] + d <= r2)
 
 
-def _distances_from(ball: Ball, src: int) -> np.ndarray:
-    """BFS distances from src along the ball's edges, cached per source."""
-    row = ball._rows.get(src)
-    if row is not None:
-        return row
+def _distances_from(ball: Ball, src: int) -> list[int]:
+    """BFS distances from src along the ball's edges."""
     out = [-1] * ball.n_vertices
     for d, layer in enumerate(ball.layers(src)):
         for v in layer:
             out[v] = d
-    row = np.array(out, dtype=np.int32)
-    if (row < 0).any():
+    if -1 in out:
         raise ValueError("ball is not connected")
-    ball._rows[src] = row
-    return row
-
-
-def _distance_rows(ball: Ball, sources) -> np.ndarray:
-    return np.stack([_distances_from(ball, int(s)) for s in sources]).astype(np.int64)
+    return out
 
 
 def in_ball_distance(ball: Ball, u: int, v: int) -> tuple[int, bool]:
@@ -93,8 +82,8 @@ def in_ball_distance(ball: Ball, u: int, v: int) -> tuple[int, bool]:
     Both endpoints need dist0 <= radius - d/2, so any true geodesic stays
     inside the enumerated region; pairs through the base are always exact.
     """
-    duv = int(_distances_from(ball, u)[v])
-    return duv, bool(pair_certified(ball.dist, ball.radius, u, v, duv))
+    duv = _distances_from(ball, u)[v]
+    return duv, pair_certified(ball.dist, ball.radius, u, v, duv)
 
 
 def gromov_product(ball: Ball, x: int, y: int, base: int) -> Fraction:
@@ -109,17 +98,49 @@ def gromov_product(ball: Ball, x: int, y: int, base: int) -> Fraction:
     return Fraction(dbx + dby - dxy, 2)
 
 
-def estimate_delta(
-    ball: Ball,
-    sample: int | None = None,
-    seed: int = 0,
-    exhaustive_cap: int = 120,
-) -> Fraction:
+# the exhaustive defect scan is cubic in the vertex count; larger balls sample
+EXHAUSTIVE_CAP = 120
+
+
+def _doubled_defect_at(b: int, d: list[list[int]], cert: list[list[bool]], best: int) -> int:
+    """Raise best to the largest doubled defect among quadruples based at b.
+
+    With p2 the doubled Gromov product at b, max_z min(p2(x,z), p2(y,z))
+    >= t exactly when the bitsets {z : p2(x,z) >= t} and {z : p2(y,z) >= t}
+    meet, z ranging over the vertices whose pairs with b and x (or y) are
+    certified.  Thresholds descend, so the first t at which a pair meets
+    is its maximum; a pair is dropped once t - p2(x,y) cannot beat best.
+    """
+    db = d[b]
+    members = [x for x in range(len(db)) if cert[b][x]]
+    p2 = {x: {z: db[x] + db[z] - d[x][z] for z in members if cert[x][z]} for x in members}
+    levels: dict[int, dict[int, int]] = {x: {} for x in members}  # x -> t -> bits
+    for x, row in p2.items():
+        for z, t in row.items():
+            levels[x][t] = levels[x].get(t, 0) | 1 << z
+    pending = [(x, y, q) for x, row in p2.items() for y, q in row.items() if x < y]
+    masks = dict.fromkeys(members, 0)
+    for t in sorted({t for row in p2.values() for t in row.values()}, reverse=True):
+        for x in members:
+            masks[x] |= levels[x].get(t, 0)
+        keep = []
+        for x, y, q in pending:
+            if t - q <= best:
+                continue  # thresholds only fall from here
+            if masks[x] & masks[y]:
+                best = t - q
+            else:
+                keep.append((x, y, q))
+        pending = keep
+    return best
+
+
+def estimate_delta(ball: Ball, sample: int | None = None, seed: int = 0) -> Fraction:
     """Four-point hyperbolicity defect over certified quadruples.
 
     max over (base, x, y, z) of min{(x|z), (y|z)} - (x|y) at that base,
     floored at 0: a lower bound for delta_X.  Exhaustive up to
-    exhaustive_cap vertices; beyond that a seeded quadruple sample must be
+    EXHAUSTIVE_CAP vertices; beyond that a seeded quadruple sample must be
     requested explicitly.  Only quadruples whose six pairwise distances
     are all certified contribute, so growing the radius never shrinks the
     value.
@@ -127,59 +148,31 @@ def estimate_delta(
     if ball.radius < 1:
         raise ValueError("ball radius must be >= 1")
     n = ball.n_vertices
-    dist0 = np.asarray(ball.dist, dtype=np.int64)
+    certified = lambda u, v, d: pair_certified(ball.dist, ball.radius, u, v, d)
     best = 0
     if sample is None:
-        if n > exhaustive_cap:
+        if n > EXHAUSTIVE_CAP:
             raise ValueError(
-                f"{n} vertices exceed the exhaustive cap {exhaustive_cap}; "
+                f"{n} vertices exceed the exhaustive cap {EXHAUSTIVE_CAP}; "
                 f"pass sample= for a seeded randomized scan"
             )
-        d = _distance_rows(ball, range(n))
-        idx = np.arange(n)
-        cert = pair_certified(dist0, ball.radius, idx[:, None], idx[None, :], d)
+        d = [_distances_from(ball, u) for u in range(n)]
+        cert = [[certified(u, v, d[u][v]) for v in range(n)] for u in range(n)]
         for b in range(n):
-            db = d[b]
-            certb = cert[b]
-            p2 = db[:, None] + db[None, :] - d  # twice the Gromov product
-            valid = cert & certb[:, None] & certb[None, :]
-            neg = -(1 << 40)  # sentinel far below any real defect, no wraparound
-            acc = np.full((n, n), neg, dtype=np.int64)
-            for z in range(n):
-                vz = valid[:, z]
-                if not vz.any():
-                    continue
-                colz = p2[:, z]
-                m = np.minimum(colz[:, None], colz[None, :])
-                m = np.where(vz[:, None] & vz[None, :], m, neg)
-                np.maximum(acc, m, out=acc)
-            defect = np.where((acc != neg) & valid, acc - p2, neg)
-            top = int(defect.max(initial=neg))
-            if top > best:
-                best = top
+            best = _doubled_defect_at(b, d, cert, best)
     else:
         if sample < 1:
             raise ValueError("sample must be positive")
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=(4, sample), dtype=np.int64)
-        bb, xx, yy, zz = idx
-        sources = np.unique(idx[:3])
-        rows = _distance_rows(ball, sources)
-        d = lambda u, v: rows[np.searchsorted(sources, u), v]
-        cert = lambda u, v: pair_certified(dist0, ball.radius, u, v, d(u, v))
-        p2 = lambda u, v: d(bb, u) + d(bb, v) - d(u, v)
-        vals = np.minimum(p2(xx, zz), p2(yy, zz)) - p2(xx, yy)
-        ok = (
-            cert(bb, xx)
-            & cert(bb, yy)
-            & cert(bb, zz)
-            & cert(xx, yy)
-            & cert(xx, zz)
-            & cert(yy, zz)
-        )
-        if ok.any():
-            best = max(best, int(vals[ok].max()))
-    return Fraction(max(best, 0), 2)
+        rng = random.Random(seed)
+        rows: dict[int, list[int]] = {}
+        for _ in range(sample):
+            b, x, y, z = (rng.randrange(n) for _ in range(4))
+            rows.update((u, _distances_from(ball, u)) for u in (b, x, y) if u not in rows)
+            pairs = ((b, x), (b, y), (b, z), (x, y), (x, z), (y, z))
+            if all(certified(u, v, rows[u][v]) for u, v in pairs):
+                p2 = lambda u, v: rows[b][u] + rows[b][v] - rows[u][v]
+                best = max(best, min(p2(x, z), p2(y, z)) - p2(x, y))
+    return Fraction(best, 2)
 
 
 def orbit_in_ball(ball: Ball, h: SubgroupSpec) -> list[int]:
@@ -223,16 +216,16 @@ def estimate_epsilon(ball: Ball, h: SubgroupSpec) -> int:
     orbit = orbit_in_ball(ball, h)
     if len(orbit) < 2:
         raise ValueError("fewer than 2 orbit points in ball")
-    rows = _distance_rows(ball, orbit)
-    to_orbit = rows.min(axis=0)
+    rows = [_distances_from(ball, p) for p in orbit]
+    to_orbit = [min(col) for col in zip(*rows)]
     eps = 0
     for i, p in enumerate(orbit):
         for j in range(i + 1, len(orbit)):
             q = orbit[j]
-            if not pair_certified(ball.dist, ball.radius, p, q, rows[i, q]):
+            dpq = rows[i][q]
+            if not pair_certified(ball.dist, ball.radius, p, q, dpq):
                 continue
-            on_geo = rows[i] + rows[j] == rows[i, q]
-            far = int(to_orbit[on_geo].max())
-            if far > eps:
-                eps = far
+            for v, (a, b) in enumerate(zip(rows[i], rows[j])):
+                if a + b == dpq and to_orbit[v] > eps:
+                    eps = to_orbit[v]
     return eps

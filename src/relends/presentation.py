@@ -91,13 +91,14 @@ def _check_generator_names(names: Sequence[str]) -> None:
 class Presentation:
     """A finite presentation: generator names plus cyclically reduced relators.
 
-    The symmetrized closure (rotations and inverses of every relator) is
-    computed once on first use; Dehn reduction and piece counting assume it.
+    The symmetrized closure (rotations and inverses of every relator) and
+    its C'(1/6) report are computed once, on first use.
     """
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
     _symmetrized: tuple[Word, ...] | None = field(default=None, compare=False, repr=False)
+    _small_cancellation: SmallCancellationReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_generator_names(self.generators)
@@ -259,10 +260,15 @@ def check_small_cancellation(p: Presentation) -> SmallCancellationReport:
     A piece is a maximal common prefix of two distinct symmetrized relators.
     The maximum over all pairs is attained by a lexicographically adjacent
     pair, so one sort replaces the quadratic prefix scan.  No relators is a
-    vacuous pass.
+    vacuous pass.  The scan runs once per presentation.
     """
+    if p._small_cancellation is None:
+        object.__setattr__(p, "_small_cancellation", _scan_pieces(p.symmetrized))
+    return p._small_cancellation
+
+
+def _scan_pieces(sym: tuple[Word, ...]) -> SmallCancellationReport:
     lam = Fraction(1, 6)
-    sym = p.symmetrized
     if not sym:
         return SmallCancellationReport(True, 0, 0, True, lam)
     min_len = min(len(w) for w in sym)

@@ -21,7 +21,7 @@ balls must be treated as uncertified by callers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .presentation import Presentation, SubgroupSpec, Word
 
@@ -64,8 +64,6 @@ class Ball:
     slack: int = 0
     stable: bool = True
     subgroup_words: tuple[Word, ...] = ()
-    # in-ball BFS distances per source vertex, filled on demand by cayley
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:

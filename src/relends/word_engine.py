@@ -61,8 +61,7 @@ def dehn_reduce(w: Word, p: Presentation) -> Word:
     point.  Each replacement strictly shortens the word (the threshold
     2|u| > |r| is strict), so the loop terminates.
     """
-    report = check_small_cancellation(p)
-    if not report.passes and not report.vacuous:
+    if not check_small_cancellation(p).passes:
         raise StrategyError("Dehn's algorithm needs a C'(1/6) presentation")
     sym = p.symmetrized
     max_len = max((len(r) for r in sym), default=0)

@@ -1,6 +1,5 @@
 """Distances, Gromov products, and defect estimates inside truncated balls."""
 
-import sys
 from fractions import Fraction
 
 import pytest
@@ -92,17 +91,23 @@ def test_epsilon_needs_two_orbit_points(tree4, f2):
         estimate_epsilon(tree4, sub(f2, "aaaaaaaaaa"))
 
 
-def test_estimators_need_no_scipy(f2, genus2, monkeypatch):
-    # numpy is the only declared numeric dependency; a None entry makes any
-    # import of scipy fail
-    monkeypatch.setitem(sys.modules, "scipy", None)
-    tree = build_ball(f2, 4, choose_strategy(f2))
-    aa, ab = walk(tree, "aa"), walk(tree, "ab")
-    assert in_ball_distance(tree, aa, ab) == (2, True)
-    assert in_ball_distance(tree, walk(tree, "aaaa"), walk(tree, "bbbb")) == (8, False)
-    assert gromov_product(tree, aa, ab, 0) == 1
-    assert estimate_delta(build_ball(f2, 3, choose_strategy(f2))) == 0
-    assert estimate_delta(tree, sample=300, seed=1) == 0
-    surface = build_ball(genus2, 2, choose_strategy(genus2))
-    assert estimate_delta(surface, sample=200, seed=0) == 0
-    assert estimate_epsilon(surface, sub(genus2, "a")) == 0
+# nonzero values pinned from the earlier dense four-point scan
+@pytest.mark.parametrize(
+    "group, radius, subgroup, expected",
+    [
+        ("torus", 3, None, 1),
+        ("torus", 4, None, 2),
+        ("torus", 5, None, 2),
+        ("torus", 7, None, 3),
+        ("f2", 4, "ab", 1),
+        ("f2", 4, "abAB", 2),
+        ("torus", 5, "ab", 2),
+    ],
+)
+def test_nonzero_estimates(request, group, radius, subgroup, expected):
+    p = request.getfixturevalue(group)
+    ball = build_ball(p, radius, choose_strategy(p))
+    if subgroup is None:
+        assert estimate_delta(ball) == expected
+    else:
+        assert estimate_epsilon(ball, sub(p, subgroup)) == expected

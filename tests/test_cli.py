@@ -65,7 +65,7 @@ def test_count_the_line(files, capsys):
 # hooks loaded before the package.
 DECLARED_ONLY = """
 import sys
-allowed = set(sys.stdlib_module_names) | {"numpy", "relends"}
+allowed = set(sys.stdlib_module_names) | {"relends"}
 for name in list(sys.modules):
     if name.partition(".")[0] not in allowed:
         del sys.modules[name]
@@ -78,12 +78,17 @@ class Undeclared:
 
 
 sys.meta_path.insert(0, Undeclared())
-from relends import parse_presentation, stable_ball
+from relends import (build_ball, choose_strategy, estimate_delta, estimate_epsilon,
+                     parse_presentation, stable_ball)
 from relends.cli import run
 from relends.presentation import SubgroupSpec
 
 line = parse_presentation("generators: a\\nrelators: none\\n")
 print("vertices:", stable_ball(line, SubgroupSpec(()), 3).n_vertices)
+torus = parse_presentation("generators: a b\\nrelators: abAB\\n")
+ball = build_ball(torus, 3, choose_strategy(torus))
+print("delta:", estimate_delta(ball), estimate_delta(ball, sample=50, seed=1))
+print("epsilon:", estimate_epsilon(ball, SubgroupSpec((torus.word_from_text("ab"),))))
 sys.exit(run(["count", sys.argv[1], "--probe-r0", "2,3,4,5"]))
 """
 
@@ -99,6 +104,8 @@ def test_package_runs_with_only_its_declared_dependencies(files):
     )
     assert proc.returncode == 0, proc.stderr
     assert "vertices: 7" in proc.stdout
+    assert "delta: 1 " in proc.stdout
+    assert "epsilon: 1" in proc.stdout
     assert "verdict: 2" in proc.stdout
 
 

@@ -5,7 +5,6 @@ import json
 from collections import deque
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from relends import (
@@ -52,8 +51,7 @@ def raw_runs(text, gens, horizons=range(5)):
 
 
 def sphere_sizes(ball):
-    d = np.asarray(ball.dist)
-    return [int((d == k).sum()) for k in range(ball.radius + 1)]
+    return [ball.dist.count(k) for k in range(ball.radius + 1)]
 
 
 def test_free_group_ball_is_a_tree(f2, trivial):

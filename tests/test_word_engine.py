@@ -12,11 +12,13 @@ from relends import (
     free_reduce,
     invert,
     is_identity,
+    parse_presentation,
+    presentation,
     shortlex_normal_form,
 )
 from relends.word_engine import StrategyError, WordProblemStrategy
 
-from conftest import sub
+from conftest import GENUS2, sub
 
 
 def test_strategy_picks_dehn_for_sixth_cancellation(genus2):
@@ -55,6 +57,22 @@ def test_commutator_relator_fails_the_piece_bound(torus):
 def test_no_relators_is_vacuously_small_cancellation(f2):
     rep = check_small_cancellation(f2)
     assert rep.passes and rep.vacuous
+
+
+def test_dehn_scans_pieces_once_per_presentation(monkeypatch):
+    scans = []
+    scan = presentation._scan_pieces
+
+    def counted(sym):
+        scans.append(sym)
+        return scan(sym)
+
+    monkeypatch.setattr(presentation, "_scan_pieces", counted)
+    p = parse_presentation(GENUS2)
+    for text in ("abABcdCD", "abABc", "dabABcdCDD"):
+        dehn_reduce(p.word_from_text(text), p)
+    assert check_small_cancellation(p).passes
+    assert len(scans) == 1
 
 
 def test_dehn_kills_the_relator(genus2):
