@@ -3,15 +3,21 @@
 HLT-style bounded Todd-Coxeter: subgroup-generator loops are traced at the
 base coset with unbounded gap-filling (they define the subgroup; the fold of
 that wedge is the Stallings core when there are no relators), then relator
-scans sweep every coset whose provisional distance is within radius + slack,
+scans visit cosets whose provisional distance is within radius + slack,
 filling gaps for cosets strictly inside the horizon and closing
 single-edge gaps on the horizon itself.  Coincidences go through a FIFO
 queue over a union-find with path halving; reads resolve stale targets
-lazily via find.  Sweeps repeat until nothing changes; before each, the
-distances are settled to exact BFS distances from the rows whose edges
-changed.  The returned ball is truncated to the requested radius and
-relabeled in BFS order (generators in declared order, positive letter
-before inverse), so equal balls have equal tables.
+lazily via find.  The first pass visits every coset; later passes visit
+only the cosets marked since (new cosets, cosets whose distance crossed the
+horizon, and horizon cosets whose open relator loop may have changed, found
+by walking relators from each coset that gained an edge), in ascending
+order, until a pass leaves none marked.  The skipped visits are the ones
+that would change nothing, so the tables are those a sweep over every coset
+in every pass would build.  Before each pass, the distances are settled to
+exact BFS distances from the rows whose edges changed.  The returned ball
+is truncated to the requested radius and relabeled in BFS order
+(generators in declared order, positive letter before inverse), so equal
+balls have equal tables.
 
 Stability is certified empirically: a ball is stable when rerunning with
 slack + 1 yields the identical truncated table.  Results from unstable
@@ -110,19 +116,71 @@ class Ball:
 
 
 def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, node_budget: int):
-    """Run closure out to the horizon; returns (cols, parent_uf, pdist, find).
+    """Run closure out to the horizon; returns (cells, parent_uf, pdist, find).
 
-    pdist holds exact BFS distances on live rows (uf[c] == c); find resolves
-    a stored target to its live row.
+    cells is the coset table, one row of L cells per coset:
+    cells[c * L + x] is the stored target of letter x at row c, or -1.  It
+    is one list grown a row at a time, because L lists growing side by side
+    fragment the heap, and peak RSS then rises with every later run in the
+    process.  pdist holds exact BFS distances on live rows (uf[c] == c);
+    find resolves a stored target to its live row.
+
+    A visit to a live row c at provisional distance d defines c's missing
+    edges when d < horizon and scans every relator at c when d <= horizon,
+    filling gaps only when d < horizon.  Pass 1 visits every row in
+    ascending order, the rows it defines included; each later pass visits
+    the marked rows in ascending order, and the run ends when a pass leaves
+    none marked.  settle() runs before each pass.
+
+    The mutations are those of a sweep over every row in every pass, in the
+    same order: a visit that would change nothing is the only kind skipped,
+    because every row whose visit would change something is marked before
+    the pass reaches it.  A visit at d < horizon leaves c with every edge
+    and every relator loop closed, and a closed loop stays closed through
+    any later merge.  So a row can only need another visit when
+    - it is new, or its distance crosses the horizon in merge or settle;
+      such a row is marked;
+    - it is on the horizon, a relator's trace at it stopped with a gap of
+      two or more letters (an open loop), and that trace has since grown.
+      A trace grows only when one of its two frontier rows gains the
+      letter the trace stopped at.
+    Pass 1 marks every row with an open loop for pass 2.  From pass 2 on,
+    an open scan sets wait on its two frontier rows instead (a merge passes
+    the flag to the representative), and every edge event at a flagged row
+    -- a live row f gaining letter x: both ends of a deduction, the source
+    of a new row, and each column a merge gives the representative from
+    one side only -- walks back from f along r[:i] for every relator
+    position with r[i] = x and forward along r[i + 1:] for every r[i] =
+    x^-1, and marks the row each completed walk reaches: the row whose
+    trace the event may have grown.  Walks run after the visit, when no
+    merge is pending.  A row marked above the visited one is visited in
+    this pass, any other in the next; the two mark values alternate between
+    passes and never meet on one row.
     """
     L = p.n_letters
     relators = list(p.relators)
-    cols: list[list[int]] = [[-1] for _ in range(L)]
+    cells: list[int] = [-1] * L
+    empty_row = (-1,) * L
     uf: list[int] = [0]
     pdist: list[int] = [0]
     pending: deque[tuple[int, int]] = deque()
     # an end of every edge added since the last settle; see settle()
     dirty: list[int] = []
+    # mark[c] is cur when c is to be visited in this pass, nxt for the next
+    cur, nxt = 1, 2
+    mark = bytearray([cur])
+    wait = bytearray()  # from pass 2 on: c is a frontier row of an open trace
+    walking = False  # from pass 2 on: record edge events and walk from them
+    woken: list[int] = []  # rows whose distance crossed the horizon
+    events: list[int] = []  # edge events as flat (row, letter) pairs
+    # walks[x]: (word, start) pairs; an event (f, x) walks word[start:] from f
+    walks: list[list[tuple[Word, int]]] = [[] for _ in range(L)]
+    for r in relators:
+        n = len(r)
+        back = tuple(y ^ 1 for y in reversed(r))
+        for i, x in enumerate(r):
+            walks[x].append((back, n - i))
+            walks[x ^ 1].append((r, i + 1))
 
     def find(c: int) -> int:
         while uf[c] != c:
@@ -134,12 +192,15 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
         t = len(uf)
         if (t + 1) * L > node_budget:
             raise BudgetExceeded(node_budget, horizon, t)
-        for col in cols:
-            col.append(-1)
+        cells.extend(empty_row)
         uf.append(t)
         pdist.append(pdist[src] + 1)
-        cols[x][src] = t
-        cols[x ^ 1][t] = src
+        mark.append(cur)
+        cells[src * L + x] = t
+        cells[t * L + (x ^ 1)] = src
+        if walking:
+            wait.append(0)
+            events.extend((src, x))
         return t
 
     def merge(a: int, b: int) -> None:
@@ -153,72 +214,102 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
                 a, b = b, a
             uf[b] = a
             if pdist[b] < pdist[a]:
+                if pdist[b] <= horizon <= pdist[a]:
+                    woken.append(a)
                 pdist[a] = pdist[b]
+            if walking and wait[b]:
+                wait[a] = 1
             dirty.append(a)
             for x in range(L):
-                tb = cols[x][b]
+                ta = cells[a * L + x]
+                tb = cells[b * L + x]
+                if walking and (ta < 0) != (tb < 0):
+                    events.extend((a, x))  # the side without x gains it
                 if tb < 0:
                     continue
-                ta = cols[x][a]
                 if ta < 0:
-                    cols[x][a] = tb
+                    cells[a * L + x] = tb
                 elif find(ta) != find(tb):
                     pending.append((ta, tb))
 
-    def scan(c: int, w: Word, fill: bool) -> bool:
-        """Trace w at c; close the loop, deduce, or fill.  True if mutated."""
+    def scan(c: int, w: Word, fill: bool) -> None:
+        """Trace w at c; close the loop, deduce, fill, or leave it open."""
         n = len(w)
         f = find(c)
         i = 0
         while i < n:
-            t = cols[w[i]][f]
+            t = cells[f * L + w[i]]
             if t < 0:
                 break
-            f = find(t)
+            f = t if uf[t] == t else find(t)  # spare the call on a live row
             i += 1
         if i == n:
             back = find(c)
             if f != back:
                 merge(f, back)
-                return True
-            return False
+            return
         b = find(c)
         j = n
         while j > i:
-            t = cols[w[j - 1] ^ 1][b]
+            t = cells[b * L + (w[j - 1] ^ 1)]
             if t < 0:
                 break
-            b = find(t)
+            b = t if uf[t] == t else find(t)
             j -= 1
         if j == i:
             if f != b:
                 merge(f, b)
-                return True
-            return False
+            return
         if j > i + 1:
             if not fill:
-                return False
+                if walking:
+                    wait[f] = wait[b] = 1
+                else:
+                    mark[c] = nxt  # no walk sees this loop change in pass 1
+                return
             while j > i + 1:
                 x = w[i]
-                t = cols[x][f]
+                t = cells[f * L + x]
                 f = find(t) if t >= 0 else new_row(f, x)
                 i += 1
         # one gap left: w[i] should lead from f to b
         x = w[i]
-        t = cols[x][f]
+        t = cells[f * L + x]
         if t >= 0:
             if find(t) != b:
                 merge(t, b)
-            return True
-        back = cols[x ^ 1][b]
+            return
+        back = cells[b * L + (x ^ 1)]
         if back >= 0:
             merge(back, f)
-            return True
-        cols[x][f] = b
-        cols[x ^ 1][b] = f
+            return
+        cells[f * L + x] = b
+        cells[b * L + (x ^ 1)] = f
         dirty.append(f)
         dirty.append(b)
-        return True
+        if walking:
+            events.extend((f, x, b, x ^ 1))
+
+    def wake(c: int) -> None:
+        """Mark the woken rows and the rows the edge events' walks reach."""
+        for g in woken:
+            g = find(g)
+            mark[g] = cur if g > c else nxt
+        woken.clear()
+        for k in range(0, len(events), 2):
+            f = find(events[k])
+            if not wait[f]:
+                continue
+            for word, start in walks[events[k + 1]]:
+                g = f
+                for y in word[start:]:
+                    t = cells[g * L + y]
+                    if t < 0:
+                        break
+                    g = t if uf[t] == t else find(t)
+                else:
+                    mark[g] = cur if g > c else nxt
+        events.clear()
 
     def settle() -> None:
         """Lower pdist to exact BFS distances on live rows.
@@ -229,7 +320,8 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
         whose pdist it may lower (the merged row's edges that differ by more
         than one already had a dirty nearer end), and a new row starts at
         pdist[src] + 1.  So pushing every dirty row outward in distance
-        order (Dial's buckets) restores exactness.
+        order (Dial's buckets) restores exactness.  A row whose distance
+        crosses the horizon is marked for the coming pass.
         """
         buckets: dict[int, list[int]] = {}
         for s in {find(c) for c in dirty}:
@@ -241,46 +333,56 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
                 if pdist[v] != d:
                     continue  # lowered again after it was queued
                 for x in range(L):
-                    t = cols[x][v]
+                    t = cells[v * L + x]
                     if t >= 0:
                         t = find(t)
                         if pdist[t] > d + 1:
+                            if d + 1 <= horizon <= pdist[t]:
+                                mark[t] = cur
                             pdist[t] = d + 1
                             buckets.setdefault(d + 1, []).append(t)
             d += 1
 
     for w in h_words:
         scan(0, w, fill=True)
+    woken.clear()  # every row is marked for pass 1
 
-    changed = True
-    while changed:
+    while True:
         settle()
-        changed = False
-        c = 0
-        while c < len(uf):
+        c = mark.find(cur)
+        if c < 0:
+            break
+        while c >= 0:
+            mark[c] = 0
             if uf[c] == c:
                 d = pdist[c]
                 if d < horizon:
                     for x in range(L):
-                        if cols[x][c] < 0:
+                        if cells[c * L + x] < 0:
                             new_row(c, x)
-                            changed = True
                 if d <= horizon:
                     inside = d < horizon
                     for w in relators:
-                        if scan(c, w, fill=inside):
-                            changed = True
+                        scan(c, w, fill=inside)
                         if uf[c] != c:
                             break
-            c += 1
+            if woken or events:
+                wake(c)
+            c += 1  # the next row is usually marked, always in pass 1
+            if c == len(mark) or mark[c] != cur:
+                c = mark.find(cur, c)
+        cur, nxt = nxt, cur
+        walking = True
+        wait.extend(bytes(len(uf) - len(wait)))  # new rows append their own
 
-    return cols, uf, pdist, find
+    return cells, uf, pdist, find
 
 
-def _relabel(cols: list[list[int]], find, root: int, radius: int):
+def _relabel(cells: list[int], L: int, find, root: int, radius: int):
     """Truncate to the radius around root and relabel in canonical BFS order.
 
-    Letters are visited in column order, so parent_letter indexes cols;
+    cells holds L cells per row, as _raw_enumerate returns them.  Letters
+    are visited in cell order, so parent_letter indexes a row's cells;
     find resolves a stored target to its live representative.
     """
     canon = {root: 0}
@@ -288,7 +390,6 @@ def _relabel(cols: list[list[int]], find, root: int, radius: int):
     dist = [0]
     parent = [-1]
     parent_letter = [-1]
-    L = len(cols)
     head = 0
     while head < len(order):
         v = order[head]
@@ -297,7 +398,7 @@ def _relabel(cols: list[list[int]], find, root: int, radius: int):
         if d == radius:
             continue
         for x in range(L):
-            t = cols[x][v]
+            t = cells[v * L + x]
             if t < 0:
                 continue
             t = find(t)
@@ -308,10 +409,10 @@ def _relabel(cols: list[list[int]], find, root: int, radius: int):
                 parent.append(canon[v])
                 parent_letter.append(x)
     table: list[list[int]] = []
-    for col_in in cols:
+    for x in range(L):
         col_out = []
         for v in order:
-            t = col_in[v]
+            t = cells[v * L + x]
             if t >= 0:
                 t = canon.get(find(t), -1)
             col_out.append(t)
@@ -319,10 +420,9 @@ def _relabel(cols: list[list[int]], find, root: int, radius: int):
     return table, dist, parent, parent_letter
 
 
-def _finalize(p: Presentation, raw, radius: int):
+def _finalize(p: Presentation, cells: list[int], find, radius: int):
     """Truncate to the radius and relabel cosets in canonical BFS order."""
-    cols, _uf, _pdist, find = raw
-    return _relabel(cols, find, find(0), radius)
+    return _relabel(cells, p.n_letters, find, find(0), radius)
 
 
 def _truncated_run(
@@ -332,8 +432,9 @@ def _truncated_run(
     slack: int,
     node_budget: int,
 ) -> Ball:
-    raw = _raw_enumerate(p, h.words, radius + slack, node_budget)
-    table, dist, parent, parent_letter = _finalize(p, raw, radius)
+    cells, _uf, pdist, find = _raw_enumerate(p, h.words, radius + slack, node_budget)
+    del pdist  # relabeling reads no distances: free them before it allocates
+    table, dist, parent, parent_letter = _finalize(p, cells, find, radius)
     return Ball(p.generators, table, dist, radius, parent, parent_letter,
                 slack=slack, subgroup_words=h.words)
 
@@ -452,7 +553,8 @@ def restrict_to_generators(ball: Ball, names: tuple[str, ...]) -> Ball:
             raise ValueError(f"generator {name!r} not in ball alphabet") from None
         keep.append(i)
     cols = [ball.table[x] for i in keep for x in (2 * i, 2 * i + 1)]
-    table, dist, parent, parent_letter = _relabel(cols, lambda t: t, 0, ball.radius)
+    cells = [col[v] for v in range(ball.n_vertices) for col in cols]
+    table, dist, parent, parent_letter = _relabel(cells, len(cols), lambda t: t, 0, ball.radius)
     return Ball(
         gen_names=tuple(names),
         table=table,

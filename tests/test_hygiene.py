@@ -1,7 +1,8 @@
-"""Source hygiene: no dead imports or private leftovers, and the public API
-lists what it imports."""
+"""Source hygiene: no dead imports or private leftovers, the public API
+lists what it imports, and the committed benchmark trajectory is whole."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import relends
 
 PACKAGE = Path(relends.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -74,3 +76,21 @@ def test_every_private_name_is_used():
         for n in _module_private_names(tree) - used
     }
     assert not unused, f"private names nothing in the package uses: {sorted(unused)}"
+
+
+def test_bench_files_hold_every_workload_at_both_trace_levels():
+    # each root BENCH_*.json is a list of perfbench/run.py result objects
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = {
+        trace: {m["name"] for m in spec[kind]}
+        for trace, kind in ((0, "end_to_end"), (1, "per_layer"))
+    }
+    wanted = sorted((w["name"], trace) for w in spec["workloads"] for trace in declared)
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths, "no BENCH_*.json at the repository root"
+    for path in paths:
+        results = json.loads(path.read_text())
+        assert sorted((r["workload"], r["trace"]) for r in results) == wanted, path.name
+        for r in results:
+            missing = declared[r["trace"]] - set(r["metrics"])
+            assert not missing, (path.name, r["workload"], r["trace"], sorted(missing))

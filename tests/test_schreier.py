@@ -1,5 +1,6 @@
 """Coset enumeration: truncated balls, stability escalation, budgets."""
 
+import functools
 import hashlib
 import json
 from collections import deque
@@ -14,6 +15,7 @@ from relends import (
     orbit_in_ball,
     parse_presentation,
     restrict_to_generators,
+    rips_construct,
     stable_ball,
 )
 from relends.schreier import DEFAULT_NODE_BUDGET, _finalize, _raw_enumerate
@@ -31,21 +33,49 @@ CORPUS = [
     ("shifty", SHIFTY, ()),
     ("f2-sub", FREE2, ("ab", "bbA")),
 ]
-# finite groups whose coincidences lower distances far from the edges the
-# scans close, with the horizon that shows it
+A5 = "generators: a b\nrelators:\n  aa\n  bbb\n  ababababab\n"
+S3 = "generators: a b\nrelators:\n  aaa\n  bb\n  abab\n"
+# finite groups, closed by heavy coincidences, whose whole Cayley graph fits
+# inside the top horizon
+FINITE = [("a5", A5, (), 10), ("s3", S3, (), 3)]
+# presentations whose coincidences lower distances far from the edges the
+# scans close, with the horizon that shows it: two one-relator groups (the
+# first needs merge to seed settle, the second the edges scan closes) and
+# the finite groups
 COLLAPSING = [
-    ("a5", "generators: a b\nrelators: aa bbb ababababab\n", (), 5),
-    ("s3", "generators: a b\nrelators: aaa bb abab\n", (), 6),
+    ("a2b3ab5", "generators: a b\nrelators: aabbbababababab\n", (), 5),
+    ("a3b2ab2", "generators: a b\nrelators: aaabbabab\n", (), 6),
+] + FINITE
+# small presentations, found by a seeded search, on which dropping any one
+# of the enumerator's wake rules leaves a table that is not a fixpoint
+WAKES = [
+    ("BAAAbAA-b", "generators: a b\nrelators:\n  BAAAbAA\n  b\n", (), 3),
+    ("ABABB", "generators: a b\nrelators: ABABB\n", (), 4),
+    ("BAbaB-BAAB-Ba", "generators: a b\nrelators:\n  BAbaB\n  BAAB\n  Ba\n", ("BB",), 3),
+    ("BaaBBB", "generators: a b\nrelators: BaaBBB\n", ("aB",), 4),
 ]
+# Rips' construction over Z2 with its H (985-letter relators); raw_runs
+# builds it for the missing presentation text
+RIPS_Z2 = ("rips-z2", None, (), 3)
 # _finalize digests for CORPUS, pinned from the enumerator that ran a full
-# BFS before every sweep; no raw table or row count is pinned, so the
-# enumerator may renumber its rows
+# BFS before every sweep (the finite groups and Rips(Z2) from the one that
+# swept every row); no raw table or row count is pinned, so the enumerator
+# may renumber its rows
 BALL_DIGESTS = Path(__file__).parent / "golden" / "ball-digests.json"
 
 
+@functools.cache
+def rips_z2():
+    out = rips_construct(parse_presentation("generators: x y\nrelators: xyXY\n"))
+    return out.g_presentation, out.h_generators.words
+
+
 def raw_runs(text, gens, horizons=range(5)):
-    p = parse_presentation(text)
-    words = sub(p, *gens).words
+    if text is None:
+        p, words = rips_z2()
+    else:
+        p = parse_presentation(text)
+        words = sub(p, *gens).words
     for horizon in horizons:
         yield horizon, p, _raw_enumerate(p, words, horizon, DEFAULT_NODE_BUDGET)
 
@@ -171,12 +201,13 @@ def test_budget_cuts_enumeration_short(genus2, trivial):
     ids=[c[0] for c in CORPUS + COLLAPSING],
 )
 def test_enumerator_distances_are_bfs_distances(name, text, gens, top):
-    for horizon, _p, (cols, uf, pdist, find) in raw_runs(text, gens, range(top + 1)):
+    for horizon, p, (cells, uf, pdist, find) in raw_runs(text, gens, range(top + 1)):
+        L = p.n_letters
         dist = {0: 0}
         queue = deque([0])
         while queue:
             v = queue.popleft()
-            for t in (find(col[v]) for col in cols if col[v] >= 0):
+            for t in (find(t) for t in cells[v * L:(v + 1) * L] if t >= 0):
                 if t not in dist:
                     dist[t] = dist[v] + 1
                     queue.append(t)
@@ -185,13 +216,59 @@ def test_enumerator_distances_are_bfs_distances(name, text, gens, top):
         assert [pdist[c] for c in live] == [dist[c] for c in live], horizon
 
 
+@pytest.mark.parametrize(
+    "name, text, gens, top",
+    [(*case, 5) for case in CORPUS] + COLLAPSING + WAKES + [RIPS_Z2],
+    ids=[c[0] for c in CORPUS + COLLAPSING + WAKES + [RIPS_Z2]],
+)
+def test_enumeration_stops_at_a_fixpoint(name, text, gens, top):
+    # the sweep's stopping condition, read without path halving so that
+    # nothing the enumerator returned is touched
+    for horizon, p, (cells, uf, pdist, _find) in raw_runs(text, gens, range(top + 1)):
+        L = p.n_letters
+
+        def root(c):
+            while uf[c] != c:
+                c = uf[c]
+            return c
+
+        def step(c, x):
+            t = cells[c * L + x]
+            return root(t) if t >= 0 else -1
+
+        for c in range(len(uf)):
+            if uf[c] != c or pdist[c] > horizon:
+                continue
+            if pdist[c] < horizon:
+                assert min(cells[c * L:(c + 1) * L]) >= 0, (horizon, c)
+            for w in p.relators:
+                f, i = c, 0
+                while i < len(w) and (t := step(f, w[i])) >= 0:
+                    f, i = t, i + 1
+                b, j = c, len(w)
+                while j > i and (t := step(b, w[j - 1] ^ 1)) >= 0:
+                    b, j = t, j - 1
+                # closed at c, or open on the horizon where nothing is filled
+                closed = j == i and f == b
+                assert closed or (j - i >= 2 and pdist[c] == horizon), (horizon, c, w)
+
+
+@pytest.mark.parametrize("text, radius, order", [(A5, 11, 60), (S3, 3, 6)], ids=["a5", "s3"])
+def test_finite_groups_close_to_their_order(text, radius, order):
+    p = parse_presentation(text)
+    ball = stable_ball(p, sub(p), radius)
+    assert ball.stable and ball.n_vertices == order
+    assert max(ball.dist) < radius  # the whole group, with room to spare
+
+
 def test_finalized_balls_match_pinned_digests():
     digests = {}
-    for name, text, gens in CORPUS:
-        for horizon, p, raw in raw_runs(text, gens):
+    cases = [(*case, 4) for case in CORPUS] + FINITE + [RIPS_Z2]
+    for name, text, gens, top in cases:
+        for horizon, p, (cells, _uf, _pdist, find) in raw_runs(text, gens, range(top + 1)):
             # slack 0 and slack 1, so the unstable shifty run at r2 s0 is in
             for radius in range(max(horizon - 1, 0), horizon + 1):
-                table, dist, _, _ = _finalize(p, raw, radius)
+                table, dist, _, _ = _finalize(p, cells, find, radius)
                 blob = json.dumps([table, dist]).encode()
                 digests[f"{name} h{horizon} r{radius}"] = hashlib.sha256(blob).hexdigest()
     assert digests == json.loads(BALL_DIGESTS.read_text())
