@@ -141,9 +141,12 @@ def estimate_delta(ball: Ball, sample: int | None = None, seed: int = 0) -> Frac
     max over (base, x, y, z) of min{(x|z), (y|z)} - (x|y) at that base,
     floored at 0: a lower bound for delta_X.  Exhaustive up to
     EXHAUSTIVE_CAP vertices; beyond that a seeded quadruple sample must be
-    requested explicitly.  Only quadruples whose six pairwise distances
-    are all certified contribute, so growing the radius never shrinks the
-    value.
+    requested explicitly.  The sample draws from the inner half-ball
+    (2 dist <= radius), where every in-ball distance satisfies
+    d(u, v) <= dist(u) + dist(v) and so is certified; vertices nearer the
+    rim would almost never form a certified quadruple.  Only quadruples
+    whose six pairwise distances are all certified contribute, so growing
+    the radius never shrinks the value.
     """
     if ball.radius < 1:
         raise ValueError("ball radius must be >= 1")
@@ -164,9 +167,10 @@ def estimate_delta(ball: Ball, sample: int | None = None, seed: int = 0) -> Frac
         if sample < 1:
             raise ValueError("sample must be positive")
         rng = random.Random(seed)
+        half_ball = [v for v, dv in enumerate(ball.dist) if 2 * dv <= ball.radius]
         rows: dict[int, list[int]] = {}
         for _ in range(sample):
-            b, x, y, z = (rng.randrange(n) for _ in range(4))
+            b, x, y, z = (rng.choice(half_ball) for _ in range(4))
             rows.update((u, _distances_from(ball, u)) for u in (b, x, y) if u not in rows)
             pairs = ((b, x), (b, y), (b, z), (x, y), (x, z), (y, z))
             if all(certified(u, v, rows[u][v]) for u, v in pairs):

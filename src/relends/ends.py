@@ -46,47 +46,24 @@ class SphereClasses:
         return len(self.classes)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def union(self, a: int, b: int) -> bool:
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return False
-        if b < a:
-            a, b = b, a
-        self.parent[b] = a
-        return True
-
-
-def _components(ball: Ball, allowed: list[bool]) -> _UnionFind:
-    """Union-find over the table edges with both ends in the allowed set."""
-    uf = _UnionFind(ball.n_vertices)
-    table = ball.table
-    for v in range(ball.n_vertices):
-        if not allowed[v]:
-            continue
-        for col in table:
-            t = col[v]
-            if t > v and allowed[t]:
-                uf.union(v, t)
-    return uf
+def _labels(ball: Ball, seeds: list[int], allowed: list[bool]) -> list[int]:
+    """Each vertex's first seed whose in-region BFS reaches it, or -1."""
+    label = [-1] * ball.n_vertices
+    for s in seeds:
+        if label[s] < 0:
+            for layer in ball.layers(s, allowed):
+                for v in layer:
+                    label[v] = s
+    return label
 
 
 def sphere_classes(ball: Ball, ledger: ConstantsLedger) -> SphereClasses:
     """Partition of S(R0) by connectivity inside the annulus.
 
-    Processing order cannot matter (union-find over a fixed edge set); the
-    class list is sorted by its least vertex, which under the canonical
-    BFS labeling is the shortlex-least coset of the class.
+    The sphere is flooded in ascending order, so each class is labeled by
+    its least vertex, which under the canonical BFS labeling is the
+    shortlex-least coset of the class; classes come out in that order.  A
+    sphere vertex outside the annulus (R0 = 0) is a class of its own.
     """
     if ledger.outer_radius is None:
         raise ValueError("ledger has no outer_radius; supply one (empirical mode)")
@@ -97,17 +74,12 @@ def sphere_classes(ball: Ball, ledger: ConstantsLedger) -> SphereClasses:
         raise ValueError(f"bad annulus radii: inner={inner}, R0={r0}, outer={outer}")
     if outer > ball.radius:
         raise ValueError(f"ball radius {ball.radius} is below outer_radius {outer}")
-    dist = ball.dist
-    n = ball.n_vertices
-    in_annulus = [inner < dist[v] <= outer for v in range(n)]
-    uf = _components(ball, in_annulus)
+    sphere = ball.sphere(r0)
+    label = _labels(ball, sphere, [inner < d <= outer for d in ball.dist])
     groups: dict[int, list[int]] = {}
-    for v in range(n):
-        if dist[v] != r0:
-            continue
-        key = uf.find(v) if in_annulus[v] else -v - 1
-        groups.setdefault(key, []).append(v)
-    classes = sorted(tuple(sorted(g)) for g in groups.values())
+    for v in sphere:
+        groups.setdefault(v if label[v] < 0 else label[v], []).append(v)
+    classes = [tuple(g) for g in groups.values()]
     return SphereClasses(
         r0=r0,
         inner_radius=inner,
@@ -162,7 +134,7 @@ def shadow_consistency_check(
     if len(outside) < 2:
         return ShadowReport(True, 0, ())
     # connectivity in the complement of the inner ball, whole region
-    uf = _components(ball, [d > inner for d in dist])
+    label = _labels(ball, outside, [d > inner for d in dist])
     rng = Random(seed)
     violations: list[tuple[int, int]] = []
     checked = 0
@@ -176,7 +148,7 @@ def shadow_consistency_check(
         if class_of.get(pv) != class_of.get(pw) or class_of.get(pv) is None:
             continue
         checked += 1
-        if uf.find(v) != uf.find(w):
+        if label[v] != label[w]:
             violations.append((v, w))
     return ShadowReport(not violations, checked, tuple(violations))
 
@@ -264,53 +236,23 @@ def empirical_ends(ball: Ball, radii: list[int], window: int = 3) -> EmpiricalEn
 
     The direct reading of ends: how many unbounded-looking pieces remain
     after deleting each ball.  Components that died out before reaching
-    distance = ball radius are bounded and do not count.  Processed
-    outside-in with one union-find pass.
+    distance = ball radius are bounded and do not count: each radius
+    floods {dist > r} from the rim and counts the rim vertices that label
+    their own component.
     """
     if not radii or sorted(radii) != list(radii):
         raise ValueError("radii must be nonempty and ascending")
     if radii[-1] >= ball.radius:
         raise ValueError("largest radius must be strictly below the ball radius")
-    n = ball.n_vertices
-    dist = ball.dist
-    levels: list[list[int]] = [[] for _ in range(ball.radius + 1)]
-    for v in range(n):
-        levels[dist[v]].append(v)
-    uf = _UnionFind(n)
-    has_frontier = [False] * n
-    active = [False] * n
-    frontier_components = 0
-    L = ball.n_letters
-    table = ball.table
-    counts: dict[int, int] = {}
-    wanted = set(radii)
-    for d in range(ball.radius, radii[0], -1):
-        for v in levels[d]:
-            active[v] = True
-            if d == ball.radius:
-                has_frontier[v] = True
-                frontier_components += 1
-        for v in levels[d]:
-            for x in range(L):
-                t = table[x][v]
-                if t < 0 or not active[t]:
-                    continue
-                ra, rb = uf.find(v), uf.find(t)
-                if ra == rb:
-                    continue
-                fa, fb = has_frontier[ra], has_frontier[rb]
-                uf.union(ra, rb)
-                r = uf.find(ra)
-                has_frontier[r] = fa or fb
-                if fa and fb:
-                    frontier_components -= 1
-        if (d - 1) in wanted:
-            counts[d - 1] = frontier_components
-    count_list = [counts[r] for r in radii]
+    rim = ball.sphere(ball.radius)
+    counts = []
+    for r in radii:
+        label = _labels(ball, rim, [d > r for d in ball.dist])
+        counts.append(sum(label[v] == v for v in rim))
     return EmpiricalEndsReport(
         radii=tuple(radii),
-        counts=tuple(count_list),
-        verdict=stabilization_verdict(count_list, window),
+        counts=tuple(counts),
+        verdict=stabilization_verdict(counts, window),
     )
 
 

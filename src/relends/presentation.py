@@ -8,8 +8,9 @@ indexed name g1, g2, ... (inverse = G1, G2, ...), whitespace-separated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -97,8 +98,6 @@ class Presentation:
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
-    _symmetrized: tuple[Word, ...] | None = field(default=None, compare=False, repr=False)
-    _small_cancellation: SmallCancellationReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_generator_names(self.generators)
@@ -116,11 +115,13 @@ class Presentation:
     def n_letters(self) -> int:
         return 2 * len(self.generators)
 
-    @property
+    @cached_property
     def symmetrized(self) -> tuple[Word, ...]:
-        if self._symmetrized is None:
-            object.__setattr__(self, "_symmetrized", symmetrize(self.relators))
-        return self._symmetrized
+        return symmetrize(self.relators)
+
+    @cached_property
+    def _small_cancellation(self) -> SmallCancellationReport:
+        return _scan_pieces(self.symmetrized)
 
     def letter_name(self, x: int) -> str:
         name = self.generators[x >> 1]
@@ -262,8 +263,6 @@ def check_small_cancellation(p: Presentation) -> SmallCancellationReport:
     pair, so one sort replaces the quadratic prefix scan.  No relators is a
     vacuous pass.  The scan runs once per presentation.
     """
-    if p._small_cancellation is None:
-        object.__setattr__(p, "_small_cancellation", _scan_pieces(p.symmetrized))
     return p._small_cancellation
 
 

@@ -71,6 +71,13 @@ def test_sampled_defect_is_deterministic_per_seed(tree4):
     assert isinstance(one, Fraction)
 
 
+def test_sampled_defect_finds_certified_quadruples(torus):
+    # most of the ball sits near the rim, where pairs fail certification;
+    # the sample must still find certified quadruples
+    ball = build_ball(torus, 5, choose_strategy(torus))
+    assert 0 < estimate_delta(ball, sample=200, seed=0) <= estimate_delta(ball)
+
+
 def test_surface_ball_defect_at_desk_radius(genus2):
     ball = build_ball(genus2, 2, choose_strategy(genus2))
     assert ball.n_vertices == 65

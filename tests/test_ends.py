@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from relends import (
     INFINITE,
     UNCERTIFIED,
+    Ball,
     Estimates,
     UnstableBallError,
     check_dag,
@@ -79,6 +80,13 @@ def test_line_history_is_flat(zline, trivial):
     assert probe_class_history(ball, led, [1, 2, 3]) == [2, 2, 2]
 
 
+def test_base_outside_the_annulus_is_its_own_class(zline, trivial):
+    # at R0 = 0 the cut clamps to the closed 0-ball, which holds the base
+    ball = stable_ball(zline, trivial, 5)
+    led = empirical_ledger(r0=2, inner_offset=Fraction(3), outer_radius=5)
+    assert probe_class_history(ball, led, [0, 1, 2]) == [1, 2, 2]
+
+
 def test_tree_classes_grow_once_the_cut_moves(f2, trivial):
     ball = stable_ball(f2, trivial, 6)
     led = empirical_ledger(r0=5, inner_offset=Fraction(3), outer_radius=6)
@@ -102,6 +110,27 @@ def test_empirical_tree_diverges(f2, trivial):
     rep = empirical_ends(ball, [0, 1, 2])
     assert rep.counts == (4, 12, 36)
     assert rep.verdict == INFINITE
+
+
+def test_empirical_ignores_branches_that_stop_short_of_the_rim():
+    # the a-line out to the rim at 3, plus a b-branch that dead-ends at
+    # distance 2; letter columns are a, A, b, B
+    ball = Ball(
+        gen_names=("a", "b"),
+        table=[
+            [1, 4, 0, -1, 7, 2, -1, -1, 5],
+            [2, 0, 5, -1, 1, 8, -1, 4, -1],
+            [3, -1, -1, 6, -1, -1, -1, -1, -1],
+            [-1, -1, -1, 0, -1, -1, 3, -1, -1],
+        ],
+        dist=[0, 1, 1, 1, 2, 2, 2, 3, 3],
+        radius=3,
+        parent=[-1, 0, 0, 0, 1, 2, 3, 4, 5],
+        parent_letter=[-1, 0, 1, 2, 0, 1, 2, 0, 1],
+    )
+    rep = empirical_ends(ball, [0, 1, 2])
+    assert rep.counts == (2, 2, 2)
+    assert rep.verdict == 2
 
 
 def test_empirical_needs_room_and_order(f2, trivial):

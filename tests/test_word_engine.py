@@ -75,6 +75,14 @@ def test_dehn_scans_pieces_once_per_presentation(monkeypatch):
     assert len(scans) == 1
 
 
+@pytest.mark.parametrize("cache", ["_symmetrized", "_small_cancellation"])
+def test_caches_cannot_be_forged_through_the_constructor(torus, cache):
+    # a forged empty closure would pass C'(1/6) vacuously and send the
+    # torus to Dehn's algorithm
+    with pytest.raises(TypeError):
+        presentation.Presentation(torus.generators, torus.relators, **{cache: ()})
+
+
 def test_dehn_kills_the_relator(genus2):
     assert dehn_reduce(genus2.word_from_text("abABcdCD"), genus2) == ()
 
