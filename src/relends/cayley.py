@@ -50,10 +50,6 @@ def build_ball(
     return ball
 
 
-class UncertifiedDistance(ValueError):
-    """A geodesic for this pair may leave the enumerated ball."""
-
-
 def pair_certified(dist: list[int], radius: int, u: int, v: int, d: int) -> bool:
     """Whether d, the in-ball distance from u to v, is the true distance.
 
@@ -74,28 +70,6 @@ def _distances_from(ball: Ball, src: int) -> list[int]:
     if -1 in out:
         raise ValueError("ball is not connected")
     return out
-
-
-def in_ball_distance(ball: Ball, u: int, v: int) -> tuple[int, bool]:
-    """(distance, certified): certified means it equals the true metric.
-
-    Both endpoints need dist0 <= radius - d/2, so any true geodesic stays
-    inside the enumerated region; pairs through the base are always exact.
-    """
-    duv = _distances_from(ball, u)[v]
-    return duv, pair_certified(ball.dist, ball.radius, u, v, duv)
-
-
-def gromov_product(ball: Ball, x: int, y: int, base: int) -> Fraction:
-    """(d(base,x) + d(base,y) - d(x,y)) / 2, exact in-ball."""
-    dbx, c1 = in_ball_distance(ball, base, x)
-    dby, c2 = in_ball_distance(ball, base, y)
-    dxy, c3 = in_ball_distance(ball, x, y)
-    if not (c1 and c2 and c3):
-        raise UncertifiedDistance(
-            f"a geodesic among vertices ({base},{x},{y}) may leave the ball"
-        )
-    return Fraction(dbx + dby - dxy, 2)
 
 
 # the exhaustive defect scan is cubic in the vertex count; larger balls sample

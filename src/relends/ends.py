@@ -1,4 +1,4 @@
-"""Sphere classes, projections, condition checkers, and the end counters.
+"""Sphere classes, condition checkers, and the end counters.
 
 The count works on a truncated quotient ball: vertices of the sphere S(R0)
 are equivalent when a path inside the annulus {dist > R0 - inner_offset,
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from random import Random
 
 from .cayley import pair_certified
 from .constants import ConstantsLedger, annulus_inner_radius
@@ -88,69 +87,6 @@ def sphere_classes(ball: Ball, ledger: ConstantsLedger) -> SphereClasses:
         representatives=tuple(c[0] for c in classes),
         ball_stable=ball.stable,
     )
-
-
-def project_to_sphere(ball: Ball, v: int, ledger: ConstantsLedger) -> int:
-    """Walk the BFS-tree parent chain down to distance R0.
-
-    Identity inside the closed R0-ball; otherwise each hop decreases dist
-    by exactly 1, and the parent chain is the shortlex tie-break (a
-    vertex's tree parent is its earliest-labeled neighbor one level down).
-    """
-    if not 0 <= v < ball.n_vertices:
-        raise ValueError(f"vertex {v} not in ball")
-    r0 = ledger.r0
-    while ball.dist[v] > r0:
-        v = ball.parent[v]
-    return v
-
-
-@dataclass(frozen=True)
-class ShadowReport:
-    passed: bool
-    pairs_checked: int
-    violations: tuple[tuple[int, int], ...]
-
-
-def shadow_consistency_check(
-    ball: Ball, ledger: ConstantsLedger, trials: int, seed: int = 0
-) -> ShadowReport:
-    """Sampled coherence of projection with the class relation.
-
-    For vertices v, w beyond R0 whose projections share a sphere class,
-    v and w must be joined outside the excluded inner ball (within the
-    enumerated region).  A violation means the chosen radii are too small
-    for the shadows to have separated yet.
-    """
-    classes = sphere_classes(ball, ledger)
-    class_of: dict[int, int] = {}
-    for i, cls in enumerate(classes.classes):
-        for v in cls:
-            class_of[v] = i
-    inner = classes.inner_radius
-    n = ball.n_vertices
-    dist = ball.dist
-    outside = [v for v in range(n) if dist[v] > classes.r0]
-    if len(outside) < 2:
-        return ShadowReport(True, 0, ())
-    # connectivity in the complement of the inner ball, whole region
-    label = _labels(ball, outside, [d > inner for d in dist])
-    rng = Random(seed)
-    violations: list[tuple[int, int]] = []
-    checked = 0
-    for _ in range(trials):
-        v = rng.choice(outside)
-        w = rng.choice(outside)
-        if v == w:
-            continue
-        pv = project_to_sphere(ball, v, ledger)
-        pw = project_to_sphere(ball, w, ledger)
-        if class_of.get(pv) != class_of.get(pw) or class_of.get(pv) is None:
-            continue
-        checked += 1
-        if label[v] != label[w]:
-            violations.append((v, w))
-    return ShadowReport(not violations, checked, tuple(violations))
 
 
 def stabilization_verdict(history: list[int], window: int) -> int | str:

@@ -5,14 +5,12 @@ from fractions import Fraction
 import pytest
 
 from relends import (
-    UncertifiedDistance,
     build_ball,
     choose_strategy,
     estimate_delta,
     estimate_epsilon,
-    gromov_product,
-    in_ball_distance,
 )
+from relends.cayley import pair_certified
 
 from conftest import sub, walk
 
@@ -22,35 +20,46 @@ def tree4(f2):
     return build_ball(f2, 4, choose_strategy(f2))
 
 
+def distance(ball, u, v):
+    """(in-ball distance, whether pair_certified vouches for it)."""
+    d = next(d for d, layer in enumerate(ball.layers(u)) if v in layer)
+    return d, pair_certified(ball.dist, ball.radius, u, v, d)
+
+
 def test_tree_ball_vertex_count(tree4):
     assert tree4.n_vertices == 161
 
 
 def test_in_ball_distance_is_exact_when_certified(tree4):
     aa, ab = walk(tree4, "aa"), walk(tree4, "ab")
-    d, certified = in_ball_distance(tree4, aa, ab)
-    assert (d, certified) == (2, True)
+    assert distance(tree4, aa, ab) == (2, True)
 
 
 def test_distance_near_the_rim_is_not_certified(tree4):
     # the straight path between opposite rim points stays inside, but the
     # ball cannot promise no outside shortcut exists
-    d, certified = in_ball_distance(tree4, walk(tree4, "aaaa"), walk(tree4, "bbbb"))
-    assert d == 8
-    assert not certified
+    assert distance(tree4, walk(tree4, "aaaa"), walk(tree4, "bbbb")) == (8, False)
 
 
 def test_gromov_products_in_a_tree(tree4):
+    def gromov(x, y):
+        (dx, c1), (dy, c2), (dxy, c3) = (
+            distance(tree4, 0, x), distance(tree4, 0, y), distance(tree4, x, y)
+        )
+        assert c1 and c2 and c3
+        return Fraction(dx + dy - dxy, 2)
+
     aa, bb, ab = walk(tree4, "aa"), walk(tree4, "bb"), walk(tree4, "ab")
-    assert gromov_product(tree4, aa, bb, 0) == 0
-    assert gromov_product(tree4, aa, ab, 0) == 1  # shared prefix a
+    assert gromov(aa, bb) == 0
+    assert gromov(aa, ab) == 1  # shared prefix a
 
 
 def test_gromov_product_refuses_uncertified_pairs(tree4):
-    deep = walk(tree4, "aaaa")
-    far = walk(tree4, "bbbb")
-    with pytest.raises(UncertifiedDistance):
-        gromov_product(tree4, deep, far, walk(tree4, "bbb"))
+    # a Gromov product at base bbb of aaaa and bbbb needs all three
+    # distances certified; the rim pairs are not
+    deep, far, base = walk(tree4, "aaaa"), walk(tree4, "bbbb"), walk(tree4, "bbb")
+    pairs = [(base, deep), (base, far), (deep, far)]
+    assert not all(distance(tree4, u, v)[1] for u, v in pairs)
 
 
 def test_tree_defect_is_zero(f2):

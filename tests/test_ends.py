@@ -10,7 +10,6 @@ from relends import (
     INFINITE,
     UNCERTIFIED,
     Ball,
-    Estimates,
     UnstableBallError,
     check_dag,
     check_ddag,
@@ -19,7 +18,6 @@ from relends import (
     empirical_ledger,
     parse_presentation,
     probe_class_history,
-    shadow_consistency_check,
     sphere_classes,
     stabilization_verdict,
     stable_ball,
@@ -252,17 +250,3 @@ def test_quotient_annulus_fails_on_the_collapsed_tree(f2):
     rep = check_dag(ball, m=2, delta_xh=Fraction(1, 8))
     assert not rep.holds_within_ball
     assert rep.counterexample == (3, 9, 10)
-
-
-# --- shadows -----------------------------------------------------------------
-
-
-def test_shadow_projection_is_consistent_on_the_surface(genus2):
-    ball = stable_ball(genus2, sub(genus2, "a"), 4)
-    led = empirical_ledger(
-        3, Fraction(3), 4, Estimates(delta_x=Fraction(0), epsilon=0), m=2
-    )
-    rep = shadow_consistency_check(ball, led, trials=50, seed=0)
-    assert rep.passed
-    assert rep.pairs_checked == 37
-    assert not rep.violations

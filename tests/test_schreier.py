@@ -7,9 +7,14 @@ from collections import deque
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relends import (
+    Ball,
     BudgetExceeded,
+    SubgroupSpec,
+    canonical_code,
     covering_degree_check,
     enumerate_cosets,
     orbit_in_ball,
@@ -18,6 +23,7 @@ from relends import (
     rips_construct,
     stable_ball,
 )
+from relends.presentation import free_reduce, invert
 from relends.schreier import DEFAULT_NODE_BUDGET, _finalize, _raw_enumerate
 
 from conftest import FREE2, GENUS2, TORUS, sub, walk
@@ -326,3 +332,130 @@ def test_covering_check_flags_tampering(f2, trivial):
     assert not report.passed
     assert report.violations[0].kind == "missing_edge"
     assert report.violations[0].letter == 0
+
+
+# --- independent references --------------------------------------------------
+# Balls built without coset enumeration, for presentations with relators.
+
+
+def letter_actions(perms):
+    """Each letter's action on points: generator i's, then its inverse's."""
+    return [q for perm in perms
+            for q in (list(perm), sorted(range(len(perm)), key=perm.__getitem__))]
+
+
+def orbit_ball(p, perms):
+    """Orbit graph of point 0 under the generators' permutations, as a Ball,
+    and the Schreier generators of the stabilizer of 0.
+
+    Words act on points left to right, so the orbit graph is the Schreier
+    graph of (G, Stab(0)).  Schreier's lemma: with t(v) the BFS-tree word
+    to v, the words t(v) x t(v.x)^-1 over every point v and generator x
+    generate the stabilizer.
+    """
+    act = letter_actions(perms)
+    index = {0: 0}
+    order, dist, parent, parent_letter, tree = [0], [0], [-1], [-1], [()]
+    for v in order:
+        for x, q in enumerate(act):
+            if q[v] not in index:
+                index[q[v]] = len(order)
+                order.append(q[v])
+                dist.append(dist[index[v]] + 1)
+                parent.append(index[v])
+                parent_letter.append(x)
+                tree.append(tree[index[v]] + (x,))
+    table = [[index[q[v]] for v in order] for q in act]
+    ball = Ball(p.generators, table, dist, max(dist) + 1, parent, parent_letter)
+    words = [free_reduce(tree[i] + (2 * g,) + invert(tree[table[2 * g][i]]))
+             for i in range(len(order)) for g in range(len(perms))]
+    return ball, SubgroupSpec(tuple(words))
+
+
+def assert_enumerator_matches(p, perms):
+    act = letter_actions(perms)
+    for w in p.relators:
+        for q in range(len(perms[0])):
+            r = q
+            for x in w:
+                r = act[x][r]
+            assert r == q, "the permutations break a relator"
+    # a ball one past the base's eccentricity holds the whole orbit graph
+    expected, h = orbit_ball(p, perms)
+    ball = stable_ball(p, h, expected.radius)
+    assert ball.stable
+    assert canonical_code(ball) == canonical_code(expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(3, 40).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_genus2_ball_matches_a_permutation_representation(genus2, pair):
+    # a -> s, b -> t, c -> t, d -> s satisfies abABcdCD for any s and t
+    s, t = pair
+    assert_enumerator_matches(genus2, [s, t, t, s])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(3, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, n - 1))))
+def test_torus_ball_matches_a_permutation_representation(torus, case):
+    # two powers of one n-cycle commute
+    n, i, j = case
+    assert_enumerator_matches(torus, [[(q + k) % n for q in range(n)] for k in (i, j)])
+
+
+def growth_series(g, terms):
+    """Sphere sizes of the genus-g surface group in its standard generators
+    (Cannon; Floyd and Plotnick, Invent. Math. 1987), by power-series
+    division of (1 + 2x + ... + 2x^(2g-1) + x^(2g)) by
+    (1 - (4g-2)(x + ... + x^(2g-1)) + x^(2g))."""
+    num = [1] + [2] * (2 * g - 1) + [1]
+    den = [1] + [-(4 * g - 2)] * (2 * g - 1) + [1]
+    out = []
+    for k in range(terms):
+        c = num[k] if k < len(num) else 0
+        out.append(c - sum(den[i] * out[k - i] for i in range(1, min(k, 2 * g) + 1)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "text, genus, radius",
+    [(GENUS2, 2, 4), ("generators: a b c d e f\nrelators: abABcdCDefEF\n", 3, 3)],
+    ids=["genus2", "genus3"],
+)
+def test_surface_spheres_follow_the_growth_series(text, genus, radius):
+    p = parse_presentation(text)
+    ball = stable_ball(p, sub(p), radius)
+    assert ball.stable
+    assert sphere_sizes(ball) == growth_series(genus, radius + 1)
+
+
+NIELSEN_CASES = [(TORUS, ("aa", "bbb"), 3), (GENUS2, ("a", "bb"), 3), (GENUS2, ("ab", "cc"), 2)]
+
+
+@functools.cache
+def nielsen_reference(text, gens, radius):
+    p = parse_presentation(text)
+    return p, sub(p, *gens).words, canonical_code(stable_ball(p, sub(p, *gens), radius))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(NIELSEN_CASES),
+    st.lists(st.tuples(st.sampled_from(["invert", "multiply", "swap"]), st.booleans()),
+             max_size=3),
+)
+def test_nielsen_moves_keep_the_ball(case, moves):
+    # the moves keep the subgroup, so they must keep its Schreier ball
+    p, words, code = nielsen_reference(*case)
+    u, v = words
+    for move, first in moves:
+        if move == "invert":
+            u, v = (invert(u), v) if first else (u, invert(v))
+        elif move == "multiply":
+            u, v = (u + v, v) if first else (u, v + u)
+        else:
+            u, v = v, u
+    ball = stable_ball(p, SubgroupSpec((u, v)), case[2])
+    assert canonical_code(ball) == code
