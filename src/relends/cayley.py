@@ -1,10 +1,10 @@
 """Cayley-graph balls and the empirical delta / epsilon estimators.
 
 A Cayley ball is the Schreier ball of the trivial subgroup, so the same
-enumerator builds both; the word-problem strategy only governs how far the
-closure may escalate before the build refuses to certify itself.  Vertex
-keys follow from the canonical BFS labeling: the tree word of a vertex is
-its shortlex normal form.
+enumerator builds both; the radius cap (`None` = Dehn) only governs how
+far the closure may escalate before the build refuses to certify itself.
+Vertex keys follow from the canonical BFS labeling: the tree word of a
+vertex is its shortlex normal form.
 """
 
 from __future__ import annotations
@@ -12,37 +12,38 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .presentation import Presentation, SubgroupSpec, check_small_cancellation
+from .presentation import Presentation, SubgroupSpec, check_small_cancellation, invert
 from .schreier import Ball, DEFAULT_NODE_BUDGET, stable_ball
+from .word_engine import StrategyError, UndecidedWithinBound
 
 
 def build_ball(
     p: Presentation,
     radius: int,
-    strategy,
+    radius_cap: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Ball:
     """Radius-R ball of the Cayley graph, exact and stability-certified.
 
-    Under the dehn strategy the presentation must be C'(1/6) (closure then
-    provably stabilizes; slack escalation is allowed to run).  Under
-    bounded_bfs the enumeration horizon may not exceed radius_cap, and a
-    ball that cannot certify stability inside the cap is an error rather
-    than a guess.
+    With no radius_cap (Dehn) the presentation must be C'(1/6) (closure
+    then provably stabilizes; slack escalation is allowed to run).  With a
+    radius_cap the enumeration horizon may not exceed it, and a ball that
+    cannot certify stability inside the cap is an error rather than a
+    guess.
     """
-    from .word_engine import StrategyError, UndecidedWithinBound
-
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if strategy.kind == "dehn":
+    if radius_cap is None:
         if not check_small_cancellation(p).passes:
             raise StrategyError("dehn strategy needs a C'(1/6) presentation")
         max_slack = 12
+    elif radius_cap < 1:
+        raise ValueError("bounded_bfs needs a positive radius_cap")
     else:
-        max_slack = strategy.radius_cap - radius
+        max_slack = radius_cap - radius
         if max_slack < 0:
             raise UndecidedWithinBound(
-                f"radius_cap {strategy.radius_cap} is below the requested radius {radius}"
+                f"radius_cap {radius_cap} is below the requested radius {radius}"
             )
     ball = stable_ball(p, SubgroupSpec(()), radius, max_slack=max_slack, node_budget=node_budget)
     if not ball.stable:
@@ -160,8 +161,6 @@ def orbit_in_ball(ball: Ball, h: SubgroupSpec) -> list[int]:
     products whose path leaves the ball are dropped, so this is the set of
     orbit points whose witnessing product path fits in the ball.
     """
-    from .presentation import invert
-
     words = [w for w in h.words] + [invert(w) for w in h.words]
     seen = {0}
     frontier = [0]

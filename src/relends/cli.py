@@ -57,8 +57,6 @@ from .schreier import (
 from .word_engine import (
     StrategyError,
     UndecidedWithinBound,
-    WordProblemStrategy,
-    choose_strategy,
     dehn_reduce,
     shortlex_normal_form,
 )
@@ -311,13 +309,11 @@ def _sphere_sizes(ball: Ball) -> list[int]:
     return sizes
 
 
-def _strategy_for(args: Namespace, p: Presentation, radius: int) -> WordProblemStrategy:
-    cap = args.radius_cap if args.radius_cap is not None else radius + 4
-    if args.strategy == "dehn":
-        return WordProblemStrategy("dehn")
-    if args.strategy == "bounded-bfs":
-        return WordProblemStrategy("bounded_bfs", radius_cap=cap)
-    return choose_strategy(p, radius_cap=cap)
+def _radius_cap(args: Namespace, p: Presentation, radius: int) -> int | None:
+    """The cap build_ball takes; None (Dehn) under auto exactly when C'(1/6) holds."""
+    if args.strategy == "dehn" or (args.strategy == "auto" and check_small_cancellation(p).passes):
+        return None
+    return args.radius_cap if args.radius_cap is not None else radius + 4
 
 
 def _cmd_parse(args: Namespace) -> int:
@@ -348,12 +344,11 @@ def _cmd_word_reduce(args: Namespace) -> int:
     p = parsed.presentation
     word = p.word_from_text(args.word)
     radius = max(len(free_reduce(word)), 1)
-    strategy = _strategy_for(args, p, radius)
-    if strategy.kind == "dehn":
+    cap = _radius_cap(args, p, radius)
+    if cap is None:
         reduced = dehn_reduce(word, p)
     else:
-        ball = build_ball(p, radius, strategy, node_budget=args.node_budget)
-        reduced = shortlex_normal_form(word, ball)
+        reduced = shortlex_normal_form(word, build_ball(p, radius, cap, args.node_budget))
     lines = [
         f"reduced: {p.word_to_text(reduced) if reduced else '1'}",
         f"identity: {'yes' if not reduced else 'no'}",
@@ -362,7 +357,7 @@ def _cmd_word_reduce(args: Namespace) -> int:
         "word": args.word,
         "reduced": p.word_to_text(reduced),
         "is_identity": not reduced,
-        "strategy": strategy.kind,
+        "strategy": "dehn" if cap is None else "bounded_bfs",
     }
     _emit(args, _hash(p, parsed.subgroup), payload, lines)
     return OK
@@ -371,8 +366,8 @@ def _cmd_word_reduce(args: Namespace) -> int:
 def _cmd_ball(args: Namespace) -> int:
     parsed = _load(args)
     p = parsed.presentation
-    strategy = _strategy_for(args, p, args.radius)
-    ball = build_ball(p, args.radius, strategy, node_budget=args.node_budget)
+    cap = _radius_cap(args, p, args.radius)
+    ball = build_ball(p, args.radius, cap, args.node_budget)
     _write_dot(args, ball)
     sizes = _sphere_sizes(ball)
     lines = [
@@ -385,7 +380,7 @@ def _cmd_ball(args: Namespace) -> int:
         "sphere_sizes": sizes,
         "slack": ball.slack,
         "stable": ball.stable,
-        "strategy": strategy.kind,
+        "strategy": "dehn" if cap is None else "bounded_bfs",
     }
     _emit(args, _hash(p, SubgroupSpec(())), payload, lines)
     return OK

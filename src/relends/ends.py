@@ -291,23 +291,18 @@ def check_ddag(
 def check_dag(
     ball: Ball,
     m: int,
-    ledger: ConstantsLedger | None = None,
-    delta_xh: Fraction | int | None = None,
+    delta_xh: Fraction | int,
     r_cap: int | None = None,
 ) -> ConditionReport:
     """Sphere-pair connectivity in the quotient avoiding the shrunken ball.
 
     For every R with R >= max(M + delta_xh, 8 delta_xh): certified pairs
     x, y in S(R) with d(x, y) <= M must be joined avoiding the closed ball
-    of radius R - 8 delta_xh.  delta_xh defaults to the ledger's formula
-    value, which is usually far beyond any desk-scale ball (vacuous pass);
-    pass a measured estimate to make the check bite.  r_cap trims the
-    range from above, as in check_ddag: counterexamples hard against the
-    ball edge are truncation artifacts, not geometry.
+    of radius R - 8 delta_xh.  r_cap trims the range from above, as in
+    check_ddag: counterexamples hard against the ball edge are truncation
+    artifacts, not geometry.
     """
-    if delta_xh is None and ledger is None:
-        raise ValueError("need a ledger or an explicit delta_xh")
-    dxh = Fraction(delta_xh) if delta_xh is not None else ledger.delta_xh
+    dxh = Fraction(delta_xh)
     if m < 1 or dxh < 0:
         raise ValueError("need m >= 1, delta_xh >= 0")
     lo_r = max(math.ceil(max(m + dxh, 8 * dxh)), 1)

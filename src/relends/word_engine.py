@@ -3,15 +3,14 @@
 Dehn reduction replaces any subword that is strictly more than half of a
 symmetrized relator by the inverse of the complement; on a C'(1/6)
 presentation the empty word is reached exactly for trivial elements.  For
-everything else a Cayley ball of bounded radius decides equality by vertex
-identity, erring out loudly when the bound is too small to answer.
+everything else a word is walked through a Cayley ball built under a
+radius cap (`build_ball`'s `radius_cap`, `None` = Dehn), which errs out
+loudly when the cap is too small to answer.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import lru_cache
 
 from .presentation import (
     Presentation,
@@ -23,31 +22,11 @@ from .presentation import (
 
 
 class StrategyError(ValueError):
-    """The chosen word-problem strategy does not apply to this presentation."""
+    """Dehn's algorithm does not apply to this presentation."""
 
 
 class UndecidedWithinBound(RuntimeError):
-    """Bounded BFS exhausted its radius cap without settling the question."""
-
-
-@dataclass(frozen=True)
-class WordProblemStrategy:
-    kind: str  # dehn | bounded_bfs
-    radius_cap: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("dehn", "bounded_bfs"):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "bounded_bfs":
-            if self.radius_cap is None or self.radius_cap < 1:
-                raise ValueError("bounded_bfs needs a positive radius_cap")
-
-
-def choose_strategy(p: Presentation, radius_cap: int = 12) -> WordProblemStrategy:
-    """Dehn whenever C'(1/6) holds, bounded BFS otherwise."""
-    if check_small_cancellation(p).passes:
-        return WordProblemStrategy("dehn")
-    return WordProblemStrategy("bounded_bfs", radius_cap=radius_cap)
+    """A ball under a radius cap cannot settle the question."""
 
 
 def dehn_reduce(w: Word, p: Presentation) -> Word:
@@ -83,26 +62,6 @@ def dehn_reduce(w: Word, p: Presentation) -> Word:
     return word
 
 
-def is_identity(w: Word, p: Presentation, strategy: WordProblemStrategy) -> bool:
-    """Whether w represents 1 in the presented group.
-
-    Bounded BFS answers by walking w through the Cayley ball of radius
-    radius_cap; every prefix of a word of length <= cap stays inside that
-    ball, so longer words raise rather than guess.
-    """
-    word = free_reduce(w)
-    if not word:
-        return True
-    if strategy.kind == "dehn":
-        return len(dehn_reduce(word, p)) == 0
-    cap = strategy.radius_cap
-    if len(word) > cap:
-        raise UndecidedWithinBound(
-            f"word of length {len(word)} exceeds the BFS radius cap {cap}"
-        )
-    return shortlex_normal_form(word, _cached_ball(p, cap)) == ()
-
-
 def shortlex_normal_form(w: Word, ball) -> Word:
     """Shortlex-minimal spelling of the element w names, read off the ball.
 
@@ -116,10 +75,3 @@ def shortlex_normal_form(w: Word, ball) -> Word:
         if v < 0:
             raise ValueError("element outside ball (walk left the enumerated region)")
     return ball.word_to(v)
-
-
-@lru_cache(maxsize=8)
-def _cached_ball(p: Presentation, radius: int):
-    from .cayley import build_ball
-
-    return build_ball(p, radius, WordProblemStrategy("bounded_bfs", radius_cap=radius + 4))

@@ -6,7 +6,6 @@ import pytest
 
 from relends import (
     build_ball,
-    choose_strategy,
     estimate_delta,
     estimate_epsilon,
 )
@@ -17,7 +16,7 @@ from conftest import sub, walk
 
 @pytest.fixture(scope="module")
 def tree4(f2):
-    return build_ball(f2, 4, choose_strategy(f2))
+    return build_ball(f2, 4)
 
 
 def distance(ball, u, v):
@@ -63,7 +62,7 @@ def test_gromov_product_refuses_uncertified_pairs(tree4):
 
 
 def test_tree_defect_is_zero(f2):
-    ball = build_ball(f2, 3, choose_strategy(f2))
+    ball = build_ball(f2, 3)
     assert estimate_delta(ball) == 0
 
 
@@ -83,12 +82,12 @@ def test_sampled_defect_is_deterministic_per_seed(tree4):
 def test_sampled_defect_finds_certified_quadruples(torus):
     # most of the ball sits near the rim, where pairs fail certification;
     # the sample must still find certified quadruples
-    ball = build_ball(torus, 5, choose_strategy(torus))
+    ball = build_ball(torus, 5, radius_cap=12)
     assert 0 < estimate_delta(ball, sample=200, seed=0) <= estimate_delta(ball)
 
 
 def test_surface_ball_defect_at_desk_radius(genus2):
-    ball = build_ball(genus2, 2, choose_strategy(genus2))
+    ball = build_ball(genus2, 2)
     assert ball.n_vertices == 65
     assert estimate_delta(ball, sample=200, seed=0) == 0
 
@@ -98,7 +97,7 @@ def test_axis_quasiconvexity_constant(tree4, f2):
 
 
 def test_epsilon_on_the_surface_ball(genus2):
-    ball = build_ball(genus2, 2, choose_strategy(genus2))
+    ball = build_ball(genus2, 2)
     assert estimate_epsilon(ball, sub(genus2, "a")) == 0
 
 
@@ -122,7 +121,7 @@ def test_epsilon_needs_two_orbit_points(tree4, f2):
 )
 def test_nonzero_estimates(request, group, radius, subgroup, expected):
     p = request.getfixturevalue(group)
-    ball = build_ball(p, radius, choose_strategy(p))
+    ball = build_ball(p, radius, radius_cap=12 if group == "torus" else None)
     if subgroup is None:
         assert estimate_delta(ball) == expected
     else:

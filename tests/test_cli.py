@@ -11,7 +11,7 @@ import pytest
 import relends
 from relends.cli import run
 
-from conftest import FREE2, GENUS2, LINE, TRIVIAL_Q_TEXT
+from conftest import FREE2, GENUS2, LINE, TORUS, TRIVIAL_Q_TEXT
 
 GENUS2_WITH_SUBGROUP = GENUS2 + "subgroup: a\n"
 UNSTABLE = "generators: a b\nrelators: bbabbb\n"
@@ -26,6 +26,7 @@ def files(tmp_path):
         ("z.grp", LINE),
         ("q1.grp", TRIVIAL_Q_TEXT),
         ("unstable.grp", UNSTABLE),
+        ("torus.grp", TORUS),
     ]:
         path = tmp_path / name
         path.write_text(text)
@@ -78,15 +79,14 @@ class Undeclared:
 
 
 sys.meta_path.insert(0, Undeclared())
-from relends import (build_ball, choose_strategy, estimate_delta, estimate_epsilon,
-                     parse_presentation, stable_ball)
+from relends import build_ball, estimate_delta, estimate_epsilon, parse_presentation, stable_ball
 from relends.cli import run
 from relends.presentation import SubgroupSpec
 
 line = parse_presentation("generators: a\\nrelators: none\\n")
 print("vertices:", stable_ball(line, SubgroupSpec(()), 3).n_vertices)
 torus = parse_presentation("generators: a b\\nrelators: abAB\\n")
-ball = build_ball(torus, 3, choose_strategy(torus))
+ball = build_ball(torus, 3, radius_cap=12)
 print("delta:", estimate_delta(ball), estimate_delta(ball, sample=50, seed=1))
 print("epsilon:", estimate_epsilon(ball, SubgroupSpec((torus.word_from_text("ab"),))))
 sys.exit(run(["count", sys.argv[1], "--probe-r0", "2,3,4,5"]))
@@ -283,6 +283,32 @@ def test_word_reduce_identity(files, capsys):
     out = capsys.readouterr().out
     assert "reduced: 1" in out
     assert "identity: yes" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code, strategy",
+    [
+        (["word-reduce", "genus2", "--word", "ab"], 0, "dehn"),
+        (["word-reduce", "f2", "--word", "ab"], 0, "dehn"),
+        (["word-reduce", "torus", "--word", "abAB"], 0, "bounded_bfs"),
+        # auto caps word-reduce at 12, below the word's length 14
+        (["word-reduce", "torus", "--word", "ab" * 7], 2, None),
+        (["word-reduce", "torus", "--word", "ab", "--strategy", "bounded-bfs",
+          "--radius-cap", "0"], 1, None),
+        (["ball", "torus", "--radius", "0", "--strategy", "bounded-bfs",
+          "--radius-cap", "0"], 1, None),
+        # Dehn's algorithm ignores the cap
+        (["ball", "genus2", "--radius", "1", "--radius-cap", "0"], 0, "dehn"),
+        (["word-reduce", "genus2", "--word", "ab", "--strategy", "guesswork"], 1, None),
+    ],
+    ids=["genus2-dehn", "f2-dehn", "torus-bfs", "torus-auto-cap-12", "word-cap-0",
+         "ball-cap-0", "dehn-ignores-cap", "unknown-strategy"],
+)
+def test_strategy_selection(files, capsys, argv, code, strategy):
+    subcommand, name, *rest = argv
+    assert run([subcommand, files[name], *rest, "--json", "-"]) == code
+    if strategy is not None:
+        assert json.loads(capsys.readouterr().out)["strategy"] == strategy
 
 
 def test_check_ddag_failure_still_exits_zero(files, capsys):

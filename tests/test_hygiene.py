@@ -1,5 +1,6 @@
-"""Source hygiene: no dead imports or private leftovers, the public API
-lists what it imports, and the committed benchmark trajectory is whole."""
+"""Source hygiene: no dead or nested imports, no private leftovers, the
+public API lists what it imports, and the committed benchmark trajectory
+is whole."""
 
 import ast
 import json
@@ -40,6 +41,21 @@ def test_every_import_is_used(path):
     # a package re-exports by listing the name in __all__
     unused = _imported_names(tree) - used - _all_list(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_at_module_level(path):
+    # an import inside a function hides a dependency (or a cycle) from the
+    # module header
+    tree = ast.parse(path.read_text())
+    nested = [
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not nested, f"{path.name} imports inside a function at lines {nested}"
 
 
 def test_all_lists_exactly_the_public_imports():

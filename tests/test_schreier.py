@@ -290,9 +290,9 @@ def test_finalized_balls_match_pinned_digests():
 
 
 def test_orbit_in_ball_lists_the_axis(f2):
-    from relends import build_ball, choose_strategy
+    from relends import build_ball
 
-    ball = build_ball(f2, 3, choose_strategy(f2))
+    ball = build_ball(f2, 3)
     orbit = sorted(orbit_in_ball(ball, sub(f2, "a")))
     assert len(orbit) == 7  # a^k for |k| <= 3
     assert sorted(ball.dist[v] for v in orbit) == [0, 1, 1, 2, 2, 3, 3]

@@ -1,4 +1,4 @@
-"""Word problem strategies: Dehn reduction against bounded BFS."""
+"""The word problem: Dehn reduction against walks through a bounded ball."""
 
 import pytest
 from hypothesis import given
@@ -6,38 +6,18 @@ from hypothesis import strategies as st
 
 from relends import (
     UndecidedWithinBound,
+    build_ball,
     check_small_cancellation,
-    choose_strategy,
     dehn_reduce,
     free_reduce,
     invert,
-    is_identity,
     parse_presentation,
     presentation,
     shortlex_normal_form,
 )
-from relends.word_engine import StrategyError, WordProblemStrategy
+from relends.word_engine import StrategyError
 
 from conftest import GENUS2, sub
-
-
-def test_strategy_picks_dehn_for_sixth_cancellation(genus2):
-    assert choose_strategy(genus2).kind == "dehn"
-
-
-def test_free_groups_get_dehn_with_nothing_to_scan(f2):
-    assert choose_strategy(f2).kind == "dehn"
-
-
-def test_torus_relator_falls_back_to_bfs(torus):
-    s = choose_strategy(torus)
-    assert s.kind == "bounded_bfs"
-    assert s.radius_cap == 12
-
-
-def test_unknown_strategy_kind_is_rejected():
-    with pytest.raises(ValueError):
-        WordProblemStrategy(kind="guesswork")
 
 
 def test_piece_bound_on_the_surface_relator(genus2):
@@ -133,22 +113,21 @@ def test_dehn_refuses_thick_presentations(torus):
 
 
 def test_identity_checks_on_the_surface_group(genus2):
-    s = choose_strategy(genus2)
-    assert is_identity(genus2.word_from_text("abABcdCD"), genus2, s)
-    assert is_identity((), genus2, s)
-    assert not is_identity(genus2.word_from_text("ab"), genus2, s)
+    assert dehn_reduce(genus2.word_from_text("abABcdCD"), genus2) == ()
+    assert dehn_reduce((), genus2) == ()
+    assert dehn_reduce(genus2.word_from_text("ab"), genus2) != ()
 
 
 def test_bfs_decides_the_commutator(torus):
-    s = choose_strategy(torus)
-    assert is_identity(torus.word_from_text("abAB"), torus, s)
-    assert not is_identity(torus.word_from_text("ab"), torus, s)
+    ball = build_ball(torus, 4, radius_cap=12)
+    assert shortlex_normal_form(torus.word_from_text("abAB"), ball) == ()
+    assert shortlex_normal_form(torus.word_from_text("ab"), ball) != ()
 
 
 def test_bfs_gives_up_beyond_its_radius(torus):
-    s = choose_strategy(torus)
+    # a 40-letter word needs a radius-40 ball, past the cap of 12
     with pytest.raises(UndecidedWithinBound):
-        is_identity(torus.word_from_text("ab" * 20), torus, s)
+        build_ball(torus, 40, radius_cap=12)
 
 
 def reduced_words(n_letters, upto):
@@ -175,12 +154,11 @@ def test_dehn_and_bfs_agree_on_every_short_word(genus2):
     """
     words = reduced_words(8, 5)
     assert len(words) == 22409
-    dehn = choose_strategy(genus2)
-    bfs = WordProblemStrategy(kind="bounded_bfs", radius_cap=5)
+    ball = build_ball(genus2, 5, radius_cap=9)
     identities = 0
     for w in words:
-        a = is_identity(w, genus2, dehn)
-        assert a == is_identity(w, genus2, bfs), w
+        a = dehn_reduce(w, genus2) == ()
+        assert a == (shortlex_normal_form(w, ball) == ()), w
         identities += a
     assert identities == 1
 
@@ -206,17 +184,13 @@ def test_dehn_output_is_never_longer(w):
 
 
 def test_shortlex_normal_form_inside_the_ball(f2):
-    from relends import build_ball
-
-    ball = build_ball(f2, 3, choose_strategy(f2))
+    ball = build_ball(f2, 3)
     assert shortlex_normal_form(f2.word_from_text("aA"), ball) == ()
     w = f2.word_from_text("abb")
     assert shortlex_normal_form(w, ball) == w
 
 
 def test_shortlex_normal_form_needs_the_whole_walk(f2):
-    from relends import build_ball
-
-    ball = build_ball(f2, 2, choose_strategy(f2))
+    ball = build_ball(f2, 2)
     with pytest.raises(ValueError):
         shortlex_normal_form(f2.word_from_text("abb"), ball)
