@@ -13,8 +13,8 @@ import random
 from fractions import Fraction
 
 from .presentation import Presentation, SubgroupSpec, check_small_cancellation, invert
-from .schreier import Ball, DEFAULT_NODE_BUDGET, stable_ball
-from .word_engine import StrategyError, UndecidedWithinBound
+from .schreier import Ball, DEFAULT_NODE_BUDGET, UnstableBallError, stable_ball
+from .word_engine import StrategyError
 
 
 def build_ball(
@@ -42,12 +42,12 @@ def build_ball(
     else:
         max_slack = radius_cap - radius
         if max_slack < 0:
-            raise UndecidedWithinBound(
+            raise UnstableBallError(
                 f"radius_cap {radius_cap} is below the requested radius {radius}"
             )
     ball = stable_ball(p, SubgroupSpec(()), radius, max_slack=max_slack, node_budget=node_budget)
     if not ball.stable:
-        raise UndecidedWithinBound(f"closure did not stabilize by slack {ball.slack}")
+        raise UnstableBallError(f"closure did not stabilize by slack {ball.slack}")
     return ball
 
 

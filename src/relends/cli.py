@@ -28,7 +28,6 @@ from .constants import (
 )
 from .ends import (
     UNCERTIFIED,
-    UnstableBallError,
     check_dag,
     check_ddag,
     count_relative_ends,
@@ -36,7 +35,6 @@ from .ends import (
 )
 from .oracle import CoreGraph, free_schreier_ball, graphs_isomorphic, stallings_fold
 from .presentation import (
-    ParseError,
     ParsedInput,
     Presentation,
     SubgroupSpec,
@@ -50,16 +48,12 @@ from .schreier import (
     Ball,
     BudgetExceeded,
     DEFAULT_NODE_BUDGET,
+    UnstableBallError,
     covering_degree_check,
     enumerate_cosets,
     stable_ball,
 )
-from .word_engine import (
-    StrategyError,
-    UndecidedWithinBound,
-    dehn_reduce,
-    shortlex_normal_form,
-)
+from .word_engine import dehn_reduce, shortlex_normal_form
 
 OK = 0
 USAGE = 1
@@ -92,15 +86,15 @@ def _int_at_least(least: int):
 
 
 def _ascending(least: int):
-    """argparse type: a nonempty ascending comma-separated integer list."""
+    """argparse type: a nonempty strictly ascending comma-separated integer list."""
 
     def parse(text: str) -> tuple[int, ...]:
         try:
             values = tuple(int(t) for t in text.split(",") if t.strip())
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-        if not values or list(values) != sorted(values) or values[0] < least:
-            raise argparse.ArgumentTypeError(f"must be ascending integers, least {least}")
+        if not values or values[0] < least or any(a >= b for a, b in zip(values, values[1:])):
+            raise argparse.ArgumentTypeError(f"must be strictly ascending integers, least {least}")
         return values
 
     return parse
@@ -147,7 +141,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
 
     sp = sub.add_parser("parse", help="parse a file and report its structure")
-    common(sp)
+    common(sp, subgroup=False)
 
     sp = sub.add_parser("word-reduce", help="reduce a word; decide if it is the identity")
     common(sp, subgroup=False)
@@ -317,8 +311,7 @@ def _radius_cap(args: Namespace, p: Presentation, radius: int) -> int | None:
 
 
 def _cmd_parse(args: Namespace) -> int:
-    # inspect the file as written: the subgroup section shows even without
-    # --subgroup-from-file
+    # inspect the file as written, subgroup section included
     parsed = parse_file(args.input.read_text())
     p, h = parsed.presentation, parsed.subgroup
     sc = check_small_cancellation(p)
@@ -624,13 +617,13 @@ def run(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help and 2 for bad arguments; fold the
         # latter into the usage code so 2 stays reserved for uncertified.
         return OK if not exc.code else USAGE
-    except (_UsageError, ParseError, OSError, StrategyError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET
-    except (UnstableBallError, UndecidedWithinBound) as exc:
+    except UnstableBallError as exc:
         print(f"uncertified: {exc}", file=sys.stderr)
         return UNCERT
 

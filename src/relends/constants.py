@@ -87,6 +87,8 @@ def _chain(
 ) -> dict:
     """The inputs, eta (default delta_x) and the formula fields of both modes.
 
+    delta_x, epsilon and eta must be nonnegative in either mode.
+
     tau = 12 delta_x + 2 epsilon + 2 eta
     alpha = (132 + 100 n0) delta_x
     rho = diam_core + alpha + delta_x
@@ -94,6 +96,8 @@ def _chain(
     mu = 4 delta_xh + delta_x
     """
     et = dx if eta is None else Fraction(eta)
+    if dx < 0 or eps < 0 or et < 0:
+        raise ValueError("delta_x, epsilon, eta must be nonnegative")
     prov["eta"] = DEFAULT if eta is None else USER
     alpha = (132 + 100 * n0) * dx
     delta_xh = 2 * (dc + alpha + eps) + 65 * dx
@@ -130,8 +134,6 @@ def derive_certified(
     dx, eps, dc = Fraction(delta_x), Fraction(epsilon), Fraction(diam_core)
     prov = dict.fromkeys(("delta_x", "epsilon", "n0", "diam_core"), USER)
     chain = _chain(dx, eps, eta, n0, dc, prov)
-    if dx < 0 or eps < 0 or chain["eta"] < 0:
-        raise ValueError("delta_x, epsilon, eta must be nonnegative")
     if n0 < 1:
         raise ValueError("n0 must be a positive integer")
     if dc < 0:

@@ -21,28 +21,10 @@ from fractions import Fraction
 from .cayley import pair_certified
 from .constants import ConstantsLedger, annulus_inner_radius
 from .presentation import Presentation, SubgroupSpec
-from .schreier import Ball, DEFAULT_NODE_BUDGET, stable_ball
+from .schreier import Ball, DEFAULT_NODE_BUDGET, UnstableBallError, stable_ball
 
 INFINITE = "infinite (non-stabilizing)"
 UNCERTIFIED = "uncertified"
-
-
-class UnstableBallError(RuntimeError):
-    """Slack escalation hit its cap without two agreeing truncations."""
-
-
-@dataclass(frozen=True)
-class SphereClasses:
-    r0: int
-    inner_radius: int
-    outer_radius: int
-    classes: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
-    ball_stable: bool
-
-    @property
-    def count(self) -> int:
-        return len(self.classes)
 
 
 def _labels(ball: Ball, seeds: list[int], allowed: list[bool]) -> list[int]:
@@ -56,7 +38,7 @@ def _labels(ball: Ball, seeds: list[int], allowed: list[bool]) -> list[int]:
     return label
 
 
-def sphere_classes(ball: Ball, ledger: ConstantsLedger) -> SphereClasses:
+def sphere_classes(ball: Ball, ledger: ConstantsLedger) -> list[tuple[int, ...]]:
     """Partition of S(R0) by connectivity inside the annulus.
 
     The sphere is flooded in ascending order, so each class is labeled by
@@ -78,15 +60,7 @@ def sphere_classes(ball: Ball, ledger: ConstantsLedger) -> SphereClasses:
     groups: dict[int, list[int]] = {}
     for v in sphere:
         groups.setdefault(v if label[v] < 0 else label[v], []).append(v)
-    classes = [tuple(g) for g in groups.values()]
-    return SphereClasses(
-        r0=r0,
-        inner_radius=inner,
-        outer_radius=outer,
-        classes=tuple(classes),
-        representatives=tuple(c[0] for c in classes),
-        ball_stable=ball.stable,
-    )
+    return [tuple(g) for g in groups.values()]
 
 
 def stabilization_verdict(history: list[int], window: int) -> int | str:
@@ -122,7 +96,7 @@ def probe_class_history(
     history = []
     for r0 in probe_r0s:
         ledger = replace(template, r0=r0, outer_radius=ball.radius)
-        history.append(sphere_classes(ball, ledger).count)
+        history.append(len(sphere_classes(ball, ledger)))
     return history
 
 
@@ -142,8 +116,8 @@ def count_relative_ends(
     enumerated out to the largest probe's outer radius and escalated until
     stable; an unstable ball at max_slack is an error, not a number.
     """
-    if not probe_r0s or sorted(probe_r0s) != list(probe_r0s):
-        raise ValueError("probe_r0s must be nonempty and ascending")
+    if not probe_r0s or any(a >= b for a, b in zip(probe_r0s, probe_r0s[1:])):
+        raise ValueError("probe_r0s must be nonempty and strictly ascending")
     if ledger.outer_radius is None:
         raise ValueError("ledger template needs an outer_radius")
     gap = ledger.outer_radius - ledger.r0
@@ -176,8 +150,8 @@ def empirical_ends(ball: Ball, radii: list[int], window: int = 3) -> EmpiricalEn
     floods {dist > r} from the rim and counts the rim vertices that label
     their own component.
     """
-    if not radii or sorted(radii) != list(radii):
-        raise ValueError("radii must be nonempty and ascending")
+    if not radii or any(a >= b for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be nonempty and strictly ascending")
     if radii[-1] >= ball.radius:
         raise ValueError("largest radius must be strictly below the ball radius")
     rim = ball.sphere(ball.radius)

@@ -164,8 +164,6 @@ def free_schreier_ball(core: CoreGraph, radius: int) -> Ball:
     for x in range(L):
         table[x].append(-2)  # placeholder, filled on visit
     dist = [0]
-    parent = [-1]
-    parent_letter = [-1]
     core_of = [0]  # core index, or -1 for tree vertices
     head = 0
     while head < len(dist):
@@ -191,8 +189,6 @@ def free_schreier_ball(core: CoreGraph, radius: int) -> Ball:
             if t >= 0:
                 canon[t] = u
             dist.append(d + 1)
-            parent.append(v)
-            parent_letter.append(x)
             for col in table:
                 col.append(-2)
             table[x][v] = u
@@ -201,14 +197,7 @@ def free_schreier_ball(core: CoreGraph, radius: int) -> Ball:
         for i, t in enumerate(col):
             if t == -2:
                 col[i] = -1
-    return Ball(
-        gen_names=core.gen_names,
-        table=table,
-        dist=dist,
-        radius=radius,
-        parent=parent,
-        parent_letter=parent_letter,
-    )
+    return Ball(core.gen_names, table, dist, radius)
 
 
 def canonical_code(ball: Ball) -> tuple[int, ...]:

@@ -65,11 +65,8 @@ class Ball:
     table: list[list[int]]
     dist: list[int]
     radius: int
-    parent: list[int]
-    parent_letter: list[int]
     slack: int = 0
     stable: bool = True
-    subgroup_words: tuple[Word, ...] = ()
 
     @property
     def n_vertices(self) -> int:
@@ -80,11 +77,18 @@ class Ball:
         return 2 * len(self.gen_names)
 
     def word_to(self, v: int) -> Word:
-        """Letters of the BFS-tree path from the base to v (shortlex-least)."""
+        """Letters of the BFS-tree path from the base to v (shortlex-least).
+
+        The canonical labeling determines the tree: v's tree parent is its
+        least-labeled neighbour one layer in, and the tree letter is that
+        neighbour's least letter to v.
+        """
+        table, dist = self.table, self.dist
         out: list[int] = []
         while v != 0:
-            out.append(self.parent_letter[v])
-            v = self.parent[v]
+            v, x = min((u, y ^ 1) for y, col in enumerate(table)
+                       if (u := col[v]) >= 0 and dist[u] == dist[v] - 1)
+            out.append(x)
         return tuple(reversed(out))
 
     def sphere(self, r: int) -> list[int]:
@@ -116,7 +120,7 @@ class Ball:
 
 
 def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, node_budget: int):
-    """Run closure out to the horizon; returns (cells, parent_uf, pdist, find).
+    """Run closure out to the horizon; returns (cells, uf, pdist, find).
 
     cells is the coset table, one row of L cells per coset:
     cells[c * L + x] is the stored target of letter x at row c, or -1.  It
@@ -381,15 +385,13 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
 def _relabel(cells: list[int], L: int, find, root: int, radius: int):
     """Truncate to the radius around root and relabel in canonical BFS order.
 
-    cells holds L cells per row, as _raw_enumerate returns them.  Letters
-    are visited in cell order, so parent_letter indexes a row's cells;
-    find resolves a stored target to its live representative.
+    cells holds L cells per row, as _raw_enumerate returns them; find
+    resolves a stored target to its live representative.  Returns
+    (table, dist).
     """
     canon = {root: 0}
     order = [root]
     dist = [0]
-    parent = [-1]
-    parent_letter = [-1]
     head = 0
     while head < len(order):
         v = order[head]
@@ -406,8 +408,6 @@ def _relabel(cells: list[int], L: int, find, root: int, radius: int):
                 canon[t] = len(order)
                 order.append(t)
                 dist.append(d + 1)
-                parent.append(canon[v])
-                parent_letter.append(x)
     table: list[list[int]] = []
     for x in range(L):
         col_out = []
@@ -417,7 +417,7 @@ def _relabel(cells: list[int], L: int, find, root: int, radius: int):
                 t = canon.get(find(t), -1)
             col_out.append(t)
         table.append(col_out)
-    return table, dist, parent, parent_letter
+    return table, dist
 
 
 def _finalize(p: Presentation, cells: list[int], find, radius: int):
@@ -434,9 +434,8 @@ def _truncated_run(
 ) -> Ball:
     cells, _uf, pdist, find = _raw_enumerate(p, h.words, radius + slack, node_budget)
     del pdist  # relabeling reads no distances: free them before it allocates
-    table, dist, parent, parent_letter = _finalize(p, cells, find, radius)
-    return Ball(p.generators, table, dist, radius, parent, parent_letter,
-                slack=slack, subgroup_words=h.words)
+    table, dist = _finalize(p, cells, find, radius)
+    return Ball(p.generators, table, dist, radius, slack=slack)
 
 
 def _agree(a: Ball, b: Ball) -> bool:
@@ -462,6 +461,11 @@ def enumerate_cosets(
     ball = _truncated_run(p, h, radius, slack, node_budget)
     ball.stable = _agree(ball, _truncated_run(p, h, radius, slack + 1, node_budget))
     return ball
+
+
+class UnstableBallError(RuntimeError):
+    """A ball is not certified: no two consecutive truncations agreed
+    within the slack cap."""
 
 
 def stable_ball(
@@ -554,14 +558,5 @@ def restrict_to_generators(ball: Ball, names: tuple[str, ...]) -> Ball:
         keep.append(i)
     cols = [ball.table[x] for i in keep for x in (2 * i, 2 * i + 1)]
     cells = [col[v] for v in range(ball.n_vertices) for col in cols]
-    table, dist, parent, parent_letter = _relabel(cells, len(cols), lambda t: t, 0, ball.radius)
-    return Ball(
-        gen_names=tuple(names),
-        table=table,
-        dist=dist,
-        radius=ball.radius,
-        parent=parent,
-        parent_letter=parent_letter,
-        slack=ball.slack,
-        stable=ball.stable,
-    )
+    table, dist = _relabel(cells, len(cols), lambda t: t, 0, ball.radius)
+    return Ball(tuple(names), table, dist, ball.radius, ball.slack, ball.stable)

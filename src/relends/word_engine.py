@@ -25,10 +25,6 @@ class StrategyError(ValueError):
     """Dehn's algorithm does not apply to this presentation."""
 
 
-class UndecidedWithinBound(RuntimeError):
-    """A ball under a radius cap cannot settle the question."""
-
-
 def dehn_reduce(w: Word, p: Presentation) -> Word:
     """Dehn-irreducible form of w; empty iff w is trivial (C'(1/6) only).
 

@@ -95,6 +95,19 @@ def test_inner_radius_floors_and_clamps():
     assert annulus_inner_radius(empirical_ledger(6, Fraction(7, 2), 7)) == 2
 
 
+@pytest.mark.parametrize("make", [
+    lambda: derive_certified(-1, 0, None, 1, 0),
+    lambda: derive_certified(0, -1, None, 1, 0),
+    lambda: derive_certified(0, 0, -1, 1, 0),
+    lambda: empirical_ledger(3, Fraction(3), 4, Estimates(Fraction(-5), Fraction(0))),
+    lambda: empirical_ledger(3, Fraction(3), 4, Estimates(Fraction(0), Fraction(-2))),
+], ids=["certified-delta", "certified-epsilon", "certified-eta",
+        "empirical-delta", "empirical-epsilon"])
+def test_negative_estimates_are_rejected_in_both_modes(make):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        make()
+
+
 small_rationals = st.fractions(min_value=0, max_value=4, max_denominator=8)
 
 

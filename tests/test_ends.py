@@ -11,6 +11,7 @@ from relends import (
     UNCERTIFIED,
     Ball,
     UnstableBallError,
+    annulus_inner_radius,
     check_dag,
     check_ddag,
     count_relative_ends,
@@ -65,11 +66,11 @@ def test_verdict_is_certain_only_with_a_full_window(history, window):
 def test_line_has_two_sphere_classes(zline, trivial):
     ball = stable_ball(zline, trivial, 5)
     led = empirical_ledger(r0=2, inner_offset=Fraction(3), outer_radius=5)
-    sc = sphere_classes(ball, led)
-    assert sc.inner_radius == 0
-    assert len(sc.classes) == 2
-    assert sorted(sc.representatives) == [3, 4]  # one coset per side
-    assert sc.ball_stable
+    classes = sphere_classes(ball, led)
+    assert annulus_inner_radius(led) == 0
+    assert len(classes) == 2
+    assert sorted(c[0] for c in classes) == [3, 4]  # one coset per side
+    assert ball.stable
 
 
 def test_line_history_is_flat(zline, trivial):
@@ -123,8 +124,6 @@ def test_empirical_ignores_branches_that_stop_short_of_the_rim():
         ],
         dist=[0, 1, 1, 1, 2, 2, 2, 3, 3],
         radius=3,
-        parent=[-1, 0, 0, 0, 1, 2, 3, 4, 5],
-        parent_letter=[-1, 0, 1, 2, 0, 1, 2, 0, 1],
     )
     rep = empirical_ends(ball, [0, 1, 2])
     assert rep.counts == (2, 2, 2)
@@ -139,6 +138,12 @@ def test_empirical_needs_room_and_order(f2, trivial):
         empirical_ends(ball, [2, 1])
     with pytest.raises(ValueError):
         empirical_ends(ball, [])
+
+
+def test_empirical_rejects_repeated_radii(f2, trivial):
+    ball = stable_ball(f2, trivial, 3)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        empirical_ends(ball, [2, 2, 2])
 
 
 def test_short_histories_stay_uncertified(zline, trivial):
@@ -188,6 +193,12 @@ def test_surface_quotient_count_at_desk_scale(genus2):
     )
     assert rep.count == 2
     assert rep.class_history == (2, 2, 2)
+
+
+def test_repeated_probes_are_rejected(f2):
+    # a repeat would fill the window with one reading and pass as stable
+    with pytest.raises(ValueError, match="strictly ascending"):
+        count_relative_ends(f2, sub(f2), probes_ledger([3, 3, 3]), [3, 3, 3])
 
 
 def test_unstable_balls_refuse_a_verdict():

@@ -1,6 +1,6 @@
-"""Source hygiene: no dead or nested imports, no private leftovers, the
-public API lists what it imports, and the committed benchmark trajectory
-is whole."""
+"""Source hygiene: no dead or nested imports, no private leftovers, no
+unread dataclass fields, the public API lists what it imports, and the
+committed benchmark trajectory is whole."""
 
 import ast
 import json
@@ -92,6 +92,46 @@ def test_every_private_name_is_used():
         for n in _module_private_names(tree) - used
     }
     assert not unused, f"private names nothing in the package uses: {sorted(unused)}"
+
+
+# the CLI writes these whole into its JSON reports (asdict, to_json_dict),
+# so a field nothing reads by name is still output
+SERIALIZED = {
+    "ConditionReport",
+    "CoveringReport",
+    "CoveringViolation",
+    "SmallCancellationReport",
+    "RipsReport",
+    "ConstantsLedger",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls.name}.{field.target.id}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls) and cls.name not in SERIALIZED
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in read
+    ]
+    assert not unread, f"dataclass fields nothing in the package reads: {unread}"
 
 
 def test_bench_files_hold_every_workload_at_both_trace_levels():

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import json
 from collections import deque
 from pathlib import Path
@@ -17,11 +18,13 @@ from relends import (
     canonical_code,
     covering_degree_check,
     enumerate_cosets,
+    free_schreier_ball,
     orbit_in_ball,
     parse_presentation,
     restrict_to_generators,
     rips_construct,
     stable_ball,
+    stallings_fold,
 )
 from relends.presentation import free_reduce, invert
 from relends.schreier import DEFAULT_NODE_BUDGET, _finalize, _raw_enumerate
@@ -164,14 +167,49 @@ def test_layers_stay_inside_the_allowed_region(genus2):
         assert sorted(reached) == expected
 
 
-def test_parent_pointers_walk_back_to_base(genus2, trivial):
+def walk_letters(ball, word):
+    v = 0
+    for x in word:
+        v = ball.table[x][v]
+        if v < 0:
+            return None
+    return v
+
+
+def test_tree_words_are_geodesics_to_their_vertex(genus2, trivial):
     ball = stable_ball(genus2, trivial, 2)
     for v in range(ball.n_vertices):
-        u, steps = v, 0
-        while u != 0:
-            u = ball.parent[u]
-            steps += 1
-        assert steps == ball.dist[v]
+        word = ball.word_to(v)
+        assert len(word) == ball.dist[v]
+        assert walk_letters(ball, word) == v
+
+
+def shortlex_geodesics(ball):
+    """Brute force: each vertex's shortlex-least word of length dist[v] that
+    walks to it, trying every word of length at most the radius."""
+    least = {}
+    for n in range(ball.radius + 1):
+        # product yields the words of one length in lexicographic order
+        for word in itertools.product(range(ball.n_letters), repeat=n):
+            v = walk_letters(ball, word)
+            if v is not None and ball.dist[v] == n:
+                least.setdefault(v, word)
+    return least
+
+
+@pytest.mark.parametrize("case", ["genus2", "f2-oracle", "torus-a", "torus-ba"])
+def test_tree_word_is_the_shortlex_least_geodesic(case, genus2, f2, torus, trivial):
+    if case == "genus2":
+        ball = stable_ball(genus2, trivial, 3)
+    elif case == "f2-oracle":
+        ball = free_schreier_ball(stallings_fold(f2, sub(f2, "ab", "bbA")), 3)
+    else:
+        names = ("a",) if case == "torus-a" else ("b", "a")
+        ball = restrict_to_generators(stable_ball(torus, trivial, 4), names)
+    least = shortlex_geodesics(ball)
+    assert len(least) == ball.n_vertices
+    for v in range(ball.n_vertices):
+        assert ball.word_to(v) == least[v]
 
 
 def test_shallow_truncation_is_detected():
@@ -283,7 +321,7 @@ def test_finalized_balls_match_pinned_digests():
         for horizon, p, (cells, _uf, _pdist, find) in raw_runs(text, gens, range(top + 1)):
             # slack 0 and slack 1, so the unstable shifty run at r2 s0 is in
             for radius in range(max(horizon - 1, 0), horizon + 1):
-                table, dist, _, _ = _finalize(p, cells, find, radius)
+                table, dist = _finalize(p, cells, find, radius)
                 blob = json.dumps([table, dist]).encode()
                 digests[f"{name} h{horizon} r{radius}"] = hashlib.sha256(blob).hexdigest()
     assert digests == json.loads(BALL_DIGESTS.read_text())
@@ -355,18 +393,16 @@ def orbit_ball(p, perms):
     """
     act = letter_actions(perms)
     index = {0: 0}
-    order, dist, parent, parent_letter, tree = [0], [0], [-1], [-1], [()]
+    order, dist, tree = [0], [0], [()]
     for v in order:
         for x, q in enumerate(act):
             if q[v] not in index:
                 index[q[v]] = len(order)
                 order.append(q[v])
                 dist.append(dist[index[v]] + 1)
-                parent.append(index[v])
-                parent_letter.append(x)
                 tree.append(tree[index[v]] + (x,))
     table = [[index[q[v]] for v in order] for q in act]
-    ball = Ball(p.generators, table, dist, max(dist) + 1, parent, parent_letter)
+    ball = Ball(p.generators, table, dist, max(dist) + 1)
     words = [free_reduce(tree[i] + (2 * g,) + invert(tree[table[2 * g][i]]))
              for i in range(len(order)) for g in range(len(perms))]
     return ball, SubgroupSpec(tuple(words))

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relends import (
-    UndecidedWithinBound,
+    UnstableBallError,
     build_ball,
     check_small_cancellation,
     dehn_reduce,
@@ -126,8 +126,15 @@ def test_bfs_decides_the_commutator(torus):
 
 def test_bfs_gives_up_beyond_its_radius(torus):
     # a 40-letter word needs a radius-40 ball, past the cap of 12
-    with pytest.raises(UndecidedWithinBound):
+    with pytest.raises(UnstableBallError, match="below the requested radius"):
         build_ball(torus, 40, radius_cap=12)
+
+
+def test_bfs_gives_up_when_the_cap_leaves_the_ball_unstable():
+    # this ball at radius 2 needs slack 1; a cap of 2 allows none
+    shifty = parse_presentation("generators: a b\nrelators: bbabbb\n")
+    with pytest.raises(UnstableBallError, match="did not stabilize"):
+        build_ball(shifty, 2, radius_cap=2)
 
 
 def reduced_words(n_letters, upto):
