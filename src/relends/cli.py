@@ -20,12 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cayley import build_ball
-from .constants import (
-    ConstantsLedger,
-    Estimates,
-    derive_certified,
-    empirical_ledger,
-)
+from .constants import ConstantsLedger, derive_certified, empirical_ledger
 from .ends import (
     UNCERTIFIED,
     check_dag,
@@ -35,7 +30,6 @@ from .ends import (
 )
 from .oracle import CoreGraph, free_schreier_ball, graphs_isomorphic, stallings_fold
 from .presentation import (
-    ParsedInput,
     Presentation,
     SubgroupSpec,
     check_small_cancellation,
@@ -59,15 +53,6 @@ OK = 0
 USAGE = 1
 UNCERT = 2
 BUDGET = 3
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse would exit 2; we reserve that
-        raise _UsageError(message)
 
 
 def _int_at_least(least: int):
@@ -107,17 +92,25 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> argparse.ArgumentParser:
     # a string default goes through the type check, so a bad environment
     # value is a usage error like a bad flag
     budget_default = os.environ.get("ENDS_NODE_BUDGET", str(DEFAULT_NODE_BUDGET))
-    p = _Parser(
+    p = argparse.ArgumentParser(
         prog="ends",
         description="Count relative ends e(G, H) and run the supporting machinery.",
     )
-    sub = p.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp: _Parser, subgroup: bool = True) -> None:
+    def common(
+        name: str,
+        summary: str,
+        subgroup: bool = True,
+        radius: bool = False,
+        max_slack: bool = False,
+        dot: bool = False,
+    ) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("input", type=Path, help="presentation file")
         if subgroup:
             g = sp.add_mutually_exclusive_group()
@@ -139,36 +132,35 @@ def _build_parser() -> _Parser:
                         help="coset table cell budget (env ENDS_NODE_BUDGET; "
                              f"default {budget_default})")
         sp.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
+        if radius:
+            sp.add_argument("--radius", type=_int_at_least(0), required=True)
+        if max_slack:
+            sp.add_argument("--max-slack", type=_int_at_least(0), default=12)
+        if dot:
+            sp.add_argument("--dot", dest="dot_path", type=Path,
+                            help="write a DOT rendering here")
+        return sp
 
-    sp = sub.add_parser("parse", help="parse a file and report its structure")
-    common(sp, subgroup=False)
+    common("parse", "parse a file and report its structure", subgroup=False)
 
-    sp = sub.add_parser("word-reduce", help="reduce a word; decide if it is the identity")
-    common(sp, subgroup=False)
+    sp = common("word-reduce", "reduce a word; decide if it is the identity", subgroup=False)
     sp.add_argument("--word", required=True, help="word to reduce")
     sp.add_argument("--strategy", choices=("auto", "dehn", "bounded-bfs"), default="auto")
     sp.add_argument("--radius-cap", type=int, default=12,
                     help="bounded-bfs enumeration cap (default 12)")
 
-    sp = sub.add_parser("ball", help="build a certified Cayley ball")
-    common(sp, subgroup=False)
-    sp.add_argument("--radius", type=_int_at_least(0), required=True)
+    sp = common("ball", "build a certified Cayley ball", subgroup=False, radius=True, dot=True)
     sp.add_argument("--strategy", choices=("auto", "dehn", "bounded-bfs"), default="auto")
     sp.add_argument("--radius-cap", type=int, default=None,
                     help="bounded-bfs cap (default: radius + 4)")
-    sp.add_argument("--dot", dest="dot_path", type=Path, help="write a DOT rendering here")
 
-    sp = sub.add_parser("schreier", help="enumerate a Schreier ball for (G, H)")
-    common(sp)
-    sp.add_argument("--radius", type=_int_at_least(0), required=True)
+    sp = common("schreier", "enumerate a Schreier ball for (G, H)",
+                radius=True, max_slack=True, dot=True)
     sp.add_argument("--start-slack", type=_int_at_least(0), default=0)
-    sp.add_argument("--max-slack", type=_int_at_least(0), default=12)
-    sp.add_argument("--covering-check", dest="covering_radius", type=int, metavar="R",
-                    help="also verify covering degree outside radius R")
-    sp.add_argument("--dot", dest="dot_path", type=Path, help="write a DOT rendering here")
+    sp.add_argument("--covering-check", dest="covering_radius", type=_int_at_least(0),
+                    metavar="R", help="also verify covering degree outside radius R")
 
-    sp = sub.add_parser("count", help="count relative ends by stabilized sphere classes")
-    common(sp)
+    sp = common("count", "count relative ends by stabilized sphere classes", max_slack=True)
     sp.add_argument("--probe-r0", dest="probe_r0s", type=_ascending(1), metavar="LIST",
                     help="comma-separated probe radii, e.g. 2,3,4,5")
     sp.add_argument("--window", type=_int_at_least(1), default=3,
@@ -182,71 +174,52 @@ def _build_parser() -> _Parser:
     sp.add_argument("--delta", type=_fraction, help="hyperbolicity constant estimate")
     sp.add_argument("--epsilon", type=int, help="quasi-convexity constant estimate")
     sp.add_argument("--eta", type=_fraction, help="geodesic extension constant (certified)")
-    sp.add_argument("--n0", type=int, default=1, help="chain bound (certified)")
-    sp.add_argument("--diam-core", type=int, default=0, help="convex core diameter (certified)")
-    sp.add_argument("--m", type=int, help="connectivity constant override")
-    sp.add_argument("--max-slack", type=_int_at_least(0), default=12)
+    sp.add_argument("--n0", type=_int_at_least(1), default=1, help="chain bound (certified)")
+    sp.add_argument("--diam-core", type=_int_at_least(0), default=0,
+                    help="convex core diameter (certified)")
+    sp.add_argument("--m", type=_int_at_least(1), help="connectivity constant override")
 
-    sp = sub.add_parser("check-ddag", help="annulus connectivity check with tolerance K")
-    common(sp)
-    sp.add_argument("--radius", type=_int_at_least(0), required=True)
+    r_cap_help = "largest sphere R to test; leave room to the ball edge"
+    sp = common("check-ddag", "annulus connectivity check with tolerance K",
+                radius=True, max_slack=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--delta", type=_fraction, default=Fraction(0))
-    sp.add_argument("--r-cap", type=int,
-                    help="largest sphere R to test; leave room to the ball edge")
-    sp.add_argument("--max-slack", type=_int_at_least(0), default=12)
+    sp.add_argument("--r-cap", type=int, help=r_cap_help)
 
-    sp = sub.add_parser("check-dag", help="sphere-pair connectivity check in the quotient")
-    common(sp)
-    sp.add_argument("--radius", type=_int_at_least(0), required=True)
+    sp = common("check-dag", "sphere-pair connectivity check in the quotient",
+                radius=True, max_slack=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--delta-xh", type=_fraction, required=True)
-    sp.add_argument("--r-cap", type=int,
-                    help="largest sphere R to test; leave room to the ball edge")
-    sp.add_argument("--max-slack", type=_int_at_least(0), default=12)
+    sp.add_argument("--r-cap", type=int, help=r_cap_help)
 
-    sp = sub.add_parser("empirical", help="raw end counts from complement components")
-    common(sp)
+    sp = common("empirical", "raw end counts from complement components", max_slack=True)
     sp.add_argument("--radii", type=_ascending(0), required=True, metavar="LIST",
                     help="comma-separated radii, e.g. 2,3,4,5")
     sp.add_argument("--ball-radius", type=int,
                     help="enumerate out to this radius instead of radii[-1]+1; "
                          "room past the largest cut damps rim artifacts")
     sp.add_argument("--window", type=_int_at_least(1), default=3)
-    sp.add_argument("--max-slack", type=_int_at_least(0), default=12)
 
-    sp = sub.add_parser("rips", help="build a C'(1/6) pair (G, H) over a quotient Q")
-    common(sp, subgroup=False)
+    sp = common("rips", "build a C'(1/6) pair (G, H) over a quotient Q", subgroup=False)
     sp.add_argument("--block-length", type=_int_at_least(8), default=480,
                     help="minimum length of the fresh a-words (default 480)")
     sp.add_argument("-o", "--out", dest="out_path", type=Path,
                     help="write the G presentation file here")
 
-    sp = sub.add_parser("oracle-fold", help="fold a free-group subgroup to its core graph")
-    common(sp)
-    sp.add_argument("--dot", dest="dot_path", type=Path, help="write a DOT rendering here")
-
-    sp = sub.add_parser("oracle-compare",
-                        help="enumerated Schreier ball vs the folded-core oracle")
-    common(sp)
-    sp.add_argument("--radius", type=_int_at_least(0), required=True)
+    common("oracle-fold", "fold a free-group subgroup to its core graph", dot=True)
+    common("oracle-compare", "enumerated Schreier ball vs the folded-core oracle", radius=True)
 
     return p
 
 
-def _load(args: Namespace) -> ParsedInput:
+def _load(args: Namespace) -> tuple[Presentation, SubgroupSpec]:
     parsed = parse_file(args.input.read_text())
-    if args.subgroup_from_file:
-        return parsed
     p = parsed.presentation
+    if args.subgroup_from_file:
+        return p, parsed.subgroup
     texts = args.subgroup.split(",") if args.subgroup is not None else []
-    words = tuple(word_from_text(t.strip(), p.generators) for t in texts)
-    return ParsedInput(p, SubgroupSpec(words))
-
-
-def _hash(p: Presentation, h: SubgroupSpec) -> str:
-    return hashlib.sha256(p.to_text(h).encode()).hexdigest()[:16]
+    return p, SubgroupSpec(tuple(word_from_text(t.strip(), p.generators) for t in texts))
 
 
 def _json_default(obj):
@@ -255,7 +228,9 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _emit(args: Namespace, digest: str, payload: dict, lines: list[str]) -> None:
+def _emit(
+    args: Namespace, p: Presentation, h: SubgroupSpec, payload: dict, lines: list[str]
+) -> None:
     # human lines are suppressed when the JSON report itself goes to stdout
     if args.json_path != "-":
         for line in lines:
@@ -265,7 +240,7 @@ def _emit(args: Namespace, digest: str, payload: dict, lines: list[str]) -> None
     report = {
         "subcommand": args.subcommand,
         "input": str(args.input),
-        "presentation_hash": digest,
+        "presentation_hash": hashlib.sha256(p.to_text(h).encode()).hexdigest()[:16],
         "node_budget": args.node_budget,
         "seed": args.seed,
         **payload,
@@ -277,7 +252,9 @@ def _emit(args: Namespace, digest: str, payload: dict, lines: list[str]) -> None
         Path(args.json_path).write_text(text)
 
 
-def _dot_text(graph: Ball | CoreGraph, with_dist: bool) -> str:
+def _write_dot(args: Namespace, graph: Ball | CoreGraph, with_dist: bool = True) -> None:
+    if args.dot_path is None:
+        return
     lines = ["digraph labeled_graph {", "  rankdir=LR;", '  0 [shape=doublecircle];']
     for v in range(graph.n_vertices):
         label = f"{v} ({graph.dist[v]})" if with_dist else str(v)
@@ -288,12 +265,7 @@ def _dot_text(graph: Ball | CoreGraph, with_dist: bool) -> str:
             if col[v] >= 0:
                 lines.append(f'  {v} -> {col[v]} [label="{name}"];')
     lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_dot(args: Namespace, graph: Ball | CoreGraph, with_dist: bool = True) -> None:
-    if args.dot_path is not None:
-        args.dot_path.write_text(_dot_text(graph, with_dist))
+    args.dot_path.write_text("\n".join(lines) + "\n")
 
 
 def _sphere_sizes(ball: Ball) -> list[int]:
@@ -328,13 +300,12 @@ def _cmd_parse(args: Namespace) -> int:
         "subgroup_words": [p.word_to_text(w) for w in h.words],
         "small_cancellation": asdict(sc),
     }
-    _emit(args, _hash(p, h), payload, lines)
+    _emit(args, p, h, payload, lines)
     return OK
 
 
 def _cmd_word_reduce(args: Namespace) -> int:
-    parsed = _load(args)
-    p = parsed.presentation
+    p, h = _load(args)
     word = p.word_from_text(args.word)
     radius = max(len(free_reduce(word)), 1)
     cap = _radius_cap(args, p, radius)
@@ -352,13 +323,12 @@ def _cmd_word_reduce(args: Namespace) -> int:
         "is_identity": not reduced,
         "strategy": "dehn" if cap is None else "bounded_bfs",
     }
-    _emit(args, _hash(p, parsed.subgroup), payload, lines)
+    _emit(args, p, h, payload, lines)
     return OK
 
 
 def _cmd_ball(args: Namespace) -> int:
-    parsed = _load(args)
-    p = parsed.presentation
+    p, h = _load(args)
     cap = _radius_cap(args, p, args.radius)
     ball = build_ball(p, args.radius, cap, args.node_budget)
     _write_dot(args, ball)
@@ -375,13 +345,12 @@ def _cmd_ball(args: Namespace) -> int:
         "stable": ball.stable,
         "strategy": "dehn" if cap is None else "bounded_bfs",
     }
-    _emit(args, _hash(p, SubgroupSpec(())), payload, lines)
+    _emit(args, p, h, payload, lines)
     return OK
 
 
 def _cmd_schreier(args: Namespace) -> int:
-    parsed = _load(args)
-    p, h = parsed.presentation, parsed.subgroup
+    p, h = _load(args)
     ball = stable_ball(
         p, h, args.radius,
         start_slack=args.start_slack, max_slack=args.max_slack,
@@ -411,14 +380,14 @@ def _cmd_schreier(args: Namespace) -> int:
         "subgroup_words": [p.word_to_text(w) for w in h.words],
         "covering": asdict(covering) if covering is not None else None,
     }
-    _emit(args, _hash(p, h), payload, lines)
+    _emit(args, p, h, payload, lines)
     return OK if ball.stable else UNCERT
 
 
 def _count_ledger(args: Namespace, p: Presentation) -> tuple[ConstantsLedger, tuple[int, ...]]:
     if args.mode == "certified":
         if args.delta is None or args.epsilon is None:
-            raise _UsageError("certified mode needs --delta and --epsilon")
+            raise ValueError("certified mode needs --delta and --epsilon")
         ledger = derive_certified(
             args.delta, args.epsilon, args.eta, args.n0, args.diam_core,
             n_generators=len(p.generators),
@@ -426,30 +395,22 @@ def _count_ledger(args: Namespace, p: Presentation) -> tuple[ConstantsLedger, tu
         probes = args.probe_r0s if args.probe_r0s else (ledger.r0,)
         return ledger, probes
     if not args.probe_r0s:
-        raise _UsageError("empirical mode needs --probe-r0")
+        raise ValueError("empirical mode needs --probe-r0")
     probes = args.probe_r0s
-    r0 = probes[-1]
-    estimates = None
-    if args.delta is not None or args.epsilon is not None:
-        estimates = Estimates(
-            delta_x=args.delta if args.delta is not None else Fraction(0),
-            epsilon=args.epsilon if args.epsilon is not None else 0,
-        )
     ledger = empirical_ledger(
-        r0=r0,
+        r0=probes[-1],
         inner_offset=args.inner_offset,
-        outer_radius=r0 + args.outer_gap,
-        estimates=estimates,
+        outer_radius=probes[-1] + args.outer_gap,
+        delta_x=args.delta,
+        epsilon=args.epsilon,
         m=args.m,
     )
     return ledger, probes
 
 
 def _cmd_count(args: Namespace) -> int:
-    parsed = _load(args)
-    p, h = parsed.presentation, parsed.subgroup
+    p, h = _load(args)
     ledger, probes = _count_ledger(args, p)
-    digest = _hash(p, h)
     payload = {
         "subgroup": [p.word_to_text(w) for w in h.words],
         "probe_r0s": list(probes),
@@ -466,22 +427,21 @@ def _cmd_count(args: Namespace) -> int:
         )
     except UnstableBallError as exc:
         payload.update(class_history=None, verdict=UNCERTIFIED, stable=False)
-        _emit(args, digest, payload, [f"verdict: {UNCERTIFIED} ({exc})"])
+        _emit(args, p, h, payload, [f"verdict: {UNCERTIFIED} ({exc})"])
         return UNCERT
     payload.update(
         class_history=list(report.class_history),
         verdict=report.count,
         stable=True,  # an unstable ball raised above
     )
-    history = ", ".join(f"{r}->{c}" for r, c in zip(report.probe_r0s, report.class_history))
+    history = ", ".join(f"{r}->{c}" for r, c in zip(probes, report.class_history))
     lines = [f"classes per probe: {history}", f"verdict: {report.count}"]
-    _emit(args, digest, payload, lines)
+    _emit(args, p, h, payload, lines)
     return UNCERT if report.count == UNCERTIFIED else OK
 
 
 def _cmd_check(args: Namespace) -> int:
-    parsed = _load(args)
-    p, h = parsed.presentation, parsed.subgroup
+    p, h = _load(args)
     ball = stable_ball(p, h, args.radius, max_slack=args.max_slack, node_budget=args.node_budget)
     if args.subcommand == "check-ddag":
         rep = check_ddag(ball, args.m, args.k, delta_x=args.delta, r_cap=args.r_cap)
@@ -495,41 +455,39 @@ def _cmd_check(args: Namespace) -> int:
         r, x, y = rep.counterexample
         lines.append(f"counterexample at R = {r}: vertices {x}, {y}")
     payload = {**asdict(rep), "radius": ball.radius, "stable": ball.stable}
-    _emit(args, _hash(p, h), payload, lines)
+    _emit(args, p, h, payload, lines)
     return OK if ball.stable else UNCERT
 
 
 def _cmd_empirical(args: Namespace) -> int:
-    parsed = _load(args)
-    p, h = parsed.presentation, parsed.subgroup
+    p, h = _load(args)
     radius = args.ball_radius if args.ball_radius is not None else args.radii[-1] + 1
     if radius <= args.radii[-1]:
-        raise _UsageError("--ball-radius must exceed the largest cut radius")
+        raise ValueError("--ball-radius must exceed the largest cut radius")
     ball = stable_ball(p, h, radius, max_slack=args.max_slack, node_budget=args.node_budget)
     rep = empirical_ends(ball, list(args.radii), window=args.window)
-    counts = ", ".join(f"{r}->{c}" for r, c in zip(rep.radii, rep.counts))
+    counts = ", ".join(f"{r}->{c}" for r, c in zip(args.radii, rep.counts))
     lines = [f"components per radius: {counts}", f"verdict: {rep.verdict}"]
     payload = {
-        "radii": list(rep.radii),
+        "radii": list(args.radii),
         "counts": list(rep.counts),
         "window": args.window,
         "verdict": rep.verdict,
         "stable": ball.stable,
     }
-    _emit(args, _hash(p, h), payload, lines)
+    _emit(args, p, h, payload, lines)
     if not ball.stable or rep.verdict == UNCERTIFIED:
         return UNCERT
     return OK
 
 
 def _cmd_rips(args: Namespace) -> int:
-    parsed = _load(args)
-    q = parsed.presentation
+    q, h = _load(args)
     try:
         out = rips_construct(q, block_length=args.block_length)
     except RuntimeError as exc:
         print(f"construction failed: {exc}")
-        _emit(args, _hash(q, SubgroupSpec(())), {"constructed": False}, [])
+        _emit(args, q, h, {"constructed": False}, [])
         return UNCERT
     g = out.g_presentation
     rep = verify_rips(out)
@@ -554,28 +512,26 @@ def _cmd_rips(args: Namespace) -> int:
         "out_path": str(args.out_path) if args.out_path else None,
         "verify": {**asdict(rep), "passes": rep.passes},
     }
-    _emit(args, _hash(q, SubgroupSpec(())), payload, lines)
+    _emit(args, q, h, payload, lines)
     return OK if rep.passes else UNCERT
 
 
 def _cmd_oracle_fold(args: Namespace) -> int:
-    parsed = _load(args)
-    p, h = parsed.presentation, parsed.subgroup
+    p, h = _load(args)
     if not h.words:
-        raise _UsageError("oracle-fold needs a subgroup (--subgroup-from-file or --subgroup)")
+        raise ValueError("oracle-fold needs a subgroup (--subgroup-from-file or --subgroup)")
     core = stallings_fold(p, h)
     _write_dot(args, core, with_dist=False)
     n_edges = sum(1 for col in core.table[::2] for t in col if t >= 0)
     lines = [f"core graph: {core.n_vertices} vertices, {n_edges} edges"]
     payload = {"n_vertices": core.n_vertices, "n_edges": n_edges,
                "generators": list(core.gen_names)}
-    _emit(args, _hash(p, h), payload, lines)
+    _emit(args, p, h, payload, lines)
     return OK
 
 
 def _cmd_oracle_compare(args: Namespace) -> int:
-    parsed = _load(args)
-    p, h = parsed.presentation, parsed.subgroup
+    p, h = _load(args)
     core = stallings_fold(p, h)
     oracle_ball = free_schreier_ball(core, args.radius)
     mine = enumerate_cosets(p, h, args.radius, node_budget=args.node_budget)
@@ -590,7 +546,7 @@ def _cmd_oracle_compare(args: Namespace) -> int:
         "enumerated_cosets": mine.n_vertices,
         "oracle_cosets": oracle_ball.n_vertices,
     }
-    _emit(args, _hash(p, h), payload, lines)
+    _emit(args, p, h, payload, lines)
     return OK if same else UNCERT
 
 
@@ -617,7 +573,7 @@ def run(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help and 2 for bad arguments; fold the
         # latter into the usage code so 2 stays reserved for uncertified.
         return OK if not exc.code else USAGE
-    except (_UsageError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except BudgetExceeded as exc:

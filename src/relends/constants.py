@@ -26,14 +26,6 @@ DEFAULT = "default"
 USER = "user"
 
 
-@dataclass(frozen=True)
-class Estimates:
-    """Empirical hyperbolicity/quasi-convexity estimates from a Cayley ball."""
-
-    delta_x: Fraction
-    epsilon: Fraction
-
-
 def _encode(value):
     """JSON form of a ledger value; an int too long for decimal text is hex."""
     if isinstance(value, Fraction):
@@ -163,14 +155,16 @@ def empirical_ledger(
     r0: int,
     inner_offset: Rational,
     outer_radius: int,
-    estimates: Estimates | None = None,
+    delta_x: Rational | None = None,
+    epsilon: Rational | None = None,
     m: int | None = None,
 ) -> ConstantsLedger:
     """Ledger whose three working radii come straight from the user.
 
-    The derived chain is still computed (from the estimates when given,
-    from zeros otherwise, with n0 = 1 and diam_core = 0) so reports show
-    the formula values next to the radii actually used.
+    The derived chain is still computed (with n0 = 1 and diam_core = 0)
+    so reports show the formula values next to the radii actually used.
+    Given either estimate, both are tagged estimated and a missing one
+    reads 0; given neither, both are default zeros.  M defaults to R0.
     """
     inner = Fraction(inner_offset)
     if not (0 < inner and 0 < r0 < outer_radius):
@@ -178,8 +172,9 @@ def empirical_ledger(
             f"need inner_offset > 0 and 0 < R0 < outer_radius, "
             f"got inner_offset={inner}, R0={r0}, outer_radius={outer_radius}"
         )
-    est = estimates or Estimates(delta_x=Fraction(0), epsilon=Fraction(0))
-    est_tag = ESTIMATED if estimates else DEFAULT
+    if m is not None and m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
+    est_tag = DEFAULT if delta_x is None and epsilon is None else ESTIMATED
     prov = {"delta_x": est_tag, "epsilon": est_tag, "n0": DEFAULT, "diam_core": DEFAULT}
     prov.update(dict.fromkeys(("r0", "inner_offset", "outer_radius"), USER))
     prov["m"] = DEFAULT if m is None else USER
@@ -190,18 +185,18 @@ def empirical_ledger(
         outer_radius=outer_radius,
         mode="empirical",
         provenance=prov,
-        **_chain(Fraction(est.delta_x), Fraction(est.epsilon), None, 1, Fraction(0), prov),
+        **_chain(Fraction(delta_x or 0), Fraction(epsilon or 0), None, 1, Fraction(0), prov),
     )
 
 
-def annulus_inner_radius(ledger: ConstantsLedger) -> int:
+def annulus_inner_radius(r0: int, inner_offset: Rational) -> int:
     """Radius of the excluded inner ball for the class partition.
 
-    The annulus keeps {inner_radius < dist <= outer_radius} with
+    The annulus keeps {inner_radius < dist}, out to the ball's edge, with
     inner_radius = floor(R0 - inner_offset): the cut ball is closed, so a
     tree branch point at distance exactly R0 - inner_offset separates the
     sphere vertices hanging under it into distinct classes.  An offset
     deeper than R0 clamps to zero: the smallest cut that still counts
     anything is the base point alone.
     """
-    return max(math.floor(ledger.r0 - ledger.inner_offset), 0)
+    return max(math.floor(r0 - Fraction(inner_offset)), 0)

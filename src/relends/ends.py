@@ -1,8 +1,8 @@
 """Sphere classes, condition checkers, and the end counters.
 
 The count works on a truncated quotient ball: vertices of the sphere S(R0)
-are equivalent when a path inside the annulus {dist > R0 - inner_offset,
-dist <= outer_radius} joins them, and the number of classes, probed at
+are equivalent when a path inside the annulus {dist > R0 - inner_offset},
+out to the ball's edge, joins them, and the number of classes, probed at
 several R0 and watched for stabilization, is the reported number of
 relative ends.  An independent counter (components of the complement of
 balls that still touch the enumerated frontier) cross-checks it.
@@ -15,7 +15,7 @@ history reads as infinite; anything else is "uncertified".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cayley import pair_certified
@@ -38,25 +38,19 @@ def _labels(ball: Ball, seeds: list[int], allowed: list[bool]) -> list[int]:
     return label
 
 
-def sphere_classes(ball: Ball, ledger: ConstantsLedger) -> list[tuple[int, ...]]:
-    """Partition of S(R0) by connectivity inside the annulus.
+def sphere_classes(ball: Ball, r0: int, inner: int) -> list[tuple[int, ...]]:
+    """Partition of S(r0) by connectivity inside the annulus {inner < dist},
+    out to the ball's edge.
 
     The sphere is flooded in ascending order, so each class is labeled by
     its least vertex, which under the canonical BFS labeling is the
     shortlex-least coset of the class; classes come out in that order.  A
     sphere vertex outside the annulus (R0 = 0) is a class of its own.
     """
-    if ledger.outer_radius is None:
-        raise ValueError("ledger has no outer_radius; supply one (empirical mode)")
-    outer = ledger.outer_radius
-    r0 = ledger.r0
-    inner = annulus_inner_radius(ledger)
-    if not (inner < outer and r0 <= outer):
-        raise ValueError(f"bad annulus radii: inner={inner}, R0={r0}, outer={outer}")
-    if outer > ball.radius:
-        raise ValueError(f"ball radius {ball.radius} is below outer_radius {outer}")
+    if not (0 <= inner < ball.radius and r0 <= ball.radius):
+        raise ValueError(f"bad annulus radii: inner={inner}, R0={r0}, ball radius={ball.radius}")
     sphere = ball.sphere(r0)
-    label = _labels(ball, sphere, [inner < d <= outer for d in ball.dist])
+    label = _labels(ball, sphere, [inner < d for d in ball.dist])
     groups: dict[int, list[int]] = {}
     for v in sphere:
         groups.setdefault(v if label[v] < 0 else label[v], []).append(v)
@@ -81,7 +75,6 @@ def stabilization_verdict(history: list[int], window: int) -> int | str:
 class EndsReport:
     count: int | str
     class_history: tuple[int, ...]
-    probe_r0s: tuple[int, ...]
 
 
 def probe_class_history(
@@ -93,11 +86,10 @@ def probe_class_history(
     always reaches the ball's edge, since the whole stable ball is the
     certified window and truncating it early only severs real paths.
     """
-    history = []
-    for r0 in probe_r0s:
-        ledger = replace(template, r0=r0, outer_radius=ball.radius)
-        history.append(len(sphere_classes(ball, ledger)))
-    return history
+    return [
+        len(sphere_classes(ball, r0, annulus_inner_radius(r0, template.inner_offset)))
+        for r0 in probe_r0s
+    ]
 
 
 def count_relative_ends(
@@ -129,14 +121,11 @@ def count_relative_ends(
         )
     history = probe_class_history(ball, ledger, probe_r0s)
     verdict = stabilization_verdict(history, stabilization_window)
-    return EndsReport(
-        count=verdict, class_history=tuple(history), probe_r0s=tuple(probe_r0s)
-    )
+    return EndsReport(count=verdict, class_history=tuple(history))
 
 
 @dataclass(frozen=True)
 class EmpiricalEndsReport:
-    radii: tuple[int, ...]
     counts: tuple[int, ...]
     verdict: int | str
 
@@ -160,7 +149,6 @@ def empirical_ends(ball: Ball, radii: list[int], window: int = 3) -> EmpiricalEn
         label = _labels(ball, rim, [d > r for d in ball.dist])
         counts.append(sum(label[v] == v for v in rim))
     return EmpiricalEndsReport(
-        radii=tuple(radii),
         counts=tuple(counts),
         verdict=stabilization_verdict(counts, window),
     )
@@ -176,20 +164,31 @@ class ConditionReport:
     pairs_checked: int
 
 
+def _admissible(lo_r: int, hi_r: int, r_cap: int | None) -> list[int]:
+    """Sphere radii lo_r..hi_r, trimmed from above by r_cap.
+
+    A cap below lo_r would leave nothing to test and read as a vacuous
+    pass, so it is an error; a ball too small for lo_r is not.
+    """
+    if r_cap is not None:
+        if r_cap < lo_r:
+            raise ValueError(f"r_cap {r_cap} is below the least admissible R = {lo_r}")
+        hi_r = min(hi_r, r_cap)
+    return list(range(lo_r, hi_r + 1))
+
+
 def _run_condition(
-    ball: Ball,
-    label: str,
-    admissible: list[int],
-    band: dict[int, tuple[int, int]],
-    threshold: dict[int, int],
-    m: int,
+    ball: Ball, label: str, admissible: list[int], k: int, cut: Fraction, m: int
 ) -> ConditionReport:
+    """Pairs x in S(R), y with |dist(y) - R| <= k and d(x, y) <= m, joined
+    avoiding the closed ball of radius floor(R - cut), for each R."""
     dist = ball.dist
     witness = 0
     pairs = 0
     for r in admissible:
-        lo, hi = band[r]
-        allowed = [dist[v] > threshold[r] for v in range(ball.n_vertices)]
+        lo, hi = r - k, r + k
+        threshold = math.floor(r - cut)
+        allowed = [d > threshold for d in dist]
         for x in ball.sphere(r):
             partners = []
             for d, layer in zip(range(m + 1), ball.layers(x)):
@@ -246,20 +245,18 @@ def check_ddag(
     with the first counterexample pair.  No admissible R (or no pairs) is
     a vacuous pass with witness 0.
 
-    r_cap trims the admissible range from above.  Near the ball edge the
-    avoiding path has no room to exist even when the group provides one a
-    little deeper, so a counterexample there says nothing; keep
-    radius - r_cap at least half the longest relator plus one.
+    r_cap trims the admissible range from above; a cap below its least R
+    is a ValueError.  Near the ball edge the avoiding path has no room to
+    exist even when the group provides one a little deeper, so a
+    counterexample there says nothing; keep radius - r_cap at least half
+    the longest relator plus one.
     """
     dx = Fraction(delta_x)
     if m < 1 or k < 0 or dx < 0:
         raise ValueError("need m >= 1, k >= 0, delta_x >= 0")
     lo_r = max(math.ceil(k + 2 * dx), 1)  # spheres start at 1
-    hi_r = ball.radius - k if r_cap is None else min(ball.radius - k, r_cap)
-    admissible = [r for r in range(lo_r, hi_r + 1)]
-    band = {r: (r - k, r + k) for r in admissible}
-    threshold = {r: math.floor(r - k - 2 * dx) for r in admissible}
-    return _run_condition(ball, f"ddag(M={m},K={k})", admissible, band, threshold, m)
+    admissible = _admissible(lo_r, ball.radius - k, r_cap)
+    return _run_condition(ball, f"ddag(M={m},K={k})", admissible, k, k + 2 * dx, m)
 
 
 def check_dag(
@@ -280,8 +277,5 @@ def check_dag(
     if m < 1 or dxh < 0:
         raise ValueError("need m >= 1, delta_xh >= 0")
     lo_r = max(math.ceil(max(m + dxh, 8 * dxh)), 1)
-    hi_r = ball.radius if r_cap is None else min(ball.radius, r_cap)
-    admissible = [r for r in range(lo_r, hi_r + 1)]
-    band = {r: (r, r) for r in admissible}
-    threshold = {r: math.floor(r - 8 * dxh) for r in admissible}
-    return _run_condition(ball, f"dag(M={m})", admissible, band, threshold, m)
+    admissible = _admissible(lo_r, ball.radius, r_cap)
+    return _run_condition(ball, f"dag(M={m})", admissible, 0, 8 * dxh, m)

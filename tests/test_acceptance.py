@@ -16,7 +16,6 @@ import pytest
 
 from relends import (
     INFINITE,
-    Estimates,
     check_dag,
     check_ddag,
     count_relative_ends,

@@ -1,15 +1,17 @@
 """Command line behavior: exit codes, JSON reports, output routing."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import relends
-from relends.cli import run
+from relends.cli import _build_parser, run
 
 from conftest import FREE2, GENUS2, LINE, TORUS, TRIVIAL_Q_TEXT
 
@@ -354,3 +356,108 @@ def test_bad_radii_are_usage_errors(files, capsys):
     assert run(["empirical", files["z"], "--radii", "2,1"]) == 1
     assert run(["count", files["z"], "--probe-r0", "0,1,2"]) == 1
     capsys.readouterr()
+
+
+# Every subcommand's options as (required, choices, default), keyed by
+# option strings; "input" is the positional.  The goldens only see the
+# flags a case passes, so a flag added to or dropped from the wrong
+# subcommand shows up here instead.
+BASE_FLAGS = {
+    ("input",): (True, None, None),
+    ("--json",): (False, None, None),
+    ("--node-budget",): (False, None, None),  # default follows ENDS_NODE_BUDGET
+    ("--seed",): (False, None, 0),
+}
+SUBGROUP_FLAGS = {
+    **BASE_FLAGS,
+    ("--subgroup-from-file",): (False, None, False),
+    ("--subgroup",): (False, None, None),
+}
+STRATEGIES = ("auto", "dehn", "bounded-bfs")
+CLI_SURFACE = {
+    "parse": BASE_FLAGS,
+    "word-reduce": {
+        **BASE_FLAGS,
+        ("--word",): (True, None, None),
+        ("--strategy",): (False, STRATEGIES, "auto"),
+        ("--radius-cap",): (False, None, 12),
+    },
+    "ball": {
+        **BASE_FLAGS,
+        ("--radius",): (True, None, None),
+        ("--strategy",): (False, STRATEGIES, "auto"),
+        ("--radius-cap",): (False, None, None),
+        ("--dot",): (False, None, None),
+    },
+    "schreier": {
+        **SUBGROUP_FLAGS,
+        ("--radius",): (True, None, None),
+        ("--start-slack",): (False, None, 0),
+        ("--max-slack",): (False, None, 12),
+        ("--covering-check",): (False, None, None),
+        ("--dot",): (False, None, None),
+    },
+    "count": {
+        **SUBGROUP_FLAGS,
+        ("--probe-r0",): (False, None, None),
+        ("--window",): (False, None, 3),
+        ("--mode",): (False, ("empirical", "certified"), "empirical"),
+        ("--inner-offset",): (False, None, Fraction(3)),
+        ("--outer-gap",): (False, None, 1),
+        ("--delta",): (False, None, None),
+        ("--epsilon",): (False, None, None),
+        ("--eta",): (False, None, None),
+        ("--n0",): (False, None, 1),
+        ("--diam-core",): (False, None, 0),
+        ("--m",): (False, None, None),
+        ("--max-slack",): (False, None, 12),
+    },
+    "check-ddag": {
+        **SUBGROUP_FLAGS,
+        ("--radius",): (True, None, None),
+        ("--m",): (True, None, None),
+        ("--k",): (True, None, None),
+        ("--delta",): (False, None, Fraction(0)),
+        ("--r-cap",): (False, None, None),
+        ("--max-slack",): (False, None, 12),
+    },
+    "check-dag": {
+        **SUBGROUP_FLAGS,
+        ("--radius",): (True, None, None),
+        ("--m",): (True, None, None),
+        ("--delta-xh",): (True, None, None),
+        ("--r-cap",): (False, None, None),
+        ("--max-slack",): (False, None, 12),
+    },
+    "empirical": {
+        **SUBGROUP_FLAGS,
+        ("--radii",): (True, None, None),
+        ("--ball-radius",): (False, None, None),
+        ("--window",): (False, None, 3),
+        ("--max-slack",): (False, None, 12),
+    },
+    "rips": {
+        **BASE_FLAGS,
+        ("--block-length",): (False, None, 480),
+        ("-o", "--out"): (False, None, None),
+    },
+    "oracle-fold": {**SUBGROUP_FLAGS, ("--dot",): (False, None, None)},
+    "oracle-compare": {**SUBGROUP_FLAGS, ("--radius",): (True, None, None)},
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {}
+    for name, sp in subparsers.choices.items():
+        flags = {}
+        for action in sp._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            key = tuple(action.option_strings) or (action.dest,)
+            default = None if key == ("--node-budget",) else action.default
+            choices = tuple(action.choices) if action.choices is not None else None
+            flags[key] = (action.required, choices, default)
+        surface[name] = flags
+    assert surface == CLI_SURFACE

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relends import (
-    Estimates,
     annulus_inner_radius,
     derive_certified,
     empirical_ledger,
@@ -51,7 +50,7 @@ def test_provenance_tracks_inputs_and_formulas():
 
 def test_empirical_ledger_copies_measurements():
     led = empirical_ledger(
-        3, Fraction(3), 6, Estimates(delta_x=Fraction(1, 2), epsilon=1), m=2
+        3, Fraction(3), 6, delta_x=Fraction(1, 2), epsilon=1, m=2
     )
     assert led.mode == "empirical"
     assert (led.r0, led.inner_offset, led.outer_radius) == (3, 3, 6)
@@ -74,7 +73,7 @@ def test_ledger_reports_match_pinned_values():
             Fraction(1, 2), 1, Fraction(1, 3), 2, Fraction(1, 2)
         ),
         "empirical r0=3 offset3 outer6 d1/2 e1 m2": empirical_ledger(
-            3, Fraction(3), 6, Estimates(delta_x=Fraction(1, 2), epsilon=1), m=2
+            3, Fraction(3), 6, delta_x=Fraction(1, 2), epsilon=1, m=2
         ),
     }
     reports = {name: led.to_json_dict() for name, led in ledgers.items()}
@@ -89,23 +88,28 @@ def test_empirical_defaults():
 
 
 def test_inner_radius_floors_and_clamps():
-    assert annulus_inner_radius(empirical_ledger(5, Fraction(3), 6)) == 2
-    assert annulus_inner_radius(empirical_ledger(2, Fraction(3), 5)) == 0
-    assert annulus_inner_radius(empirical_ledger(3, Fraction(7, 2), 5)) == 0
-    assert annulus_inner_radius(empirical_ledger(6, Fraction(7, 2), 7)) == 2
+    assert annulus_inner_radius(5, Fraction(3)) == 2
+    assert annulus_inner_radius(2, Fraction(3)) == 0
+    assert annulus_inner_radius(3, Fraction(7, 2)) == 0
+    assert annulus_inner_radius(6, Fraction(7, 2)) == 2
 
 
 @pytest.mark.parametrize("make", [
     lambda: derive_certified(-1, 0, None, 1, 0),
     lambda: derive_certified(0, -1, None, 1, 0),
     lambda: derive_certified(0, 0, -1, 1, 0),
-    lambda: empirical_ledger(3, Fraction(3), 4, Estimates(Fraction(-5), Fraction(0))),
-    lambda: empirical_ledger(3, Fraction(3), 4, Estimates(Fraction(0), Fraction(-2))),
+    lambda: empirical_ledger(3, Fraction(3), 4, delta_x=Fraction(-5), epsilon=Fraction(0)),
+    lambda: empirical_ledger(3, Fraction(3), 4, delta_x=Fraction(0), epsilon=Fraction(-2)),
 ], ids=["certified-delta", "certified-epsilon", "certified-eta",
         "empirical-delta", "empirical-epsilon"])
 def test_negative_estimates_are_rejected_in_both_modes(make):
     with pytest.raises(ValueError, match="must be nonnegative"):
         make()
+
+
+def test_empirical_connectivity_constant_must_be_positive():
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        empirical_ledger(3, Fraction(3), 4, m=0)
 
 
 small_rationals = st.fractions(min_value=0, max_value=4, max_denominator=8)
@@ -118,7 +122,7 @@ def test_derived_radii_are_ordered(delta, eps):
     assert 0 <= led.alpha <= led.rho
     assert led.delta_xh >= led.alpha
     assert led.r0 >= led.m >= 1
-    assert led.r0 >= annulus_inner_radius(led)
+    assert led.r0 >= annulus_inner_radius(led.r0, led.inner_offset)
 
 
 @given(small_rationals)

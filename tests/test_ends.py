@@ -66,8 +66,8 @@ def test_verdict_is_certain_only_with_a_full_window(history, window):
 def test_line_has_two_sphere_classes(zline, trivial):
     ball = stable_ball(zline, trivial, 5)
     led = empirical_ledger(r0=2, inner_offset=Fraction(3), outer_radius=5)
-    classes = sphere_classes(ball, led)
-    assert annulus_inner_radius(led) == 0
+    classes = sphere_classes(ball, led.r0, annulus_inner_radius(led.r0, led.inner_offset))
+    assert annulus_inner_radius(led.r0, led.inner_offset) == 0
     assert len(classes) == 2
     assert sorted(c[0] for c in classes) == [3, 4]  # one coset per side
     assert ball.stable
@@ -239,12 +239,30 @@ def test_double_annulus_holds_on_the_surface(genus2, trivial):
 def test_r_cap_trims_the_admissible_range(genus2, trivial):
     ball = stable_ball(genus2, trivial, 4)
     full = check_ddag(ball, m=4, k=1, delta_x=1)
-    capped = check_ddag(ball, m=4, k=1, delta_x=1, r_cap=2)
     assert full.admissible_rs == (3,)
-    # nothing admissible is left, which counts as a vacuous pass
-    assert capped.admissible_rs == ()
-    assert capped.holds_within_ball
-    assert capped.witness_l == 0
+    assert check_ddag(ball, m=4, k=1, delta_x=1, r_cap=3).admissible_rs == (3,)
+    assert check_ddag(ball, m=4, k=1, r_cap=1).admissible_rs == (1,)
+
+
+def test_a_ball_too_small_for_any_r_is_a_vacuous_pass(genus2, trivial):
+    ball = stable_ball(genus2, trivial, 4)
+    rep = check_ddag(ball, m=4, k=1, delta_x=2)  # least R is 5, past radius - K
+    assert rep.admissible_rs == ()
+    assert rep.holds_within_ball
+    assert rep.witness_l == 0
+
+
+def test_ddag_r_cap_below_every_admissible_r_is_an_error(zline, genus2, trivial):
+    # a cap that leaves nothing to test would read as a vacuous pass
+    with pytest.raises(ValueError, match="least admissible R = 3"):
+        check_ddag(stable_ball(genus2, trivial, 4), m=4, k=1, delta_x=1, r_cap=2)
+    with pytest.raises(ValueError, match="least admissible R = 1"):
+        check_ddag(stable_ball(zline, trivial, 3), m=2, k=1, r_cap=-5)
+
+
+def test_dag_r_cap_below_every_admissible_r_is_an_error(f2, trivial):
+    with pytest.raises(ValueError, match="least admissible R = 2"):
+        check_dag(stable_ball(f2, trivial, 3), m=2, delta_xh=0, r_cap=1)
 
 
 def test_quotient_annulus_is_vacuous_when_h_is_everything(zline):

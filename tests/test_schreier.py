@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,13 +15,18 @@ from hypothesis import strategies as st
 from relends import (
     Ball,
     BudgetExceeded,
+    Presentation,
     SubgroupSpec,
     canonical_code,
     covering_degree_check,
+    dehn_reduce,
+    empirical_ends,
+    empirical_ledger,
     enumerate_cosets,
     free_schreier_ball,
     orbit_in_ball,
     parse_presentation,
+    probe_class_history,
     restrict_to_generators,
     rips_construct,
     stable_ball,
@@ -495,3 +501,106 @@ def test_nielsen_moves_keep_the_ball(case, moves):
             u, v = v, u
     ball = stable_ball(p, SubgroupSpec((u, v)), case[2])
     assert canonical_code(ball) == code
+
+
+GENUS3 = "generators: a b c d e f\nrelators: abABcdCDefEF\n"
+
+
+def exponent_sums(p, word):
+    sums = [0] * p.n_generators
+    for x in word:
+        sums[x >> 1] += -1 if x & 1 else 1
+    return tuple(sums)
+
+
+def dehn_ball(p, radius):
+    """Cayley ball of a C'(1/6) group by BFS over words.
+
+    Two words name one vertex exactly when Dehn's algorithm reduces
+    u v^-1 to the empty word.  Every relator has zero exponent sums, so
+    the exponent-sum vector is an invariant of the element and only
+    words that share it are compared.
+    """
+    words, dist = [()], [0]
+    buckets = {exponent_sums(p, ()): [0]}
+    table = [[] for _ in range(p.n_letters)]
+    for v, u in enumerate(words):  # words grows while the loop runs
+        for x in range(p.n_letters):
+            w = u + (x,)
+            key = exponent_sums(p, w)
+            t = next((t for t in buckets.get(key, ()) if not dehn_reduce(w + invert(words[t]), p)),
+                     -1)
+            if t < 0 and dist[v] < radius:
+                t = len(words)
+                words.append(w)
+                dist.append(dist[v] + 1)
+                buckets.setdefault(key, []).append(t)
+            table[x].append(t)
+    return Ball(p.generators, table, dist, radius)
+
+
+@pytest.mark.parametrize(
+    "text, radius",
+    # both radius-3 balls are still trees; at radius 4 genus 2 closes its
+    # first relator cycles
+    [(GENUS2, 3), (GENUS2, 4), (GENUS3, 3)],
+    ids=["genus2-r3", "genus2-r4", "genus3-r3"],
+)
+def test_surface_ball_matches_a_dehn_algorithm_ball(text, radius):
+    p = parse_presentation(text)
+    expected = dehn_ball(p, radius)
+    ball = stable_ball(p, sub(p), radius)
+    assert ball.stable
+    assert canonical_code(ball) == canonical_code(expected)
+
+
+# --- metamorphic relations ---------------------------------------------------
+# Presentations of the same pair (G, H) must give the same ball or, after
+# renaming letters, the same counts.
+
+METAMORPHIC = [
+    ("line", "generators: a\nrelators: none\n", ()),
+    ("f2", FREE2, ("ab",)),
+    ("torus", TORUS, ("a",)),
+    ("shifty", SHIFTY, ()),
+    ("genus2", GENUS2, ("a",)),
+]
+
+
+def _counts(p, h):
+    ball = stable_ball(p, h, 3)
+    assert ball.stable
+    template = empirical_ledger(r0=2, inner_offset=Fraction(2), outer_radius=3)
+    return (
+        sphere_sizes(ball),
+        probe_class_history(ball, template, [1, 2, 3]),
+        empirical_ends(ball, [0, 1, 2]).counts,
+    )
+
+
+@pytest.mark.parametrize("name, text, gens", METAMORPHIC, ids=[c[0] for c in METAMORPHIC])
+def test_rotated_and_inverted_relators_keep_the_ball(name, text, gens):
+    p = parse_presentation(text)
+    h = sub(p, *gens)
+    code = canonical_code(stable_ball(p, h, 3))
+    for i, r in enumerate(p.relators):
+        for k in range(len(r)):
+            for new in (r[k:] + r[:k], invert(r[k:] + r[:k])):
+                q = Presentation(p.generators, p.relators[:i] + (new,) + p.relators[i + 1:])
+                assert canonical_code(stable_ball(q, h, 3)) == code
+
+
+@pytest.mark.parametrize("name, text, gens", METAMORPHIC, ids=[c[0] for c in METAMORPHIC])
+def test_renamed_generators_keep_the_counts(name, text, gens):
+    p = parse_presentation(text)
+    h = sub(p, *gens)
+    expected = _counts(p, h)
+    n = p.n_generators
+    # a permutation of the generators, optionally inverting the first one
+    perms = sorted({tuple(reversed(range(n))), tuple(range(1, n)) + (0,)})
+    for perm, flip in itertools.product(perms, (0, 1)):
+        def rename(word):
+            return tuple(2 * perm[x >> 1] + ((x & 1) ^ (flip and x >> 1 == 0)) for x in word)
+
+        q = Presentation(p.generators, tuple(rename(r) for r in p.relators))
+        assert _counts(q, SubgroupSpec(tuple(rename(w) for w in h.words))) == expected
