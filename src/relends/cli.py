@@ -19,7 +19,6 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
-from .cayley import build_ball
 from .constants import ConstantsLedger, derive_certified, empirical_ledger
 from .ends import (
     UNCERTIFIED,
@@ -47,7 +46,7 @@ from .schreier import (
     enumerate_cosets,
     stable_ball,
 )
-from .word_engine import dehn_reduce, shortlex_normal_form
+from .word_engine import build_ball, dehn_reduce, shortlex_normal_form
 
 OK = 0
 USAGE = 1
@@ -174,9 +173,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=_fraction, help="hyperbolicity constant estimate")
     sp.add_argument("--epsilon", type=int, help="quasi-convexity constant estimate")
     sp.add_argument("--eta", type=_fraction, help="geodesic extension constant (certified)")
-    sp.add_argument("--n0", type=_int_at_least(1), default=1, help="chain bound (certified)")
-    sp.add_argument("--diam-core", type=_int_at_least(0), default=0,
-                    help="convex core diameter (certified)")
+    sp.add_argument("--n0", type=_int_at_least(1), help="chain bound (certified, default 1)")
+    sp.add_argument("--diam-core", type=_int_at_least(0),
+                    help="convex core diameter (certified, default 0)")
     sp.add_argument("--m", type=_int_at_least(1), help="connectivity constant override")
 
     r_cap_help = "largest sphere R to test; leave room to the ball edge"
@@ -389,13 +388,15 @@ def _count_ledger(args: Namespace, p: Presentation) -> tuple[ConstantsLedger, tu
         if args.delta is None or args.epsilon is None:
             raise ValueError("certified mode needs --delta and --epsilon")
         ledger = derive_certified(
-            args.delta, args.epsilon, args.eta, args.n0, args.diam_core,
+            args.delta, args.epsilon, args.eta, args.n0 or 1, args.diam_core or 0,
             n_generators=len(p.generators),
         )
         probes = args.probe_r0s if args.probe_r0s else (ledger.r0,)
         return ledger, probes
     if not args.probe_r0s:
         raise ValueError("empirical mode needs --probe-r0")
+    if (args.eta, args.n0, args.diam_core) != (None, None, None):
+        raise ValueError("--eta, --n0 and --diam-core are certified-mode inputs")
     probes = args.probe_r0s
     ledger = empirical_ledger(
         r0=probes[-1],

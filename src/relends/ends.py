@@ -5,7 +5,9 @@ are equivalent when a path inside the annulus {dist > R0 - inner_offset},
 out to the ball's edge, joins them, and the number of classes, probed at
 several R0 and watched for stabilization, is the reported number of
 relative ends.  An independent counter (components of the complement of
-balls that still touch the enumerated frontier) cross-checks it.
+balls that still touch the enumerated frontier) cross-checks it.  The
+annulus conditions test only pairs whose in-ball distance
+`pair_certified` vouches for as the true distance.
 
 Verdicts are deliberately conservative: a finite answer needs the class
 history constant across the window AND a stable ball; a strictly growing
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cayley import pair_certified
 from .constants import ConstantsLedger, annulus_inner_radius
 from .presentation import Presentation, SubgroupSpec
 from .schreier import Ball, DEFAULT_NODE_BUDGET, UnstableBallError, stable_ball
@@ -175,6 +176,17 @@ def _admissible(lo_r: int, hi_r: int, r_cap: int | None) -> list[int]:
             raise ValueError(f"r_cap {r_cap} is below the least admissible R = {lo_r}")
         hi_r = min(hi_r, r_cap)
     return list(range(lo_r, hi_r + 1))
+
+
+def pair_certified(dist: list[int], radius: int, u: int, v: int, d: int) -> bool:
+    """Whether d, the in-ball distance from u to v, is the true distance.
+
+    Distances to the base vertex are exact; other pairs need headroom,
+    2 dist(u) + d <= 2 radius and the same at v, so that no true geodesic
+    can have left the enumerated region.
+    """
+    r2 = 2 * radius
+    return u == 0 or v == 0 or (2 * dist[u] + d <= r2 and 2 * dist[v] + d <= r2)
 
 
 def _run_condition(

@@ -3,9 +3,12 @@
 Dehn reduction replaces any subword that is strictly more than half of a
 symmetrized relator by the inverse of the complement; on a C'(1/6)
 presentation the empty word is reached exactly for trivial elements.  For
-everything else a word is walked through a Cayley ball built under a
-radius cap (`build_ball`'s `radius_cap`, `None` = Dehn), which errs out
-loudly when the cap is too small to answer.
+everything else a word is walked through a Cayley ball: `build_ball`
+enumerates the Schreier ball of the trivial subgroup under a radius cap
+(`None` = Dehn: C'(1/6) is required and the slack may reach 12; an int
+caps the slack at `radius_cap - radius`) and errs out loudly when the cap
+is too small to certify the ball.  Under the canonical BFS labeling a
+vertex's tree word is its shortlex normal form.
 """
 
 from __future__ import annotations
@@ -14,15 +17,51 @@ from bisect import bisect_left
 
 from .presentation import (
     Presentation,
+    SubgroupSpec,
     Word,
     check_small_cancellation,
     free_reduce,
     invert,
 )
+from .schreier import Ball, DEFAULT_NODE_BUDGET, UnstableBallError, stable_ball
 
 
 class StrategyError(ValueError):
     """Dehn's algorithm does not apply to this presentation."""
+
+
+def build_ball(
+    p: Presentation,
+    radius: int,
+    radius_cap: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> Ball:
+    """Radius-R ball of the Cayley graph, exact and stability-certified.
+
+    With no radius_cap (Dehn) the presentation must be C'(1/6) (closure
+    then provably stabilizes; slack escalation is allowed to run).  With a
+    radius_cap the enumeration horizon may not exceed it, and a ball that
+    cannot certify stability inside the cap is an error rather than a
+    guess.
+    """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if radius_cap is None:
+        if not check_small_cancellation(p).passes:
+            raise StrategyError("dehn strategy needs a C'(1/6) presentation")
+        max_slack = 12
+    elif radius_cap < 1:
+        raise ValueError("bounded_bfs needs a positive radius_cap")
+    else:
+        max_slack = radius_cap - radius
+        if max_slack < 0:
+            raise UnstableBallError(
+                f"radius_cap {radius_cap} is below the requested radius {radius}"
+            )
+    ball = stable_ball(p, SubgroupSpec(()), radius, max_slack=max_slack, node_budget=node_budget)
+    if not ball.stable:
+        raise UnstableBallError(f"closure did not stabilize by slack {ball.slack}")
+    return ball
 
 
 def dehn_reduce(w: Word, p: Presentation) -> Word:
@@ -58,7 +97,7 @@ def dehn_reduce(w: Word, p: Presentation) -> Word:
     return word
 
 
-def shortlex_normal_form(w: Word, ball) -> Word:
+def shortlex_normal_form(w: Word, ball: Ball) -> Word:
     """Shortlex-minimal spelling of the element w names, read off the ball.
 
     The walk follows w edge by edge from the identity vertex, so it needs

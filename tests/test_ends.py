@@ -12,6 +12,7 @@ from relends import (
     Ball,
     UnstableBallError,
     annulus_inner_radius,
+    build_ball,
     check_dag,
     check_ddag,
     count_relative_ends,
@@ -23,8 +24,9 @@ from relends import (
     stabilization_verdict,
     stable_ball,
 )
+from relends.ends import pair_certified
 
-from conftest import sub
+from conftest import sub, walk
 
 
 # --- stabilization verdicts ------------------------------------------------
@@ -279,3 +281,53 @@ def test_quotient_annulus_fails_on_the_collapsed_tree(f2):
     rep = check_dag(ball, m=2, delta_xh=Fraction(1, 8))
     assert not rep.holds_within_ball
     assert rep.counterexample == (3, 9, 10)
+
+
+# --- in-ball distances and their certification -------------------------------
+
+
+@pytest.fixture(scope="module")
+def tree4(f2):
+    return build_ball(f2, 4)
+
+
+def distance(ball, u, v):
+    """(in-ball distance, whether pair_certified vouches for it)."""
+    d = next(d for d, layer in enumerate(ball.layers(u)) if v in layer)
+    return d, pair_certified(ball.dist, ball.radius, u, v, d)
+
+
+def test_tree_ball_vertex_count(tree4):
+    assert tree4.n_vertices == 161
+
+
+def test_in_ball_distance_is_exact_when_certified(tree4):
+    aa, ab = walk(tree4, "aa"), walk(tree4, "ab")
+    assert distance(tree4, aa, ab) == (2, True)
+
+
+def test_distance_near_the_rim_is_not_certified(tree4):
+    # the straight path between opposite rim points stays inside, but the
+    # ball cannot promise no outside shortcut exists
+    assert distance(tree4, walk(tree4, "aaaa"), walk(tree4, "bbbb")) == (8, False)
+
+
+def test_gromov_products_in_a_tree(tree4):
+    def gromov(x, y):
+        (dx, c1), (dy, c2), (dxy, c3) = (
+            distance(tree4, 0, x), distance(tree4, 0, y), distance(tree4, x, y)
+        )
+        assert c1 and c2 and c3
+        return Fraction(dx + dy - dxy, 2)
+
+    aa, bb, ab = walk(tree4, "aa"), walk(tree4, "bb"), walk(tree4, "ab")
+    assert gromov(aa, bb) == 0
+    assert gromov(aa, ab) == 1  # shared prefix a
+
+
+def test_gromov_product_refuses_uncertified_pairs(tree4):
+    # a Gromov product at base bbb of aaaa and bbbb needs all three
+    # distances certified; the rim pairs are not
+    deep, far, base = walk(tree4, "aaaa"), walk(tree4, "bbbb"), walk(tree4, "bbb")
+    pairs = [(base, deep), (base, far), (deep, far)]
+    assert not all(distance(tree4, u, v)[1] for u, v in pairs)

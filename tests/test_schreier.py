@@ -24,7 +24,6 @@ from relends import (
     empirical_ledger,
     enumerate_cosets,
     free_schreier_ball,
-    orbit_in_ball,
     parse_presentation,
     probe_class_history,
     restrict_to_generators,
@@ -333,15 +332,6 @@ def test_finalized_balls_match_pinned_digests():
     assert digests == json.loads(BALL_DIGESTS.read_text())
 
 
-def test_orbit_in_ball_lists_the_axis(f2):
-    from relends import build_ball
-
-    ball = build_ball(f2, 3)
-    orbit = sorted(orbit_in_ball(ball, sub(f2, "a")))
-    assert len(orbit) == 7  # a^k for |k| <= 3
-    assert sorted(ball.dist[v] for v in orbit) == [0, 1, 1, 2, 2, 3, 3]
-
-
 def test_restrict_to_generators_reaches_fewer_cosets(genus2, trivial):
     ball = stable_ball(genus2, trivial, 2)
     small = restrict_to_generators(ball, ("a", "b"))
@@ -447,6 +437,16 @@ def test_torus_ball_matches_a_permutation_representation(torus, case):
     assert_enumerator_matches(torus, [[(q + k) % n for q in range(n)] for k in (i, j)])
 
 
+def series_quotient(num, den, terms):
+    """The first terms coefficients of the power series num / den."""
+    out = []
+    for k in range(terms):
+        c = num[k] if k < len(num) else 0
+        c -= sum(den[i] * out[k - i] for i in range(1, min(k, len(den) - 1) + 1))
+        out.append(Fraction(c, den[0]))
+    return out
+
+
 def growth_series(g, terms):
     """Sphere sizes of the genus-g surface group in its standard generators
     (Cannon; Floyd and Plotnick, Invent. Math. 1987), by power-series
@@ -454,11 +454,7 @@ def growth_series(g, terms):
     (1 - (4g-2)(x + ... + x^(2g-1)) + x^(2g))."""
     num = [1] + [2] * (2 * g - 1) + [1]
     den = [1] + [-(4 * g - 2)] * (2 * g - 1) + [1]
-    out = []
-    for k in range(terms):
-        c = num[k] if k < len(num) else 0
-        out.append(c - sum(den[i] * out[k - i] for i in range(1, min(k, 2 * g) + 1)))
-    return out
+    return series_quotient(num, den, terms)
 
 
 @pytest.mark.parametrize(
@@ -471,6 +467,60 @@ def test_surface_spheres_follow_the_growth_series(text, genus, radius):
     ball = stable_ball(p, sub(p), radius)
     assert ball.stable
     assert sphere_sizes(ball) == growth_series(genus, radius + 1)
+
+
+def steinberg_series(orders, terms):
+    """Sphere sizes of an infinite triangle Coxeter group by Steinberg's
+    formula (Davis, The Geometry and Topology of Coxeter Groups, 2008):
+    1/W(t) is the sum over the generator subsets T with W_T finite of
+    (-1)^|T| t^N_T / W_T(t).  Here those are the empty set (1), the three
+    single generators (t / (1 + t) each) and the three pairs, a pair of
+    order m giving t^m / ((1 + t)(1 + t + ... + t^(m-1)))."""
+    one = [1] + [0] * (terms - 1)
+    single = series_quotient([0, 1], [1, 1], terms)
+    inverse = [e - 3 * x for e, x in zip(one, single)]
+    for m in orders:
+        pair = series_quotient(series_quotient([0] * m + [1], [1, 1], terms), [1] * m, terms)
+        inverse = [x + y for x, y in zip(inverse, pair)]
+    return series_quotient([1], inverse, terms)
+
+
+def degree_product(degrees, terms):
+    """Sphere sizes of a finite Coxeter group: the coefficients of the
+    product of 1 + t + ... + t^(d-1) over its degrees d."""
+    w = [1]
+    for d in degrees:
+        w = [sum(w[k - i] for i in range(d) if 0 <= k - i < len(w)) for k in range(len(w) + d - 1)]
+    return (w + [0] * terms)[:terms]
+
+
+TRIANGLES = [
+    ((2, 3, 7), 8, None),  # hyperbolic
+    ((2, 4, 5), 8, None),
+    ((3, 3, 4), 8, None),
+    ((2, 3, 6), 10, None),  # Euclidean
+    ((2, 4, 4), 10, None),
+    ((3, 3, 3), 10, None),
+    ((2, 3, 3), 10, (2, 3, 4)),  # finite: A3, B3, H3
+    ((2, 3, 4), 10, (2, 4, 6)),
+    ((2, 3, 5), 10, (2, 6, 10)),
+]
+
+
+@pytest.mark.parametrize(
+    "orders, radius, degrees", TRIANGLES, ids=["".join(map(str, t[0])) for t in TRIANGLES]
+)
+def test_triangle_group_spheres_follow_steinberg(orders, radius, degrees):
+    # <a, b, c | a^2, b^2, c^2, (ab)^p, (bc)^q, (ca)^r> with H = 1
+    p, q, r = orders
+    relators = ["aa", "bb", "cc", "ab" * p, "bc" * q, "ca" * r]
+    cox = parse_presentation("generators: a b c\nrelators:\n" + "".join(
+        f"  {w}\n" for w in relators))
+    ball = stable_ball(cox, sub(cox), radius, max_slack=0)
+    assert ball.stable
+    terms = radius + 1
+    want = degree_product(degrees, terms) if degrees else steinberg_series(orders, terms)
+    assert sphere_sizes(ball) == want
 
 
 NIELSEN_CASES = [(TORUS, ("aa", "bbb"), 3), (GENUS2, ("a", "bb"), 3), (GENUS2, ("ab", "cc"), 2)]
