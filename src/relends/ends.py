@@ -10,8 +10,9 @@ annulus conditions test only pairs whose in-ball distance
 `pair_certified` vouches for as the true distance.
 
 Verdicts are deliberately conservative: a finite answer needs the class
-history constant across the window AND a stable ball; a strictly growing
-history reads as infinite; anything else is "uncertified".
+history constant across the window AND a stable ball (or a stable ball
+whose rim is empty, which closes the coset table: 0 ends); a strictly
+growing history reads as infinite; anything else is "uncertified".
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ def count_relative_ends(
     The ledger acts as a template: its inner_offset and its outer gap
     (outer_radius - R0) are reused at every probe.  One Schreier ball is
     enumerated out to the largest probe's outer radius and escalated until
-    stable; an unstable ball at max_slack is an error, not a number.
+    stable; an unstable ball at max_slack is an error, not a number.  A
+    stable ball with an empty rim is a complete coset table, so it reads 0.
     """
     if not probe_r0s or any(a >= b for a, b in zip(probe_r0s, probe_r0s[1:])):
         raise ValueError("probe_r0s must be nonempty and strictly ascending")
@@ -121,7 +123,12 @@ def count_relative_ends(
             f"ball at radius {radius} still unstable at slack {ball.slack}"
         )
     history = probe_class_history(ball, ledger, probe_r0s)
-    verdict = stabilization_verdict(history, stabilization_window)
+    if ball.sphere(radius):
+        verdict = stabilization_verdict(history, stabilization_window)
+    else:
+        # every row below the horizon is complete and closed: a complete
+        # coset table, so H has finite index and the graph no ends
+        verdict = 0
     return EndsReport(count=verdict, class_history=tuple(history))
 
 

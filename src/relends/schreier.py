@@ -19,15 +19,17 @@ is truncated to the requested radius and relabeled in BFS order
 (generators in declared order, positive letter before inverse), so equal
 balls have equal tables.
 
-Stability is certified empirically: a ball is stable when rerunning with
-slack + 1 yields the identical truncated table.  Results from unstable
-balls must be treated as uncertified by callers.
+Stability is certified empirically: a ball is stable when its closure at
+slack s, extended in place to slack s + 1, yields the identical truncated
+table.  Results from unstable balls must be treated as uncertified by
+callers.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .presentation import Presentation, SubgroupSpec, Word
 
@@ -119,7 +121,58 @@ class Ball:
             layer = nxt
 
 
-def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, node_budget: int):
+def _free_rank(p: Presentation, h_words: tuple[Word, ...]) -> int:
+    """Torsion-free rank of G^ab / <H>: the generators minus the rank over Q
+    of the exponent sums of the relators and of H's words."""
+    n = p.n_generators
+    rows = []
+    for w in (*p.relators, *h_words):
+        sums = [Fraction(0)] * n
+        for x in w:
+            sums[x >> 1] += -1 if x & 1 else 1
+        rows.append(sums)
+    rank = 0
+    for col in range(n):
+        i = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot = rows[rank]
+        for r in rows[rank + 1:]:
+            if r[col]:
+                f = r[col] / pivot[col]
+                r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return n - rank
+
+
+@dataclass
+class _Closure:
+    """A closure carried from one _raw_enumerate call to the next.
+
+    A call handed a record without cells runs fresh and stores its table
+    and horizon here.  A call handed a filled record extends that table in
+    place to its own horizon and stores the new horizon.  Either sets
+    touched: whether the call may have changed the ball of the given radius
+    (always, for a fresh run).
+    """
+
+    radius: int
+    cells: list[int] | None = None
+    uf: list[int] | None = None
+    pdist: list[int] | None = None
+    horizon: int = 0
+    touched: bool = False
+
+
+def _raw_enumerate(
+    p: Presentation,
+    h_words: tuple[Word, ...],
+    horizon: int,
+    node_budget: int,
+    *,
+    _closure: _Closure | None = None,
+):
     """Run closure out to the horizon; returns (cells, uf, pdist, find).
 
     cells is the coset table, one row of L cells per coset:
@@ -160,19 +213,66 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
     merge is pending.  A row marked above the visited one is visited in
     this pass, any other in the next; the two mark values alternate between
     passes and never meet on one row.
+
+    Extension in place (resumed = fresh).  Handed the closure record of an
+    earlier call at horizon h < horizon, the run continues from that table
+    instead of from row 0.  That table is a fixpoint of the visit rules at
+    h: every live row below h has every edge and every relator loop closed,
+    and the subgroup loops at the base are closed.  A closed loop stays
+    closed through any later merge, and a complete row stays complete, so
+    those rows' visits at the new horizon would change nothing, and the
+    subgroup words are not traced again.  Every other live row -- pdist >=
+    h, which takes in the rows past h that gap filling left -- is marked,
+    and the run proceeds as a fresh one does after its subgroup scans: pass
+    1 visits the marked rows and the rows it defines, with no walking, and
+    records every open loop for pass 2.  So every row whose visit would
+    change something is marked before the pass reaches it, the worklist
+    argument above holds from the first pass on, and the run stops at a
+    fixpoint of the visit rules at the new horizon, as the fresh run does.
+    Every identification either table holds is true in G; the two runs
+    make their definitions in a different order and may number and keep
+    different rows past the horizon, but their truncated balls agree
+    (tests/test_schreier.py checks this at every radius up to the new
+    horizon, on fixed corpora and on random presentations).
+
+    The extension also watches the record's radius R <= h: touched is set
+    when a merge involves a row at pdist <= R, when settle lowers a
+    distance to R or below, or when scan closes an edge between two rows
+    within R.  Only these events change the rows within R, their distances
+    or the edges among them.  A row enters R only by a merge or by settle.
+    A row below R at the start lies below h, so it already has every edge,
+    and a row on R that gains one through a definition gains it to a new
+    row past R.  So when touched stays down, the truncated ball at R is the
+    one the table gave at h.
+
+    Before allocating anything, a run whose horizon no budget can hold is
+    refused: when G^ab / <H> has positive torsion-free rank, the Schreier
+    graph is infinite, so every closure has a live row at each distance up
+    to the horizon (the rows below a missing distance would form a complete
+    table), and horizon + 1 rows of L cells exceed the budget.
     """
     L = p.n_letters
+    carried = _closure is not None and _closure.cells is not None
+    if (horizon + 1) * L > node_budget and _free_rank(p, h_words) > 0:
+        raise BudgetExceeded(node_budget, horizon, len(_closure.uf) if carried else 0)
     relators = list(p.relators)
-    cells: list[int] = [-1] * L
     empty_row = (-1,) * L
-    uf: list[int] = [0]
-    pdist: list[int] = [0]
+    # mark[c] is cur when c is to be visited in this pass, nxt for the next
+    cur, nxt = 1, 2
+    if carried:
+        cells, uf, pdist = _closure.cells, _closure.uf, _closure.pdist
+        mark = bytearray(map(_closure.horizon.__le__, pdist))  # True is cur
+        watch = _closure.radius
+    else:
+        cells = [-1] * L
+        uf = [0]
+        pdist = [0]
+        mark = bytearray([cur])
+        watch = -1
+    touched = not carried
     pending: deque[tuple[int, int]] = deque()
     # an end of every edge added since the last settle; see settle()
     dirty: list[int] = []
-    # mark[c] is cur when c is to be visited in this pass, nxt for the next
-    cur, nxt = 1, 2
-    mark = bytearray([cur])
     wait = bytearray()  # from pass 2 on: c is a frontier row of an open trace
     walking = False  # from pass 2 on: record edge events and walk from them
     woken: list[int] = []  # rows whose distance crossed the horizon
@@ -208,6 +308,7 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
         return t
 
     def merge(a: int, b: int) -> None:
+        nonlocal touched
         pending.append((a, b))
         while pending:
             a, b = pending.popleft()
@@ -221,6 +322,8 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
                 if pdist[b] <= horizon <= pdist[a]:
                     woken.append(a)
                 pdist[a] = pdist[b]
+            if pdist[a] <= watch:
+                touched = True
             if walking and wait[b]:
                 wait[a] = 1
             dirty.append(a)
@@ -238,6 +341,7 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
 
     def scan(c: int, w: Word, fill: bool) -> None:
         """Trace w at c; close the loop, deduce, fill, or leave it open."""
+        nonlocal touched
         n = len(w)
         f = find(c)
         i = 0
@@ -289,6 +393,8 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
             return
         cells[f * L + x] = b
         cells[b * L + (x ^ 1)] = f
+        if pdist[f] <= watch and pdist[b] <= watch:
+            touched = True
         dirty.append(f)
         dirty.append(b)
         if walking:
@@ -327,9 +433,16 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
         order (Dial's buckets) restores exactness.  A row whose distance
         crosses the horizon is marked for the coming pass.
         """
+        nonlocal touched
         buckets: dict[int, list[int]] = {}
-        for s in {find(c) for c in dirty}:
-            buckets.setdefault(pdist[s], []).append(s)
+        # one byte per row, not a set: after an extension's first pass the
+        # dirty rows number millions, and a set of them raised peak RSS
+        seen = bytearray(len(uf))
+        for c in dirty:
+            s = find(c)
+            if not seen[s]:
+                seen[s] = 1
+                buckets.setdefault(pdist[s], []).append(s)
         dirty.clear()
         d = min(buckets, default=0)
         while buckets:
@@ -344,12 +457,15 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
                             if d + 1 <= horizon <= pdist[t]:
                                 mark[t] = cur
                             pdist[t] = d + 1
+                            if d < watch:
+                                touched = True
                             buckets.setdefault(d + 1, []).append(t)
             d += 1
 
-    for w in h_words:
-        scan(0, w, fill=True)
-    woken.clear()  # every row is marked for pass 1
+    if not carried:
+        for w in h_words:
+            scan(0, w, fill=True)
+        woken.clear()  # every row is marked for pass 1
 
     while True:
         settle()
@@ -379,6 +495,9 @@ def _raw_enumerate(p: Presentation, h_words: tuple[Word, ...], horizon: int, nod
         walking = True
         wait.extend(bytes(len(uf) - len(wait)))  # new rows append their own
 
+    if _closure is not None:
+        _closure.cells, _closure.uf, _closure.pdist = cells, uf, pdist
+        _closure.horizon, _closure.touched = horizon, touched
     return cells, uf, pdist, find
 
 
@@ -425,22 +544,32 @@ def _finalize(p: Presentation, cells: list[int], find, radius: int):
     return _relabel(cells, p.n_letters, find, find(0), radius)
 
 
-def _truncated_run(
-    p: Presentation,
-    h: SubgroupSpec,
-    radius: int,
-    slack: int,
-    node_budget: int,
-) -> Ball:
-    cells, _uf, pdist, find = _raw_enumerate(p, h.words, radius + slack, node_budget)
-    del pdist  # relabeling reads no distances: free them before it allocates
+def _ball(p: Presentation, cells: list[int], find, radius: int, slack: int) -> Ball:
     table, dist = _finalize(p, cells, find, radius)
     return Ball(p.generators, table, dist, radius, slack=slack)
 
 
-def _agree(a: Ball, b: Ball) -> bool:
-    """Two truncated runs give the identical ball (same table and distances)."""
-    return a.table == b.table and a.dist == b.dist
+def _primary(p: Presentation, h: SubgroupSpec, radius: int, slack: int, node_budget: int):
+    """The ball at the slack, and the closure record that certifies it."""
+    closure = _Closure(radius)
+    cells, _uf, _pdist, find = _raw_enumerate(
+        p, h.words, radius + slack, node_budget, _closure=closure)
+    return _ball(p, cells, find, radius, slack), closure
+
+
+def _certify(p: Presentation, h: SubgroupSpec, ball: Ball, closure: _Closure,
+             node_budget: int) -> Ball | None:
+    """Extend the closure in place by one layer: None when that reproduces
+    the ball, else the new ball at slack + 1.
+
+    Only an extension that touched the ball pays for a second relabel.
+    """
+    cells, _uf, _pdist, find = _raw_enumerate(
+        p, h.words, closure.horizon + 1, node_budget, _closure=closure)
+    if not closure.touched:
+        return None
+    nxt = _ball(p, cells, find, ball.radius, ball.slack + 1)
+    return None if (nxt.table, nxt.dist) == (ball.table, ball.dist) else nxt
 
 
 def enumerate_cosets(
@@ -454,12 +583,13 @@ def enumerate_cosets(
 
     Cosets are enumerated to radius + slack, closed under subgroup loops at
     the base and relator loops wherever they fit, truncated, and relabeled.
-    The stable flag records whether slack + 1 reproduces the identical ball.
+    The stable flag records whether that closure, extended in place to
+    slack + 1, gives the identical ball.
     """
     if radius < 0 or slack < 0:
         raise ValueError("radius and slack must be nonnegative")
-    ball = _truncated_run(p, h, radius, slack, node_budget)
-    ball.stable = _agree(ball, _truncated_run(p, h, radius, slack + 1, node_budget))
+    ball, closure = _primary(p, h, radius, slack, node_budget)
+    ball.stable = _certify(p, h, ball, closure, node_budget) is None
     return ball
 
 
@@ -476,22 +606,21 @@ def stable_ball(
     max_slack: int = 12,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Ball:
-    """Escalate slack until two consecutive truncations agree.
+    """Escalate slack until the closure, extended in place by one layer,
+    gives the identical ball.
 
-    Returns the first stable ball, or the last attempt flagged unstable when
-    max_slack is exhausted.
+    One table grows a layer per slack.  Returns the first stable ball, or
+    the last attempt flagged unstable when max_slack is exhausted.
     """
     if radius < 0 or start_slack < 0:
         raise ValueError("radius and start_slack must be nonnegative")
-    ball = _truncated_run(p, h, radius, start_slack, node_budget)
-    while True:
-        nxt = _truncated_run(p, h, radius, ball.slack + 1, node_budget)
-        if _agree(ball, nxt):
-            return ball
+    ball, closure = _primary(p, h, radius, start_slack, node_budget)
+    while (nxt := _certify(p, h, ball, closure, node_budget)) is not None:
         ball = nxt
         if ball.slack > max_slack:
             ball.stable = False
             return ball
+    return ball
 
 
 @dataclass(frozen=True)

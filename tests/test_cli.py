@@ -181,6 +181,15 @@ def test_certified_count_writes_its_report(tmp_path, capsys):
     assert int(ledger["outer_radius"], 16) == ledger["r0"] + 10 * 2 ** ledger["r0"]
 
 
+def test_certified_count_on_z_is_refused_before_any_row(files, capsys):
+    # Z with H = 1 has abelian rank 1, so its Schreier graph is infinite
+    # and no budget holds the certified horizon: refused before any row
+    argv = ["count", files["z"], "--probe-r0", "2,3,4,5", "--mode", "certified",
+            "--delta", "1", "--epsilon", "0"]
+    assert run(argv) == 3
+    assert ", 0 rows allocated)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [[], ["--epsilon", "1"], ["--delta", "1/2"]])
 def test_ledger_estimates_are_always_text(files, capsys, flags):
     assert run(["count", files["z"], "--probe-r0", "2,3,4,5", *flags, "--json", "-"]) == 0

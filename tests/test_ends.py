@@ -189,6 +189,19 @@ def test_finite_index_subgroup_sees_zero_ends(zline):
     assert rep.count == 0
 
 
+def test_a_closed_coset_table_reads_zero():
+    # the (2,3,5) triangle group has order 120 and diameter 15, so the rim
+    # of the radius-17 ball is empty; the history alone (1, 1, 0 in the
+    # window) earns no verdict
+    tri235 = parse_presentation(
+        "generators: a b c\nrelators:\n  aa\n  bb\n  cc\n  abab\n  bcbcbc\n  cacacacaca\n"
+    )
+    probes = [13, 14, 15, 16]
+    rep = count_relative_ends(tri235, sub(tri235), probes_ledger(probes), probes)
+    assert rep.class_history == (1, 1, 1, 0)
+    assert rep.count == 0
+
+
 def test_surface_quotient_count_at_desk_scale(genus2):
     rep = count_relative_ends(
         genus2, sub(genus2, "a"), probes_ledger([1, 2, 3]), [1, 2, 3]

@@ -1,14 +1,18 @@
 """Source hygiene: no dead or nested imports, no private leftovers, no
-unread dataclass fields, the public API lists what it imports, and the
-committed benchmark trajectory is whole."""
+unread dataclass fields, the public API lists what it imports, the
+benchmark's tracer still finds what it wraps, and the committed benchmark
+trajectory is whole."""
 
 import ast
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
 import relends
+from relends import schreier
+from relends.presentation import Presentation
 
 PACKAGE = Path(relends.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -150,3 +154,22 @@ def test_bench_files_hold_every_workload_at_both_trace_levels():
         for r in results:
             missing = declared[r["trace"]] - set(r["metrics"])
             assert not missing, (path.name, r["workload"], r["trace"], sorted(missing))
+
+
+def test_the_benchmark_tracer_finds_every_target():
+    # perfbench/tracing.py wraps these module attributes by name and unpacks
+    # _raw_enumerate's result as (cells, uf, pdist, find); read, not imported
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    for module, attr, _name in targets:
+        assert module.split(".")[0] == "relends", module
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    result = schreier._raw_enumerate(Presentation(("a", "b"), ()), (), 2, 1000)
+    assert isinstance(result, tuple) and len(result) == 4
+    _cells, uf, _pdist, _find = result
+    assert len(uf) == 1 + 4 + 12

@@ -32,9 +32,9 @@ from relends import (
     stallings_fold,
 )
 from relends.presentation import free_reduce, invert
-from relends.schreier import DEFAULT_NODE_BUDGET, _finalize, _raw_enumerate
+from relends.schreier import DEFAULT_NODE_BUDGET, _Closure, _finalize, _raw_enumerate
 
-from conftest import FREE2, GENUS2, TORUS, sub, walk
+from conftest import FREE2, GENUS2, LINE, TORUS, sub, walk
 
 # a presentation whose radius-2 ball shrinks once the enumeration digs deeper
 SHIFTY = "generators: a b\nrelators: bbabbb\n"
@@ -84,14 +84,17 @@ def rips_z2():
     return out.g_presentation, out.h_generators.words
 
 
-def raw_runs(text, gens, horizons=range(5)):
+def raw_runs(text, gens, horizons=range(5), resumed=False):
+    """Each horizon's closure, run fresh or (resumed) grown in place from
+    the closure at the horizon before, the first one fresh."""
     if text is None:
         p, words = rips_z2()
     else:
         p = parse_presentation(text)
         words = sub(p, *gens).words
+    closure = _Closure(0) if resumed else None
     for horizon in horizons:
-        yield horizon, p, _raw_enumerate(p, words, horizon, DEFAULT_NODE_BUDGET)
+        yield horizon, p, _raw_enumerate(p, words, horizon, DEFAULT_NODE_BUDGET, _closure=closure)
 
 
 def sphere_sizes(ball):
@@ -253,13 +256,37 @@ def test_budget_cuts_enumeration_short(genus2, trivial):
     assert "horizon 4, 12 rows" in str(info.value)
 
 
+TRI237 = "generators: a b c\nrelators:\n  aa\n  bb\n  cc\n  ababab\n  bcbcbcbcbcbcbc\n  caca\n"
+
+
+@pytest.mark.parametrize("text, rows", [(GENUS2, 0), (TRI237, 16)], ids=["genus2", "tri237"])
+def test_a_horizon_no_budget_holds_is_refused_before_any_row(text, rows):
+    # genus 2 has abelian rank 4, so its Schreier graph is infinite and no
+    # 100 cells hold 21 rows; (2,3,7) has rank 0 and must try
+    p = parse_presentation(text)
+    with pytest.raises(BudgetExceeded) as info:
+        stable_ball(p, sub(p), 20, node_budget=100)
+    assert (info.value.horizon, info.value.rows) == (20, rows)
+
+
+@pytest.mark.parametrize("text, gens", [(LINE, ("a",)), (TORUS, ("ab", "b"))],
+                         ids=["line", "torus"])
+def test_a_finite_index_subgroup_runs_at_any_horizon(text, gens):
+    # H = G: rank 0, and the one-row table closes however far out the
+    # horizon lies
+    p = parse_presentation(text)
+    ball = stable_ball(p, sub(p, *gens), 10**6, node_budget=100)
+    assert ball.stable and ball.n_vertices == 1
+
+
 @pytest.mark.parametrize(
     "name, text, gens, top",
     [(*case, 5) for case in CORPUS] + COLLAPSING,
     ids=[c[0] for c in CORPUS + COLLAPSING],
 )
 def test_enumerator_distances_are_bfs_distances(name, text, gens, top):
-    for horizon, p, (cells, uf, pdist, find) in raw_runs(text, gens, range(top + 1)):
+    runs = itertools.chain(*(raw_runs(text, gens, range(top + 1), r) for r in (False, True)))
+    for horizon, p, (cells, uf, pdist, find) in runs:
         L = p.n_letters
         dist = {0: 0}
         queue = deque([0])
@@ -281,8 +308,9 @@ def test_enumerator_distances_are_bfs_distances(name, text, gens, top):
 )
 def test_enumeration_stops_at_a_fixpoint(name, text, gens, top):
     # the sweep's stopping condition, read without path halving so that
-    # nothing the enumerator returned is touched
-    for horizon, p, (cells, uf, pdist, _find) in raw_runs(text, gens, range(top + 1)):
+    # nothing the enumerator returned is touched; fresh and extended in place
+    runs = itertools.chain(*(raw_runs(text, gens, range(top + 1), r) for r in (False, True)))
+    for horizon, p, (cells, uf, pdist, _find) in runs:
         L = p.n_letters
 
         def root(c):
@@ -319,17 +347,53 @@ def test_finite_groups_close_to_their_order(text, radius, order):
     assert max(ball.dist) < radius  # the whole group, with room to spare
 
 
-def test_finalized_balls_match_pinned_digests():
+def finalized_digests(resumed):
     digests = {}
     cases = [(*case, 4) for case in CORPUS] + FINITE + [RIPS_Z2]
     for name, text, gens, top in cases:
-        for horizon, p, (cells, _uf, _pdist, find) in raw_runs(text, gens, range(top + 1)):
+        runs = raw_runs(text, gens, range(top + 1), resumed)
+        for horizon, p, (cells, _uf, _pdist, find) in runs:
             # slack 0 and slack 1, so the unstable shifty run at r2 s0 is in
             for radius in range(max(horizon - 1, 0), horizon + 1):
                 table, dist = _finalize(p, cells, find, radius)
                 blob = json.dumps([table, dist]).encode()
                 digests[f"{name} h{horizon} r{radius}"] = hashlib.sha256(blob).hexdigest()
-    assert digests == json.loads(BALL_DIGESTS.read_text())
+    return digests
+
+
+def test_finalized_balls_match_pinned_digests():
+    assert finalized_digests(resumed=False) == json.loads(BALL_DIGESTS.read_text())
+
+
+def test_tables_grown_in_place_match_pinned_digests():
+    assert finalized_digests(resumed=True) == json.loads(BALL_DIGESTS.read_text())
+
+
+# random two-generator presentations: up to two relators and one subgroup
+# generator, each a word of one to seven letters
+short_words = st.text("abAB", min_size=1, max_size=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(short_words, max_size=2), st.lists(short_words, max_size=1),
+       st.integers(0, 4))
+def test_growing_a_closure_in_place_matches_a_fresh_run(relators, gens, h):
+    listed = "".join(f"\n  {w}" for w in relators) or " none"
+    p = parse_presentation(f"generators: a b\nrelators:{listed}\n")
+    words = sub(p, *gens).words
+    fresh_cells, _uf, _pdist, fresh_find = _raw_enumerate(p, words, h + 1, DEFAULT_NODE_BUDGET)
+    for watched in range(h + 1):
+        closure = _Closure(watched)
+        cells, _uf, _pdist, find = _raw_enumerate(
+            p, words, h, DEFAULT_NODE_BUDGET, _closure=closure)
+        before = _finalize(p, cells, find, watched)
+        cells, _uf, _pdist, find = _raw_enumerate(
+            p, words, h + 1, DEFAULT_NODE_BUDGET, _closure=closure)
+        # a flag left down promises the watched ball did not change
+        assert closure.touched or _finalize(p, cells, find, watched) == before
+        for radius in range(h + 2):
+            assert _finalize(p, cells, find, radius) == _finalize(
+                p, fresh_cells, fresh_find, radius), (watched, radius)
 
 
 def test_restrict_to_generators_reaches_fewer_cosets(genus2, trivial):
