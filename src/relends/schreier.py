@@ -9,15 +9,16 @@ single-edge gaps on the horizon itself.  Coincidences go through a FIFO
 queue over a union-find with path halving; reads resolve stale targets
 lazily via find.  The first pass visits every coset; later passes visit
 only the cosets marked since (new cosets, cosets whose distance crossed the
-horizon, and horizon cosets whose open relator loop may have changed, found
-by walking relators from each coset that gained an edge), in ascending
-order, until a pass leaves none marked.  The skipped visits are the ones
-that would change nothing, so the tables are those a sweep over every coset
-in every pass would build.  Before each pass, the distances are settled to
-exact BFS distances from the rows whose edges changed.  The returned ball
-is truncated to the requested radius and relabeled in BFS order
-(generators in declared order, positive letter before inverse), so equal
-balls have equal tables.
+horizon, and horizon cosets whose open relator loop may have changed: after
+the first pass, those whose recorded loop frontier gained its letter or
+merged away, and from then on those found by walking relators from each
+coset that gained an edge), in ascending order, until a pass leaves none
+marked.  The skipped visits are the ones that would change nothing, so the
+tables are those a sweep over every coset in every pass would build.
+Before each pass, the distances are settled to exact BFS distances from
+the rows whose edges changed.  The returned ball is truncated to the
+requested radius and relabeled in BFS order (generators in declared order,
+positive letter before inverse), so equal balls have equal tables.
 
 Stability is certified empirically: a ball is stable when its closure at
 slack s, extended in place to slack s + 1, yields the identical truncated
@@ -27,6 +28,7 @@ callers.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -201,9 +203,22 @@ def _raw_enumerate(
       two or more letters (an open loop), and that trace has since grown.
       A trace grows only when one of its two frontier rows gains the
       letter the trace stopped at.
-    Pass 1 marks every row with an open loop for pass 2.  From pass 2 on,
-    an open scan sets wait on its two frontier rows instead (a merge passes
-    the flag to the representative), and every edge event at a flagged row
+    Pass 1 does not walk.  It records each open trace as its row c and its
+    two frontier cells: the forward frontier row f's cell for w[i] and the
+    backward frontier row b's cell for w[j - 1]^-1.  One sweep over the
+    records runs after pass 1.  A record whose row has died is dropped: a
+    dead row's visit does nothing.  When f and b are still live and both
+    cells still empty, the trace has not grown: the cells along it stay
+    filled and still lead to f and b, so c's visit would re-scan to the
+    same open gap and change nothing but the wait flags it sets on f and
+    b.  The sweep sets those flags itself and leaves c unmarked (should c
+    leave the horizon, merge or settle marks it).  Set before pass 2
+    rather than at c's turn in it, the flags only add walks, and a walk
+    only marks rows.  Any other record's trace may have grown, and its row
+    is marked for pass 2.  So the skipped visits change nothing, and the
+    tables stay those of the full sweep.  From pass 2 on, an open scan
+    sets wait on its two frontier rows itself (a merge passes the flag to
+    the representative), and every edge event at a flagged row
     -- a live row f gaining letter x: both ends of a deduction, the source
     of a new row, and each column a merge gives the representative from
     one side only -- walks back from f along r[:i] for every relator
@@ -225,10 +240,11 @@ def _raw_enumerate(
     h, which takes in the rows past h that gap filling left -- is marked,
     and the run proceeds as a fresh one does after its subgroup scans: pass
     1 visits the marked rows and the rows it defines, with no walking, and
-    records every open loop for pass 2.  So every row whose visit would
-    change something is marked before the pass reaches it, the worklist
-    argument above holds from the first pass on, and the run stops at a
-    fixpoint of the visit rules at the new horizon, as the fresh run does.
+    records every open trace for the sweep after it.  So every row whose
+    visit would change something is marked before the pass reaches it, the
+    worklist argument above holds from the first pass on, and the run stops
+    at a fixpoint of the visit rules at the new horizon, as the fresh run
+    does.
     Every identification either table holds is true in G; the two runs
     make their definitions in a different order and may number and keep
     different rows past the horizon, but their truncated balls agree
@@ -270,6 +286,10 @@ def _raw_enumerate(
         mark = bytearray([cur])
         watch = -1
     touched = not carried
+    # pass 1's open traces as flat (row, forward frontier cell, backward
+    # frontier cell) triples; every cell index is below the budget or the
+    # carried table's size, whichever is larger
+    opened = array("i" if max(node_budget, len(cells)) <= 2**31 else "q")
     pending: deque[tuple[int, int]] = deque()
     # an end of every edge added since the last settle; see settle()
     dirty: list[int] = []
@@ -372,8 +392,8 @@ def _raw_enumerate(
             if not fill:
                 if walking:
                     wait[f] = wait[b] = 1
-                else:
-                    mark[c] = nxt  # no walk sees this loop change in pass 1
+                else:  # no walk sees this loop change in pass 1
+                    opened.extend((c, f * L + w[i], b * L + (w[j - 1] ^ 1)))
                 return
             while j > i + 1:
                 x = w[i]
@@ -494,6 +514,17 @@ def _raw_enumerate(
         cur, nxt = nxt, cur
         walking = True
         wait.extend(bytes(len(uf) - len(wait)))  # new rows append their own
+        if opened:  # after pass 1: rescan the open traces that grew
+            flat = iter(opened)
+            for c, fx, bx in zip(flat, flat, flat):
+                if uf[c] != c:
+                    continue
+                f, b = fx // L, bx // L
+                if cells[fx] < 0 and cells[bx] < 0 and uf[f] == f and uf[b] == b:
+                    wait[f] = wait[b] = 1
+                else:
+                    mark[c] = cur
+        opened = None
 
     if _closure is not None:
         _closure.cells, _closure.uf, _closure.pdist = cells, uf, pdist

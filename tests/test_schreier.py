@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,28 +68,44 @@ WAKES = [
     ("ABABB", "generators: a b\nrelators: ABABB\n", (), 4),
     ("BAbaB-BAAB-Ba", "generators: a b\nrelators:\n  BAbaB\n  BAAB\n  Ba\n", ("BB",), 3),
     ("BaaBBB", "generators: a b\nrelators: BaaBBB\n", ("aB",), 4),
+    # a frontier row of an open trace dies in pass 1 while its own cell
+    # stays empty: the trace grew through the merge
+    ("bABabb", "generators: a b\nrelators: bABabb\n", (), 5),
 ]
-# Rips' construction over Z2 with its H (985-letter relators); raw_runs
-# builds it for the missing presentation text
-RIPS_Z2 = ("rips-z2", None, (), 3)
+
+
+@dataclass(frozen=True)
+class RipsOver:
+    """Rips' construction over a quotient presentation, with its H; raw_runs
+    builds it in place of a presentation text."""
+
+    quotient: str
+
+
+# Rips' construction over Z2 (965-985-letter relators) and over F2 (483-495
+# letters, an infinite kernel whose horizon rows keep their long relator
+# loops open)
+RIPS_Z2 = ("rips-z2", RipsOver("generators: x y\nrelators: xyXY\n"), (), 3)
+RIPS_F2 = ("rips-f2", RipsOver("generators: x y\nrelators: none\n"), (), 4)
 # _finalize digests for CORPUS, pinned from the enumerator that ran a full
 # BFS before every sweep (the finite groups and Rips(Z2) from the one that
-# swept every row); no raw table or row count is pinned, so the enumerator
-# may renumber its rows
+# swept every row, Rips(F2) from the one that queued every open loop of pass
+# 1 for pass 2); no raw table or row count is pinned, so the enumerator may
+# renumber its rows
 BALL_DIGESTS = Path(__file__).parent / "golden" / "ball-digests.json"
 
 
 @functools.cache
-def rips_z2():
-    out = rips_construct(parse_presentation("generators: x y\nrelators: xyXY\n"))
+def rips_kernel(quotient):
+    out = rips_construct(parse_presentation(quotient))
     return out.g_presentation, out.h_generators.words
 
 
 def raw_runs(text, gens, horizons=range(5), resumed=False):
     """Each horizon's closure, run fresh or (resumed) grown in place from
     the closure at the horizon before, the first one fresh."""
-    if text is None:
-        p, words = rips_z2()
+    if isinstance(text, RipsOver):
+        p, words = rips_kernel(text.quotient)
     else:
         p = parse_presentation(text)
         words = sub(p, *gens).words
@@ -281,8 +298,8 @@ def test_a_finite_index_subgroup_runs_at_any_horizon(text, gens):
 
 @pytest.mark.parametrize(
     "name, text, gens, top",
-    [(*case, 5) for case in CORPUS] + COLLAPSING,
-    ids=[c[0] for c in CORPUS + COLLAPSING],
+    [(*case, 5) for case in CORPUS] + COLLAPSING + [RIPS_F2],
+    ids=[c[0] for c in CORPUS + COLLAPSING + [RIPS_F2]],
 )
 def test_enumerator_distances_are_bfs_distances(name, text, gens, top):
     runs = itertools.chain(*(raw_runs(text, gens, range(top + 1), r) for r in (False, True)))
@@ -303,40 +320,45 @@ def test_enumerator_distances_are_bfs_distances(name, text, gens, top):
 
 @pytest.mark.parametrize(
     "name, text, gens, top",
-    [(*case, 5) for case in CORPUS] + COLLAPSING + WAKES + [RIPS_Z2],
-    ids=[c[0] for c in CORPUS + COLLAPSING + WAKES + [RIPS_Z2]],
+    [(*case, 5) for case in CORPUS] + COLLAPSING + WAKES + [RIPS_Z2, RIPS_F2],
+    ids=[c[0] for c in CORPUS + COLLAPSING + WAKES + [RIPS_Z2, RIPS_F2]],
 )
 def test_enumeration_stops_at_a_fixpoint(name, text, gens, top):
-    # the sweep's stopping condition, read without path halving so that
-    # nothing the enumerator returned is touched; fresh and extended in place
+    # fresh and extended in place
     runs = itertools.chain(*(raw_runs(text, gens, range(top + 1), r) for r in (False, True)))
     for horizon, p, (cells, uf, pdist, _find) in runs:
-        L = p.n_letters
+        assert_fixpoint(p, horizon, cells, uf, pdist)
 
-        def root(c):
-            while uf[c] != c:
-                c = uf[c]
-            return c
 
-        def step(c, x):
-            t = cells[c * L + x]
-            return root(t) if t >= 0 else -1
+def assert_fixpoint(p, horizon, cells, uf, pdist):
+    """The sweep's stopping condition, read without path halving so that
+    nothing the enumerator returned is touched."""
+    L = p.n_letters
 
-        for c in range(len(uf)):
-            if uf[c] != c or pdist[c] > horizon:
-                continue
-            if pdist[c] < horizon:
-                assert min(cells[c * L:(c + 1) * L]) >= 0, (horizon, c)
-            for w in p.relators:
-                f, i = c, 0
-                while i < len(w) and (t := step(f, w[i])) >= 0:
-                    f, i = t, i + 1
-                b, j = c, len(w)
-                while j > i and (t := step(b, w[j - 1] ^ 1)) >= 0:
-                    b, j = t, j - 1
-                # closed at c, or open on the horizon where nothing is filled
-                closed = j == i and f == b
-                assert closed or (j - i >= 2 and pdist[c] == horizon), (horizon, c, w)
+    def root(c):
+        while uf[c] != c:
+            c = uf[c]
+        return c
+
+    def step(c, x):
+        t = cells[c * L + x]
+        return root(t) if t >= 0 else -1
+
+    for c in range(len(uf)):
+        if uf[c] != c or pdist[c] > horizon:
+            continue
+        if pdist[c] < horizon:
+            assert min(cells[c * L:(c + 1) * L]) >= 0, (horizon, c)
+        for w in p.relators:
+            f, i = c, 0
+            while i < len(w) and (t := step(f, w[i])) >= 0:
+                f, i = t, i + 1
+            b, j = c, len(w)
+            while j > i and (t := step(b, w[j - 1] ^ 1)) >= 0:
+                b, j = t, j - 1
+            # closed at c, or open on the horizon where nothing is filled
+            closed = j == i and f == b
+            assert closed or (j - i >= 2 and pdist[c] == horizon), (horizon, c, w)
 
 
 @pytest.mark.parametrize("text, radius, order", [(A5, 11, 60), (S3, 3, 6)], ids=["a5", "s3"])
@@ -349,7 +371,7 @@ def test_finite_groups_close_to_their_order(text, radius, order):
 
 def finalized_digests(resumed):
     digests = {}
-    cases = [(*case, 4) for case in CORPUS] + FINITE + [RIPS_Z2]
+    cases = [(*case, 4) for case in CORPUS] + FINITE + [RIPS_Z2, RIPS_F2]
     for name, text, gens, top in cases:
         runs = raw_runs(text, gens, range(top + 1), resumed)
         for horizon, p, (cells, _uf, _pdist, find) in runs:
@@ -394,6 +416,29 @@ def test_growing_a_closure_in_place_matches_a_fresh_run(relators, gens, h):
         for radius in range(h + 2):
             assert _finalize(p, cells, find, radius) == _finalize(
                 p, fresh_cells, fresh_find, radius), (watched, radius)
+
+
+# random three-generator presentations: up to three relators of two to
+# fourteen letters, so that one horizon row can leave several relator loops
+# open after its first visit
+long_words = st.text("abcABC", min_size=2, max_size=14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(long_words, max_size=3), st.integers(0, 3))
+def test_three_generator_closures_reach_the_same_fixpoint(relators, h):
+    listed = "".join(f"\n  {w}" for w in relators) or " none"
+    p = parse_presentation(f"generators: a b c\nrelators:{listed}\n")
+    fresh = _raw_enumerate(p, (), h + 1, DEFAULT_NODE_BUDGET)
+    closure = _Closure(0)
+    _raw_enumerate(p, (), h, DEFAULT_NODE_BUDGET, _closure=closure)
+    resumed = _raw_enumerate(p, (), h + 1, DEFAULT_NODE_BUDGET, _closure=closure)
+    for cells, uf, pdist, _find in (fresh, resumed):
+        assert_fixpoint(p, h + 1, cells, uf, pdist)
+    (cells, _uf, _pdist, find), (fresh_cells, _uf, _pdist, fresh_find) = resumed, fresh
+    for radius in range(h + 2):
+        assert _finalize(p, cells, find, radius) == _finalize(
+            p, fresh_cells, fresh_find, radius), radius
 
 
 def test_restrict_to_generators_reaches_fewer_cosets(genus2, trivial):
