@@ -47,9 +47,19 @@ def cyclic_reduce(word: Sequence[int]) -> Word:
     return tuple(w)
 
 
-def rotations(word: Sequence[int]) -> list[Word]:
-    w = tuple(word)
-    return [w[i:] + w[:i] for i in range(max(len(w), 1))]
+def _rotation_strings(relators: Iterable[Sequence[int]]) -> list[str]:
+    """The cyclic rotations of each relator and of its inverse, deduplicated
+    and sorted, as strings of one character chr(x) per letter x.
+
+    Code-point order is tuple order, so the sort is the words' sort.  A
+    string takes a byte or two per letter where a tuple takes eight.
+    """
+    seen: set[str] = set()
+    for r in relators:
+        for w in (r, invert(r)):
+            s = "".join(map(chr, w))
+            seen.update(s[i:] + s[:i] for i in range(len(s)))
+    return sorted(seen)
 
 
 def symmetrize(relators: Iterable[Sequence[int]]) -> tuple[Word, ...]:
@@ -58,16 +68,7 @@ def symmetrize(relators: Iterable[Sequence[int]]) -> tuple[Word, ...]:
     Input relators must be cyclically reduced.  Returned sorted so callers
     iterate deterministically; treat it as a set.
     """
-    seen: set[Word] = set()
-    for r in relators:
-        r = tuple(r)
-        if not r:
-            continue
-        for w in rotations(r):
-            seen.add(w)
-        for w in rotations(invert(r)):
-            seen.add(w)
-    return tuple(sorted(seen))
+    return tuple(tuple(map(ord, s)) for s in _rotation_strings(relators))
 
 
 def _is_single_letter_alphabet(names: Sequence[str]) -> bool:
@@ -121,7 +122,7 @@ class Presentation:
 
     @cached_property
     def _small_cancellation(self) -> SmallCancellationReport:
-        return _scan_pieces(self.symmetrized)
+        return _scan_pieces(_rotation_strings(self.relators))
 
     def letter_name(self, x: int) -> str:
         name = self.generators[x >> 1]
@@ -266,18 +267,25 @@ def check_small_cancellation(p: Presentation) -> SmallCancellationReport:
     return p._small_cancellation
 
 
-def _scan_pieces(sym: tuple[Word, ...]) -> SmallCancellationReport:
+def _scan_pieces(sym: list[str]) -> SmallCancellationReport:
+    """The C'(1/6) report on sorted rotation strings (_rotation_strings)."""
     lam = Fraction(1, 6)
     if not sym:
         return SmallCancellationReport(True, 0, 0, True, lam)
-    min_len = min(len(w) for w in sym)
+    min_len = min(map(len, sym))
     max_piece = 0
     for a, b in zip(sym, sym[1:]):
-        k = 0
-        limit = min(len(a), len(b))
-        while k < limit and a[k] == b[k]:
-            k += 1
-        if k > max_piece:
-            max_piece = k
+        # the common prefix, by bisection over slice comparisons; a prefix
+        # no longer than the longest piece so far cannot raise it
+        lo, hi = max_piece, min(len(a), len(b))
+        if a[:lo] != b[:lo]:
+            continue
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if a[:mid] == b[:mid]:
+                lo = mid
+            else:
+                hi = mid - 1
+        max_piece = lo
     passes = max_piece < lam * min_len
     return SmallCancellationReport(passes, max_piece, min_len, False, lam)

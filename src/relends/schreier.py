@@ -7,14 +7,17 @@ scans visit cosets whose provisional distance is within radius + slack,
 filling gaps for cosets strictly inside the horizon and closing
 single-edge gaps on the horizon itself.  Coincidences go through a FIFO
 queue over a union-find with path halving; reads resolve stale targets
-lazily via find.  The first pass visits every coset; later passes visit
-only the cosets marked since (new cosets, cosets whose distance crossed the
-horizon, and horizon cosets whose open relator loop may have changed: after
-the first pass, those whose recorded loop frontier gained its letter or
-merged away, and from then on those found by walking relators from each
-coset that gained an edge), in ascending order, until a pass leaves none
-marked.  The skipped visits are the ones that would change nothing, so the
-tables are those a sweep over every coset in every pass would build.
+lazily via find.  A trace step that loops crosses the rest of its letter's
+run in one step: each later copy of the letter reads the same cell at the
+same coset, so it loops too.  The first pass visits every coset; later
+passes visit only the cosets marked since (new cosets, cosets whose
+distance crossed the horizon, and horizon cosets whose open relator loop
+may have changed: after the first pass, those whose recorded loop frontier
+gained its letter or merged away, and from then on those found by walking
+relators from each coset that gained an edge), in ascending order, until a
+pass leaves none marked.  The skipped visits are the ones that would
+change nothing, so the tables are those a sweep over every coset in every
+pass would build.
 Before each pass, the distances are settled to exact BFS distances from
 the rows whose edges changed.  The returned ball is truncated to the
 requested radius and relabeled in BFS order (generators in declared order,
@@ -167,6 +170,22 @@ class _Closure:
     touched: bool = False
 
 
+def _runs(w: Word) -> tuple[Word, list[int], list[int]]:
+    """w with its run bounds: ahead[i] is the end of the run of equal
+    letters that holds w[i], behind[j] the start of the run that holds
+    w[j - 1]."""
+    n = len(w)
+    ahead = list(range(1, n + 1))
+    for i in range(n - 2, -1, -1):
+        if w[i] == w[i + 1]:
+            ahead[i] = ahead[i + 1]
+    behind = list(range(-1, n))
+    for j in range(2, n + 1):
+        if w[j - 1] == w[j - 2]:
+            behind[j] = behind[j - 1]
+    return w, ahead, behind
+
+
 def _raw_enumerate(
     p: Presentation,
     h_words: tuple[Word, ...],
@@ -190,6 +209,18 @@ def _raw_enumerate(
     ascending order, the rows it defines included; each later pass visits
     the marked rows in ascending order, and the run ends when a pass leaves
     none marked.  settle() runs before each pass.
+
+    Run rule.  A relator trace that steps from f along letter x back to f
+    moves past the whole run of x in one step: forward, i goes to the end
+    of the run; backward, j goes to its start, which may lie before i: then
+    the traces met, as at j == i.  Every later copy of x in the run reads
+    the same cell at the same row and loops again, and a trace reads
+    without mutating, so the tables are those of the letter-by-letter
+    trace; only the union-find's path halving may differ.  Nothing is lost
+    by testing only for a loop: once merges drain, each letter acts on the
+    live rows as a partial permutation, so a letter that moves f to f' != f
+    cannot loop at f'.  Run bounds are built once per call for each
+    relator; the subgroup words, traced once, get trivial ones.
 
     The mutations are those of a sweep over every row in every pass, in the
     same order: a visit that would change nothing is the only kind skipped,
@@ -271,7 +302,7 @@ def _raw_enumerate(
     carried = _closure is not None and _closure.cells is not None
     if (horizon + 1) * L > node_budget and _free_rank(p, h_words) > 0:
         raise BudgetExceeded(node_budget, horizon, len(_closure.uf) if carried else 0)
-    relators = list(p.relators)
+    relators = [_runs(w) for w in p.relators]
     empty_row = (-1,) * L
     # mark[c] is cur when c is to be visited in this pass, nxt for the next
     cur, nxt = 1, 2
@@ -299,7 +330,7 @@ def _raw_enumerate(
     events: list[int] = []  # edge events as flat (row, letter) pairs
     # walks[x]: (word, start) pairs; an event (f, x) walks word[start:] from f
     walks: list[list[tuple[Word, int]]] = [[] for _ in range(L)]
-    for r in relators:
+    for r in p.relators:
         n = len(r)
         back = tuple(y ^ 1 for y in reversed(r))
         for i, x in enumerate(r):
@@ -359,8 +390,13 @@ def _raw_enumerate(
                 elif find(ta) != find(tb):
                     pending.append((ta, tb))
 
-    def scan(c: int, w: Word, fill: bool) -> None:
-        """Trace w at c; close the loop, deduce, fill, or leave it open."""
+    def scan(c: int, w: Word, ahead, behind, fill: bool) -> None:
+        """Trace w at c; close the loop, deduce, fill, or leave it open.
+
+        A step that loops crosses the rest of its letter's run: ahead[i] is
+        the end of the run holding w[i], behind[j] the start of the run
+        holding w[j - 1].
+        """
         nonlocal touched
         n = len(w)
         f = find(c)
@@ -369,8 +405,9 @@ def _raw_enumerate(
             t = cells[f * L + w[i]]
             if t < 0:
                 break
-            f = t if uf[t] == t else find(t)  # spare the call on a live row
-            i += 1
+            t = t if uf[t] == t else find(t)  # spare the call on a live row
+            i = ahead[i] if t == f else i + 1
+            f = t
         if i == n:
             back = find(c)
             if f != back:
@@ -382,9 +419,10 @@ def _raw_enumerate(
             t = cells[b * L + (w[j - 1] ^ 1)]
             if t < 0:
                 break
-            b = t if uf[t] == t else find(t)
-            j -= 1
-        if j == i:
+            t = t if uf[t] == t else find(t)
+            j = behind[j] if t == b else j - 1
+            b = t
+        if j <= i:  # crossing a run can carry j past i
             if f != b:
                 merge(f, b)
             return
@@ -483,8 +521,8 @@ def _raw_enumerate(
             d += 1
 
     if not carried:
-        for w in h_words:
-            scan(0, w, fill=True)
+        for w in h_words:  # traced once: no run bounds
+            scan(0, w, range(1, len(w) + 1), range(-1, len(w)), True)
         woken.clear()  # every row is marked for pass 1
 
     while True:
@@ -502,8 +540,8 @@ def _raw_enumerate(
                             new_row(c, x)
                 if d <= horizon:
                     inside = d < horizon
-                    for w in relators:
-                        scan(c, w, fill=inside)
+                    for w, ahead, behind in relators:
+                        scan(c, w, ahead, behind, inside)
                         if uf[c] != c:
                             break
             if woken or events:
@@ -539,7 +577,8 @@ def _relabel(cells: list[int], L: int, find, root: int, radius: int):
     resolves a stored target to its live representative.  Returns
     (table, dist).
     """
-    canon = {root: 0}
+    canon = [-1] * (len(cells) // L)
+    canon[root] = 0
     order = [root]
     dist = [0]
     head = 0
@@ -554,7 +593,7 @@ def _relabel(cells: list[int], L: int, find, root: int, radius: int):
             if t < 0:
                 continue
             t = find(t)
-            if t not in canon:
+            if canon[t] < 0:
                 canon[t] = len(order)
                 order.append(t)
                 dist.append(d + 1)
@@ -564,7 +603,7 @@ def _relabel(cells: list[int], L: int, find, root: int, radius: int):
         for v in order:
             t = cells[v * L + x]
             if t >= 0:
-                t = canon.get(find(t), -1)
+                t = canon[find(t)]
             col_out.append(t)
         table.append(col_out)
     return table, dist

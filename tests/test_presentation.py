@@ -1,18 +1,23 @@
 """Input format, letter encoding, and free-word arithmetic."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from relends import (
     ParseError,
+    Presentation,
+    check_small_cancellation,
     cyclic_reduce,
     free_reduce,
     invert,
     parse_file,
     parse_presentation,
 )
-from relends.presentation import word_from_text
+from relends.presentation import symmetrize, word_from_text
 
 from conftest import FREE2, GENUS2
 
@@ -131,3 +136,63 @@ def test_round_trip_through_text():
     for text in ("abAB", "cdCD", "aA", "1", "dcbaDCBA"):
         w = p.word_from_text(text)
         assert p.word_from_text(p.word_to_text(w)) == w
+
+
+def reference_pieces(relators):
+    """The symmetrized closure as tuples, and the C'(1/6) fields read off
+    it by comparing every pair of its words."""
+    sym = sorted({w[i:] + w[:i] for r in relators for w in (r, invert(r))
+                  for i in range(len(w))})
+    piece = 0
+    for u, v in itertools.combinations(sym, 2):
+        k = 0
+        while k < min(len(u), len(v)) and u[k] == v[k]:
+            k += 1
+        piece = max(piece, k)
+    if not sym:
+        return (), (True, 0, 0, True)
+    shortest = min(map(len, sym))
+    return tuple(sym), (piece < Fraction(shortest, 6), piece, shortest, False)
+
+
+def assert_pieces_match_the_reference(p):
+    sym, fields = reference_pieces(p.relators)
+    rep = check_small_cancellation(p)
+    assert (rep.passes, rep.max_piece_len, rep.min_relator_len, rep.vacuous) == fields
+    assert rep.threshold == Fraction(1, 6)
+    assert symmetrize(p.relators) == sym
+
+
+def presentations(n_generators):
+    letter = st.integers(0, 2 * n_generators - 1)
+    word = st.lists(letter, min_size=1, max_size=12)
+    # a power of a short word, whose rotations coincide
+    periodic = st.tuples(st.lists(letter, min_size=1, max_size=3), st.integers(2, 4)).map(
+        lambda t: t[0] * t[1])
+    relator = st.one_of(word, periodic).map(cyclic_reduce).filter(bool)
+    names = tuple("abc"[:n_generators]) if n_generators <= 3 else tuple(
+        f"g{i}" for i in range(1, n_generators + 1))
+    return st.lists(relator, max_size=3).map(lambda rs: Presentation(names, tuple(rs)))
+
+
+@given(st.sampled_from([1, 2, 3]).flatmap(presentations))
+def test_piece_report_matches_a_pairwise_scan(p):
+    assert_pieces_match_the_reference(p)
+
+
+@pytest.mark.parametrize("text", [
+    "generators: a b\nrelators:\n  ababab\n  aaaa\n",
+    "generators: a b\nrelators: abababab\n",
+    "generators: a\nrelators: aaaa\n",
+    "generators: a b\nrelators: abABaabb\n",
+    # letters 256 to 259 need more than a byte per character
+    "generators: " + " ".join(f"g{i}" for i in range(1, 131)) + "\nrelators:\n"
+    "  g130 g129 g130 g129 g130 g129\n  g1 g130 g128 G130\n  g129 g129 g129 G1\n",
+], ids=["ab3-a4", "ab4", "a4", "abABaabb", "g130"])
+def test_piece_report_of_periodic_and_wide_relators(text):
+    assert_pieces_match_the_reference(parse_presentation(text))
+
+
+@given(presentations(130))
+def test_piece_report_matches_a_pairwise_scan_past_letter_255(p):
+    assert_pieces_match_the_reference(p)

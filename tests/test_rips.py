@@ -6,6 +6,7 @@ import pytest
 
 from relends import (
     Presentation,
+    check_small_cancellation,
     enumerate_cosets,
     graphs_isomorphic,
     parse_presentation,
@@ -44,6 +45,18 @@ def test_verification_passes(built):
     assert rep.small_cancellation.min_relator_len == 481
     assert rep.quotient_recovered
     assert rep.conjugators_formal
+
+
+@pytest.mark.parametrize("text, fields", [
+    ("generators: x y\nrelators: none\n", (True, 60, 483)),
+    ("generators: x y\nrelators: xyXY\n", (True, 78, 965)),
+    (TRIVIAL_Q, (True, 48, 481)),
+], ids=["f2", "z2", "point"])
+def test_piece_reports_of_the_constructions(text, fields):
+    g = rips_construct(parse_presentation(text)).g_presentation
+    # a fresh presentation, so that the check runs again on the relators
+    rep = check_small_cancellation(Presentation(g.generators, g.relators))
+    assert (rep.passes, rep.max_piece_len, rep.min_relator_len) == fields
 
 
 @pytest.mark.parametrize("text", [ORDER2_Q, ORDER3_Q])

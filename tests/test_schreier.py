@@ -72,6 +72,13 @@ WAKES = [
     # stays empty: the trace grew through the merge
     ("bABabb", "generators: a b\nrelators: bABabb\n", (), 5),
 ]
+# a letter that loops at every row, so that a relator's trace crosses its
+# run in one step: a by the subgroup itself, and a after a coincidence in
+# Z/3 x Z, where <aa> = <a>
+LOOPS = [
+    ("z4xz-a", "generators: a b\nrelators:\n  aaaa\n  abAB\n", ("a",), 5),
+    ("z3xz-aa", "generators: a b\nrelators:\n  aaa\n  abAB\n", ("aa",), 5),
+]
 
 
 @dataclass(frozen=True)
@@ -298,30 +305,36 @@ def test_a_finite_index_subgroup_runs_at_any_horizon(text, gens):
 
 @pytest.mark.parametrize(
     "name, text, gens, top",
-    [(*case, 5) for case in CORPUS] + COLLAPSING + [RIPS_F2],
-    ids=[c[0] for c in CORPUS + COLLAPSING + [RIPS_F2]],
+    [(*case, 5) for case in CORPUS] + COLLAPSING + LOOPS + [RIPS_F2],
+    ids=[c[0] for c in CORPUS + COLLAPSING + LOOPS + [RIPS_F2]],
 )
 def test_enumerator_distances_are_bfs_distances(name, text, gens, top):
     runs = itertools.chain(*(raw_runs(text, gens, range(top + 1), r) for r in (False, True)))
     for horizon, p, (cells, uf, pdist, find) in runs:
-        L = p.n_letters
-        dist = {0: 0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for t in (find(t) for t in cells[v * L:(v + 1) * L] if t >= 0):
-                if t not in dist:
-                    dist[t] = dist[v] + 1
-                    queue.append(t)
-        live = [c for c in range(len(uf)) if uf[c] == c]
-        assert sorted(dist) == live, horizon
-        assert [pdist[c] for c in live] == [dist[c] for c in live], horizon
+        assert_bfs_distances(p, horizon, cells, uf, pdist, find)
+
+
+def assert_bfs_distances(p, horizon, cells, uf, pdist, find):
+    """The live rows are those reachable from the base, and pdist holds
+    their BFS distances."""
+    L = p.n_letters
+    dist = {0: 0}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for t in (find(t) for t in cells[v * L:(v + 1) * L] if t >= 0):
+            if t not in dist:
+                dist[t] = dist[v] + 1
+                queue.append(t)
+    live = [c for c in range(len(uf)) if uf[c] == c]
+    assert sorted(dist) == live, horizon
+    assert [pdist[c] for c in live] == [dist[c] for c in live], horizon
 
 
 @pytest.mark.parametrize(
     "name, text, gens, top",
-    [(*case, 5) for case in CORPUS] + COLLAPSING + WAKES + [RIPS_Z2, RIPS_F2],
-    ids=[c[0] for c in CORPUS + COLLAPSING + WAKES + [RIPS_Z2, RIPS_F2]],
+    [(*case, 5) for case in CORPUS] + COLLAPSING + WAKES + LOOPS + [RIPS_Z2, RIPS_F2],
+    ids=[c[0] for c in CORPUS + COLLAPSING + WAKES + LOOPS + [RIPS_Z2, RIPS_F2]],
 )
 def test_enumeration_stops_at_a_fixpoint(name, text, gens, top):
     # fresh and extended in place
@@ -359,6 +372,15 @@ def assert_fixpoint(p, horizon, cells, uf, pdist):
             # closed at c, or open on the horizon where nothing is filled
             closed = j == i and f == b
             assert closed or (j - i >= 2 and pdist[c] == horizon), (horizon, c, w)
+
+
+@pytest.mark.parametrize("name, text, gens, top", LOOPS, ids=[c[0] for c in LOOPS])
+def test_a_letter_that_loops_everywhere_leaves_a_line(name, text, gens, top):
+    # G / H is Z, generated by b; a is a loop at every vertex
+    p = parse_presentation(text)
+    ball = stable_ball(p, sub(p, *gens), top)
+    assert sphere_sizes(ball) == [1] + [2] * top
+    assert ball.table[0] == list(range(ball.n_vertices))
 
 
 @pytest.mark.parametrize("text, radius, order", [(A5, 11, 60), (S3, 3, 6)], ids=["a5", "s3"])
@@ -439,6 +461,30 @@ def test_three_generator_closures_reach_the_same_fixpoint(relators, h):
     for radius in range(h + 2):
         assert _finalize(p, cells, find, radius) == _finalize(
             p, fresh_cells, fresh_find, radius), radius
+
+
+# words built as runs of one letter: a, b and their inverses with exponents
+# one to six, so that a letter looping at a row sends a trace across its run
+run_words = st.lists(st.tuples(st.sampled_from("abAB"), st.integers(1, 6)),
+                     min_size=1, max_size=4).map(lambda runs: "".join(x * e for x, e in runs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(run_words, min_size=1, max_size=3), st.lists(run_words, max_size=1),
+       st.integers(0, 4))
+def test_traces_across_runs_reach_the_same_fixpoint(relators, gens, top):
+    listed = "".join(f"\n  {w}" for w in relators)
+    text = f"generators: a b\nrelators:{listed}\n"
+    fresh = raw_runs(text, gens, range(top + 1))
+    grown = raw_runs(text, gens, range(top + 1), resumed=True)
+    for (horizon, p, run), (_h, _p, grown_run) in zip(fresh, grown):
+        for cells, uf, pdist, find in (run, grown_run):
+            assert_fixpoint(p, horizon, cells, uf, pdist)
+            assert_bfs_distances(p, horizon, cells, uf, pdist, find)
+        (cells, _uf, _pdist, find), (fresh_cells, _uf, _pdist, fresh_find) = grown_run, run
+        for radius in range(horizon + 1):
+            assert _finalize(p, cells, find, radius) == _finalize(
+                p, fresh_cells, fresh_find, radius), (horizon, radius)
 
 
 def test_restrict_to_generators_reaches_fewer_cosets(genus2, trivial):
