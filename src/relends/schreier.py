@@ -12,12 +12,13 @@ run in one step: each later copy of the letter reads the same cell at the
 same coset, so it loops too.  The first pass visits every coset; later
 passes visit only the cosets marked since (new cosets, cosets whose
 distance crossed the horizon, and horizon cosets whose open relator loop
-may have changed: after the first pass, those whose recorded loop frontier
-gained its letter or merged away, and from then on those found by walking
-relators from each coset that gained an edge), in ascending order, until a
-pass leaves none marked.  The skipped visits are the ones that would
-change nothing, so the tables are those a sweep over every coset in every
-pass would build.
+may have changed: in the first pass, those whose loop stopped at both ends
+at the coset itself and which then gained an edge or took part in a merge;
+after it, those whose recorded loop frontier gained its letter or merged
+away; and from then on those found by walking relators from each coset
+that gained an edge), in ascending order, until a pass leaves none marked.
+The skipped visits are the ones that would change nothing, so the tables
+are those a sweep over every coset in every pass would build.
 Before each pass, the distances are settled to exact BFS distances from
 the rows whose edges changed.  The returned ball is truncated to the
 requested radius and relabeled in BFS order (generators in declared order,
@@ -234,11 +235,28 @@ def _raw_enumerate(
       two or more letters (an open loop), and that trace has since grown.
       A trace grows only when one of its two frontier rows gains the
       letter the trace stopped at.
-    Pass 1 does not walk.  It records each open trace as its row c and its
-    two frontier cells: the forward frontier row f's cell for w[i] and the
-    backward frontier row b's cell for w[j - 1]^-1.  One sweep over the
-    records runs after pass 1.  A record whose row has died is dropped: a
-    dead row's visit does nothing.  When f and b are still live and both
+    Pass 1 does not walk.  An open trace whose frontier rows are both c
+    itself (f == b == c: most often one that took no step either way) sets
+    c's wait flag instead of leaving a record.  For the rest of pass 1 a
+    flagged row that gains an edge is marked for the next pass, wherever a
+    row gains one in pass 1:
+    - a scan closing the last gap marks either end that is flagged;
+    - a merge marks the representative when either side is flagged;
+    - a fill chain marks its first row when it is flagged.  Its later rows
+      are new, and a visit defines its own missing edges before it scans,
+      on a row pass 1 visits once, so no other definition starts at a
+      flagged row.
+    A flagged row was visited at or before the visited row, so the next pass
+    is the right one for it.  Marking on any gain, not only on the trace's
+    two cells, and on a merge that only the dead side's flag calls for,
+    adds visits and nothing else, and a visit that changes nothing is
+    harmless.  A flag that no gain follows is the one the sweep below sets
+    for an ungrown trace, and it stays set into pass 2.
+    Every other open trace is recorded as its row c and its two frontier
+    cells: the forward frontier row f's cell for w[i] and the backward
+    frontier row b's cell for w[j - 1]^-1.  One sweep over the records runs
+    after pass 1.  A record whose row has died is dropped: a dead row's
+    visit does nothing.  When f and b are still live and both
     cells still empty, the trace has not grown: the cells along it stay
     filled and still lead to f and b, so c's visit would re-scan to the
     same open gap and change nothing but the wait flags it sets on f and
@@ -271,11 +289,10 @@ def _raw_enumerate(
     h, which takes in the rows past h that gap filling left -- is marked,
     and the run proceeds as a fresh one does after its subgroup scans: pass
     1 visits the marked rows and the rows it defines, with no walking, and
-    records every open trace for the sweep after it.  So every row whose
-    visit would change something is marked before the pass reaches it, the
-    worklist argument above holds from the first pass on, and the run stops
-    at a fixpoint of the visit rules at the new horizon, as the fresh run
-    does.
+    flags or records every open trace.  So every row whose visit would
+    change something is marked before the pass reaches it, the worklist
+    argument above holds from the first pass on, and the run stops at a
+    fixpoint of the visit rules at the new horizon, as the fresh run does.
     Every identification either table holds is true in G; the two runs
     make their definitions in a different order and may number and keep
     different rows past the horizon, but their truncated balls agree
@@ -322,9 +339,11 @@ def _raw_enumerate(
     # carried table's size, whichever is larger
     opened = array("i" if max(node_budget, len(cells)) <= 2**31 else "q")
     pending: deque[tuple[int, int]] = deque()
-    # an end of every edge added since the last settle; see settle()
+    # rows whose distance may be too high for a neighbour; see settle()
     dirty: list[int] = []
-    wait = bytearray()  # from pass 2 on: c is a frontier row of an open trace
+    # c is a frontier row of an open trace; in pass 1 only of c's own, and
+    # the bytes may end before the last row
+    wait = bytearray()
     walking = False  # from pass 2 on: record edge events and walk from them
     woken: list[int] = []  # rows whose distance crossed the horizon
     events: list[int] = []  # edge events as flat (row, letter) pairs
@@ -375,8 +394,11 @@ def _raw_enumerate(
                 pdist[a] = pdist[b]
             if pdist[a] <= watch:
                 touched = True
-            if walking and wait[b]:
-                wait[a] = 1
+            if walking:
+                if wait[b]:
+                    wait[a] = 1
+            elif len(wait) > a and (wait[a] or len(wait) > b and wait[b]):
+                mark[a] = nxt  # pass 1: a flagged row gains edges or merges
             dirty.append(a)
             for x in range(L):
                 ta = cells[a * L + x]
@@ -430,9 +452,15 @@ def _raw_enumerate(
             if not fill:
                 if walking:
                     wait[f] = wait[b] = 1
+                elif f == b == c:  # both frontiers at c: flag c, no record
+                    if len(wait) <= c:
+                        wait.extend(bytes(len(uf) - len(wait)))
+                    wait[c] = 1
                 else:  # no walk sees this loop change in pass 1
                     opened.extend((c, f * L + w[i], b * L + (w[j - 1] ^ 1)))
                 return
+            if not walking and len(wait) > f and wait[f]:
+                mark[f] = nxt  # pass 1: the fill gives a flagged row an edge
             while j > i + 1:
                 x = w[i]
                 t = cells[f * L + x]
@@ -451,12 +479,20 @@ def _raw_enumerate(
             return
         cells[f * L + x] = b
         cells[b * L + (x ^ 1)] = f
-        if pdist[f] <= watch and pdist[b] <= watch:
+        df, db = pdist[f], pdist[b]
+        if df <= watch and db <= watch:
             touched = True
-        dirty.append(f)
-        dirty.append(b)
+        if df > db + 1:
+            dirty.append(b)
+        elif db > df + 1:
+            dirty.append(f)
         if walking:
             events.extend((f, x, b, x ^ 1))
+        elif wait:  # pass 1: a flagged end gains x or x^-1
+            if len(wait) > f and wait[f]:
+                mark[f] = nxt
+            if len(wait) > b and wait[b]:
+                mark[b] = nxt
 
     def wake(c: int) -> None:
         """Mark the woken rows and the rows the edge events' walks reach."""
@@ -484,12 +520,16 @@ def _raw_enumerate(
 
         pdist only falls and is always the length of some walk.  An edge
         whose ends differ by more than one has its nearer end dirty: scan
-        marks both ends of an edge it closes, merge marks the representative
-        whose pdist it may lower (the merged row's edges that differ by more
-        than one already had a dirty nearer end), and a new row starts at
-        pdist[src] + 1.  So pushing every dirty row outward in distance
-        order (Dial's buckets) restores exactness.  A row whose distance
-        crosses the horizon is marked for the coming pass.
+        makes the nearer end of an edge it closes dirty when the ends differ
+        by more than one, merge makes dirty the representative whose pdist
+        it may lower (the merged row's edges that differ by more than one
+        already had a dirty nearer end), and a new row starts at pdist[src]
+        + 1.  An edge whose ends differ by at most one comes apart only when
+        an end's pdist falls, and that end is then a dirty merge
+        representative or a row pushed here, which reads all its edges.  So
+        pushing every dirty row outward in distance order (Dial's buckets)
+        restores exactness.  A row whose distance crosses the horizon is
+        marked for the coming pass.
         """
         nonlocal touched
         buckets: dict[int, list[int]] = {}
@@ -510,7 +550,8 @@ def _raw_enumerate(
                 for x in range(L):
                     t = cells[v * L + x]
                     if t >= 0:
-                        t = find(t)
+                        if uf[t] != t:
+                            t = find(t)
                         if pdist[t] > d + 1:
                             if d + 1 <= horizon <= pdist[t]:
                                 mark[t] = cur

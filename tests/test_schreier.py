@@ -71,6 +71,15 @@ WAKES = [
     # a frontier row of an open trace dies in pass 1 while its own cell
     # stays empty: the trace grew through the merge
     ("bABabb", "generators: a b\nrelators: bABabb\n", (), 5),
+    # pass 1 flags a horizon row whose open trace took no step either way,
+    # and a flagged row that then gains an edge is marked for pass 2: here
+    # by a deduction at it, by a merge into it and by a fill chain from it
+    ("bA-b", "generators: a b\nrelators:\n  bA\n  b\n", (), 2),
+    ("bAb-bbb", "generators: a b\nrelators:\n  bAb\n  bbb\n", (), 2),
+    ("AbAbaaab-bb", "generators: a b\nrelators:\n  AbAbaaab\n  bb\n", (), 3),
+    # an open trace whose frontier lies at another row must not be flagged
+    # at its own row: the flag misses its growth
+    ("aabaaB", "generators: a b\nrelators: aabaaB\n", (), 3),
 ]
 # a letter that loops at every row, so that a relator's trace crosses its
 # run in one step: a by the subgroup itself, and a after a coincidence in
