@@ -62,13 +62,17 @@ def _rotation_strings(relators: Iterable[Sequence[int]]) -> list[str]:
     return sorted(seen)
 
 
-def symmetrize(relators: Iterable[Sequence[int]]) -> tuple[Word, ...]:
-    """All cyclic rotations of each relator and of its inverse, deduplicated.
-
-    Input relators must be cyclically reduced.  Returned sorted so callers
-    iterate deterministically; treat it as a set.
-    """
-    return tuple(tuple(map(ord, s)) for s in _rotation_strings(relators))
+def _common_prefix(a: str, b: str, lo: int = 0) -> int:
+    """Length of the common prefix of a and b, whose first lo characters the
+    caller knows to agree: a bisection over slice comparisons."""
+    hi = min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def _is_single_letter_alphabet(names: Sequence[str]) -> bool:
@@ -93,8 +97,9 @@ def _check_generator_names(names: Sequence[str]) -> None:
 class Presentation:
     """A finite presentation: generator names plus cyclically reduced relators.
 
-    The symmetrized closure (rotations and inverses of every relator) and
-    its C'(1/6) report are computed once, on first use.
+    The symmetrized closure (rotations and inverses of every relator, as
+    the sorted strings of _rotation_strings) and its C'(1/6) report are
+    computed once, on first use.
     """
 
     generators: tuple[str, ...]
@@ -117,12 +122,12 @@ class Presentation:
         return 2 * len(self.generators)
 
     @cached_property
-    def symmetrized(self) -> tuple[Word, ...]:
-        return symmetrize(self.relators)
+    def _rotations(self) -> list[str]:
+        return _rotation_strings(self.relators)
 
     @cached_property
     def _small_cancellation(self) -> SmallCancellationReport:
-        return _scan_pieces(_rotation_strings(self.relators))
+        return _scan_pieces(self._rotations)
 
     def letter_name(self, x: int) -> str:
         name = self.generators[x >> 1]
@@ -275,17 +280,8 @@ def _scan_pieces(sym: list[str]) -> SmallCancellationReport:
     min_len = min(map(len, sym))
     max_piece = 0
     for a, b in zip(sym, sym[1:]):
-        # the common prefix, by bisection over slice comparisons; a prefix
-        # no longer than the longest piece so far cannot raise it
-        lo, hi = max_piece, min(len(a), len(b))
-        if a[:lo] != b[:lo]:
-            continue
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if a[:mid] == b[:mid]:
-                lo = mid
-            else:
-                hi = mid - 1
-        max_piece = lo
+        # a prefix no longer than the longest piece so far cannot raise it
+        if a[:max_piece] == b[:max_piece]:
+            max_piece = _common_prefix(a, b, max_piece)
     passes = max_piece < lam * min_len
     return SmallCancellationReport(passes, max_piece, min_len, False, lam)

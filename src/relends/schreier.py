@@ -10,15 +10,14 @@ queue over a union-find with path halving; reads resolve stale targets
 lazily via find.  A trace step that loops crosses the rest of its letter's
 run in one step: each later copy of the letter reads the same cell at the
 same coset, so it loops too.  The first pass visits every coset; later
-passes visit only the cosets marked since (new cosets, cosets whose
-distance crossed the horizon, and horizon cosets whose open relator loop
-may have changed: in the first pass, those whose loop stopped at both ends
-at the coset itself and which then gained an edge or took part in a merge;
-after it, those whose recorded loop frontier gained its letter or merged
-away; and from then on those found by walking relators from each coset
-that gained an edge), in ascending order, until a pass leaves none marked.
-The skipped visits are the ones that would change nothing, so the tables
-are those a sweep over every coset in every pass would build.
+passes visit only the cosets marked since, in ascending order, until a pass
+leaves none marked: new cosets, cosets whose distance crossed the horizon,
+and horizon cosets with an open relator loop that may have grown.  An open
+loop waits on the two frontier cosets where its trace stopped, and wakes
+when either gains an edge or takes part in a merge: the watched-literal
+scheme of SAT solvers (Moskewicz et al., Chaff, 2001), with the same rule
+in every pass.  The skipped visits are the ones that would change nothing,
+so the tables are those a sweep over every coset in every pass would build.
 Before each pass, the distances are settled to exact BFS distances from
 the rows whose edges changed.  The returned ball is truncated to the
 requested radius and relabeled in BFS order (generators in declared order,
@@ -223,60 +222,36 @@ def _raw_enumerate(
     cannot loop at f'.  Run bounds are built once per call for each
     relator; the subgroup words, traced once, get trivial ones.
 
-    The mutations are those of a sweep over every row in every pass, in the
-    same order: a visit that would change nothing is the only kind skipped,
-    because every row whose visit would change something is marked before
-    the pass reaches it.  A visit at d < horizon leaves c with every edge
-    and every relator loop closed, and a closed loop stays closed through
-    any later merge.  So a row can only need another visit when
+    Wake rule.  The mutations are those of a sweep over every row in every
+    pass, in the same order: a visit that would change nothing is the only
+    kind skipped, because every row whose visit would change something is
+    marked before the pass reaches it.  A visit at d < horizon leaves c
+    with every edge and every relator loop closed, and a closed loop stays
+    closed through any later merge.  So a row can only need another visit
+    when
     - it is new, or its distance crosses the horizon in merge or settle;
       such a row is marked;
     - it is on the horizon, a relator's trace at it stopped with a gap of
       two or more letters (an open loop), and that trace has since grown.
-      A trace grows only when one of its two frontier rows gains the
-      letter the trace stopped at.
-    Pass 1 does not walk.  An open trace whose frontier rows are both c
-    itself (f == b == c: most often one that took no step either way) sets
-    c's wait flag instead of leaving a record.  For the rest of pass 1 a
-    flagged row that gains an edge is marked for the next pass, wherever a
-    row gains one in pass 1:
-    - a scan closing the last gap marks either end that is flagged;
-    - a merge marks the representative when either side is flagged;
-    - a fill chain marks its first row when it is flagged.  Its later rows
-      are new, and a visit defines its own missing edges before it scans,
-      on a row pass 1 visits once, so no other definition starts at a
-      flagged row.
-    A flagged row was visited at or before the visited row, so the next pass
-    is the right one for it.  Marking on any gain, not only on the trace's
-    two cells, and on a merge that only the dead side's flag calls for,
-    adds visits and nothing else, and a visit that changes nothing is
-    harmless.  A flag that no gain follows is the one the sweep below sets
-    for an ungrown trace, and it stays set into pass 2.
-    Every other open trace is recorded as its row c and its two frontier
-    cells: the forward frontier row f's cell for w[i] and the backward
-    frontier row b's cell for w[j - 1]^-1.  One sweep over the records runs
-    after pass 1.  A record whose row has died is dropped: a dead row's
-    visit does nothing.  When f and b are still live and both
-    cells still empty, the trace has not grown: the cells along it stay
-    filled and still lead to f and b, so c's visit would re-scan to the
-    same open gap and change nothing but the wait flags it sets on f and
-    b.  The sweep sets those flags itself and leaves c unmarked (should c
-    leave the horizon, merge or settle marks it).  Set before pass 2
-    rather than at c's turn in it, the flags only add walks, and a walk
-    only marks rows.  Any other record's trace may have grown, and its row
-    is marked for pass 2.  So the skipped visits change nothing, and the
-    tables stay those of the full sweep.  From pass 2 on, an open scan
-    sets wait on its two frontier rows itself (a merge passes the flag to
-    the representative), and every edge event at a flagged row
-    -- a live row f gaining letter x: both ends of a deduction, the source
-    of a new row, and each column a merge gives the representative from
-    one side only -- walks back from f along r[:i] for every relator
-    position with r[i] = x and forward along r[i + 1:] for every r[i] =
-    x^-1, and marks the row each completed walk reaches: the row whose
-    trace the event may have grown.  Walks run after the visit, when no
-    merge is pending.  A row marked above the visited one is visited in
-    this pass, any other in the next; the two mark values alternate between
-    passes and never meet on one row.
+    The cells along an open trace stay filled and still lead, through find,
+    to its two frontier rows f and b, so the trace grows only when f or b
+    gains the letter it stopped at or takes part in a merge.  A scan that
+    leaves a trace open at c therefore makes c wait on f and on b: one bit
+    on c when the frontier row is c itself (f == b == c for three in four
+    open traces on genus 2), else an entry on the frontier row's chain.  A
+    row gains an edge
+    - at either end of an edge a scan closes;
+    - in the visit's own definitions;
+    - at the first row of a fill chain (its later rows are new);
+    - on both sides of a merge;
+    and there it wakes all its waiters and drops them.  After the visit, a
+    woken row above the visited one is marked for this pass, any other for
+    the next: that is where the sweep would next visit it.  The two mark
+    values alternate between passes and never meet on one row.  Waking on
+    any gain, not only on the letter the trace stopped at, on a merge
+    whatever it gives, and at the live row of a waiter that has died, only
+    adds visits, and a visit that changes nothing is harmless.  The rule is
+    the same in every pass, of a fresh run and of an extension alike.
 
     Extension in place (resumed = fresh).  Handed the closure record of an
     earlier call at horizon h < horizon, the run continues from that table
@@ -288,11 +263,11 @@ def _raw_enumerate(
     subgroup words are not traced again.  Every other live row -- pdist >=
     h, which takes in the rows past h that gap filling left -- is marked,
     and the run proceeds as a fresh one does after its subgroup scans: pass
-    1 visits the marked rows and the rows it defines, with no walking, and
-    flags or records every open trace.  So every row whose visit would
-    change something is marked before the pass reaches it, the worklist
-    argument above holds from the first pass on, and the run stops at a
-    fixpoint of the visit rules at the new horizon, as the fresh run does.
+    1 visits the marked rows and the rows it defines, and every open trace
+    waits on its frontier rows.  So every row whose visit would change
+    something is marked before the pass reaches it, the wake rule above
+    holds from the first pass on, and the run stops at a fixpoint of the
+    visit rules at the new horizon, as the fresh run does.
     Every identification either table holds is true in G; the two runs
     make their definitions in a different order and may number and keep
     different rows past the horizon, but their truncated balls agree
@@ -334,27 +309,22 @@ def _raw_enumerate(
         mark = bytearray([cur])
         watch = -1
     touched = not carried
-    # pass 1's open traces as flat (row, forward frontier cell, backward
-    # frontier cell) triples; every cell index is below the budget or the
-    # carried table's size, whichever is larger
-    opened = array("i" if max(node_budget, len(cells)) <= 2**31 else "q")
     pending: deque[tuple[int, int]] = deque()
     # rows whose distance may be too high for a neighbour; see settle()
     dirty: list[int] = []
-    # c is a frontier row of an open trace; in pass 1 only of c's own, and
-    # the bytes may end before the last row
+    # rows to mark after the visit: rows whose distance crossed the horizon,
+    # and the waiters of rows that gained an edge
+    woken: list[int] = []
+    # what waits on row f: bit 1 of wait[f] is f itself, bit 2 a chain of
+    # other rows; the bytes may end before the last row
     wait = bytearray()
-    walking = False  # from pass 2 on: record edge events and walk from them
-    woken: list[int] = []  # rows whose distance crossed the horizon
-    events: list[int] = []  # edge events as flat (row, letter) pairs
-    # walks[x]: (word, start) pairs; an event (f, x) walks word[start:] from f
-    walks: list[list[tuple[Word, int]]] = [[] for _ in range(L)]
-    for r in p.relators:
-        n = len(r)
-        back = tuple(y ^ 1 for y in reversed(r))
-        for i, x in enumerate(r):
-            walks[x].append((back, n - i))
-            walks[x ^ 1].append((r, i + 1))
+    # the chains: head[f] is f's newest entry while bit 2 is set; entry e
+    # holds the waiting row held[e] and the entry before it, link[e] (-1
+    # ends a chain).  'i' holds every row number below the budget or the
+    # carried table's size, whichever is larger; at 8 bytes an entry, memory
+    # runs out long before 2**31 entries.
+    code = "i" if max(node_budget, len(cells)) <= 2**31 else "q"
+    head, link, held = array(code), array(code), array(code)
 
     def find(c: int) -> int:
         while uf[c] != c:
@@ -372,10 +342,30 @@ def _raw_enumerate(
         mark.append(cur)
         cells[src * L + x] = t
         cells[t * L + (x ^ 1)] = src
-        if walking:
-            wait.append(0)
-            events.extend((src, x))
         return t
+
+    def hold(f: int, c: int) -> None:
+        """Make row c wait on row f, where an open trace at c stopped."""
+        if f == c:
+            wait[c] |= 1
+            return
+        if len(head) <= f:
+            head.frombytes(bytes((len(uf) - len(head)) * head.itemsize))
+        link.append(head[f] if wait[f] & 2 else -1)
+        held.append(c)
+        head[f] = len(held) - 1
+        wait[f] |= 2
+
+    def gain(f: int) -> None:
+        """Row f gained an edge or took part in a merge: its waiters wake."""
+        w, wait[f] = wait[f], 0
+        if w & 1:
+            woken.append(f)
+        if w & 2:
+            e = head[f]
+            while e >= 0:
+                woken.append(held[e])
+                e = link[e]
 
     def merge(a: int, b: int) -> None:
         nonlocal touched
@@ -394,17 +384,14 @@ def _raw_enumerate(
                 pdist[a] = pdist[b]
             if pdist[a] <= watch:
                 touched = True
-            if walking:
-                if wait[b]:
-                    wait[a] = 1
-            elif len(wait) > a and (wait[a] or len(wait) > b and wait[b]):
-                mark[a] = nxt  # pass 1: a flagged row gains edges or merges
+            if len(wait) > a and wait[a]:
+                gain(a)
+            if len(wait) > b and wait[b]:
+                gain(b)
             dirty.append(a)
             for x in range(L):
                 ta = cells[a * L + x]
                 tb = cells[b * L + x]
-                if walking and (ta < 0) != (tb < 0):
-                    events.extend((a, x))  # the side without x gains it
                 if tb < 0:
                     continue
                 if ta < 0:
@@ -449,18 +436,19 @@ def _raw_enumerate(
                 merge(f, b)
             return
         if j > i + 1:
-            if not fill:
-                if walking:
-                    wait[f] = wait[b] = 1
-                elif f == b == c:  # both frontiers at c: flag c, no record
-                    if len(wait) <= c:
-                        wait.extend(bytes(len(uf) - len(wait)))
-                    wait[c] = 1
-                else:  # no walk sees this loop change in pass 1
-                    opened.extend((c, f * L + w[i], b * L + (w[j - 1] ^ 1)))
+            if not fill:  # c waits for f or b to gain an edge
+                top = len(wait)
+                if top <= c or top <= f or top <= b:
+                    wait.extend(bytes(len(uf) - top))
+                if f == b == c:  # most open traces took no step either way
+                    wait[c] |= 1
+                else:
+                    hold(f, c)
+                    if b != f:
+                        hold(b, c)
                 return
-            if not walking and len(wait) > f and wait[f]:
-                mark[f] = nxt  # pass 1: the fill gives a flagged row an edge
+            if len(wait) > f and wait[f]:
+                gain(f)  # the fill chain's first row gains an edge
             while j > i + 1:
                 x = w[i]
                 t = cells[f * L + x]
@@ -486,34 +474,19 @@ def _raw_enumerate(
             dirty.append(b)
         elif db > df + 1:
             dirty.append(f)
-        if walking:
-            events.extend((f, x, b, x ^ 1))
-        elif wait:  # pass 1: a flagged end gains x or x^-1
+        if wait:
             if len(wait) > f and wait[f]:
-                mark[f] = nxt
+                gain(f)
             if len(wait) > b and wait[b]:
-                mark[b] = nxt
+                gain(b)
 
     def wake(c: int) -> None:
-        """Mark the woken rows and the rows the edge events' walks reach."""
+        """Mark the woken rows: those above c for this pass, the rest for
+        the next."""
         for g in woken:
             g = find(g)
             mark[g] = cur if g > c else nxt
         woken.clear()
-        for k in range(0, len(events), 2):
-            f = find(events[k])
-            if not wait[f]:
-                continue
-            for word, start in walks[events[k + 1]]:
-                g = f
-                for y in word[start:]:
-                    t = cells[g * L + y]
-                    if t < 0:
-                        break
-                    g = t if uf[t] == t else find(t)
-                else:
-                    mark[g] = cur if g > c else nxt
-        events.clear()
 
     def settle() -> None:
         """Lower pdist to exact BFS distances on live rows.
@@ -576,6 +549,8 @@ def _raw_enumerate(
             if uf[c] == c:
                 d = pdist[c]
                 if d < horizon:
+                    if len(wait) > c and wait[c]:
+                        gain(c)  # c gains its missing edges
                     for x in range(L):
                         if cells[c * L + x] < 0:
                             new_row(c, x)
@@ -585,25 +560,12 @@ def _raw_enumerate(
                         scan(c, w, ahead, behind, inside)
                         if uf[c] != c:
                             break
-            if woken or events:
+            if woken:
                 wake(c)
             c += 1  # the next row is usually marked, always in pass 1
             if c == len(mark) or mark[c] != cur:
                 c = mark.find(cur, c)
         cur, nxt = nxt, cur
-        walking = True
-        wait.extend(bytes(len(uf) - len(wait)))  # new rows append their own
-        if opened:  # after pass 1: rescan the open traces that grew
-            flat = iter(opened)
-            for c, fx, bx in zip(flat, flat, flat):
-                if uf[c] != c:
-                    continue
-                f, b = fx // L, bx // L
-                if cells[fx] < 0 and cells[bx] < 0 and uf[f] == f and uf[b] == b:
-                    wait[f] = wait[b] = 1
-                else:
-                    mark[c] = cur
-        opened = None
 
     if _closure is not None:
         _closure.cells, _closure.uf, _closure.pdist = cells, uf, pdist

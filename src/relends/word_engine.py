@@ -19,6 +19,7 @@ from .presentation import (
     Presentation,
     SubgroupSpec,
     Word,
+    _common_prefix,
     check_small_cancellation,
     free_reduce,
     invert,
@@ -72,24 +73,27 @@ def dehn_reduce(w: Word, p: Presentation) -> Word:
     more than half of itself at a position: two would share a prefix longer
     than any piece.  That relator shares the longest prefix with the rest of
     the word, so in the sorted closure it sits next to the word's insertion
-    point.  Each replacement strictly shortens the word (the threshold
-    2|u| > |r| is strict), so the loop terminates.
+    point.  The closure is the presentation's sorted rotation strings, one
+    character per letter, so the word is searched as a string too; only the
+    replaced piece goes back to letters.  Each replacement strictly shortens
+    the word (the threshold 2|u| > |r| is strict), so the loop terminates.
     """
     if not check_small_cancellation(p).passes:
         raise StrategyError("Dehn's algorithm needs a C'(1/6) presentation")
-    sym = p.symmetrized
-    max_len = max((len(r) for r in sym), default=0)
+    sym = p._rotations
+    max_len = max(map(len, sym), default=0)
     word = free_reduce(w)
+    text = "".join(map(chr, word))
     i = 0
     while i < len(word):
-        window = word[i : i + max_len]
+        window = text[i : i + max_len]
         j = bisect_left(sym, window)
         for r in sym[max(j - 1, 0) : j + 1]:
-            k = 0
-            while k < len(window) and k < len(r) and window[k] == r[k]:
-                k += 1
+            k = _common_prefix(window, r)
             if 2 * k > len(r):
-                word = free_reduce(word[:i] + invert(r[k:]) + word[i + k :])
+                piece = invert(tuple(map(ord, r[k:])))
+                word = free_reduce(word[:i] + piece + word[i + k :])
+                text = "".join(map(chr, word))
                 i = 0  # leftmost first: rescan from the start
                 break
         else:

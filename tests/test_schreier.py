@@ -62,23 +62,23 @@ COLLAPSING = [
     ("a3b2ab2", "generators: a b\nrelators: aaabbabab\n", (), 6),
 ] + FINITE
 # small presentations, found by a seeded search, on which dropping any one
-# of the enumerator's wake rules leaves a table that is not a fixpoint
+# of the enumerator's wake sites leaves a table that is not a fixpoint.  An
+# open relator trace waits on its two frontier rows, and a row that gains an
+# edge wakes its waiters: at either end of an edge a scan closes (bA-b,
+# ABABB, BAbaB-BAAB-Ba), on a merge's representative side (bAb-bbb, ABABB)
+# and its dead side (BAAAbAA-b, bABabb), in a visit's own definitions
+# (BaaBBB, aabaaB) and at the first row of a fill chain (AbAbaaab-bb).  A
+# trace whose frontier lies at another row waits on that row, not on its
+# own (aabaaB, BaaBBB).
 WAKES = [
     ("BAAAbAA-b", "generators: a b\nrelators:\n  BAAAbAA\n  b\n", (), 3),
     ("ABABB", "generators: a b\nrelators: ABABB\n", (), 4),
     ("BAbaB-BAAB-Ba", "generators: a b\nrelators:\n  BAbaB\n  BAAB\n  Ba\n", ("BB",), 3),
     ("BaaBBB", "generators: a b\nrelators: BaaBBB\n", ("aB",), 4),
-    # a frontier row of an open trace dies in pass 1 while its own cell
-    # stays empty: the trace grew through the merge
     ("bABabb", "generators: a b\nrelators: bABabb\n", (), 5),
-    # pass 1 flags a horizon row whose open trace took no step either way,
-    # and a flagged row that then gains an edge is marked for pass 2: here
-    # by a deduction at it, by a merge into it and by a fill chain from it
     ("bA-b", "generators: a b\nrelators:\n  bA\n  b\n", (), 2),
     ("bAb-bbb", "generators: a b\nrelators:\n  bAb\n  bbb\n", (), 2),
     ("AbAbaaab-bb", "generators: a b\nrelators:\n  AbAbaaab\n  bb\n", (), 3),
-    # an open trace whose frontier lies at another row must not be flagged
-    # at its own row: the flag misses its growth
     ("aabaaB", "generators: a b\nrelators: aabaaB\n", (), 3),
 ]
 # a letter that loops at every row, so that a relator's trace crosses its

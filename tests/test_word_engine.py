@@ -40,22 +40,28 @@ def test_no_relators_is_vacuously_small_cancellation(f2):
 
 
 def test_dehn_scans_pieces_once_per_presentation(monkeypatch):
-    scans = []
-    scan = presentation._scan_pieces
+    # the piece scan and Dehn's algorithm share one closure, built once
+    calls = {"_scan_pieces": 0, "_rotation_strings": 0}
 
-    def counted(sym):
-        scans.append(sym)
-        return scan(sym)
+    def counted(name):
+        original = getattr(presentation, name)
 
-    monkeypatch.setattr(presentation, "_scan_pieces", counted)
+        def call(arg):
+            calls[name] += 1
+            return original(arg)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(presentation, name, counted(name))
     p = parse_presentation(GENUS2)
     for text in ("abABcdCD", "abABc", "dabABcdCDD"):
         dehn_reduce(p.word_from_text(text), p)
     assert check_small_cancellation(p).passes
-    assert len(scans) == 1
+    assert calls == {"_scan_pieces": 1, "_rotation_strings": 1}
 
 
-@pytest.mark.parametrize("cache", ["_symmetrized", "_small_cancellation"])
+@pytest.mark.parametrize("cache", ["_rotations", "_small_cancellation"])
 def test_caches_cannot_be_forged_through_the_constructor(torus, cache):
     # a forged empty closure would pass C'(1/6) vacuously and send the
     # torus to Dehn's algorithm
