@@ -12,7 +12,9 @@ annulus conditions test only pairs whose in-ball distance
 Verdicts are deliberately conservative: a finite answer needs the class
 history constant across the window AND a stable ball (or a stable ball
 whose rim is empty, which closes the coset table: 0 ends); a strictly
-growing history reads as infinite; anything else is "uncertified".
+growing history reads as infinite; anything else is "uncertified".  Over
+the trivial subgroup, a finite count that the theorems of Hopf and
+Freudenthal forbid is "uncertified" too.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 from .constants import ConstantsLedger, annulus_inner_radius
 from .presentation import Presentation, SubgroupSpec
-from .schreier import Ball, DEFAULT_NODE_BUDGET, UnstableBallError, stable_ball
+from .schreier import Ball, DEFAULT_NODE_BUDGET, UnstableBallError, _free_rank, stable_ball
 
 INFINITE = "infinite (non-stabilizing)"
 UNCERTIFIED = "uncertified"
@@ -110,6 +112,8 @@ def count_relative_ends(
     enumerated out to the largest probe's outer radius and escalated until
     stable; an unstable ball at max_slack is an error, not a number.  A
     stable ball with an empty rim is a complete coset table, so it reads 0.
+    With H = 1, a finite count that no group has (above 2, or 2 when the
+    abelianization has rank 2 or more) is uncertified.
     """
     if not probe_r0s or any(a >= b for a, b in zip(probe_r0s, probe_r0s[1:])):
         raise ValueError("probe_r0s must be nonempty and strictly ascending")
@@ -129,6 +133,11 @@ def count_relative_ends(
         # every row below the horizon is complete and closed: a complete
         # coset table, so H has finite index and the graph no ends
         verdict = 0
+    if not h.words and isinstance(verdict, int) and (
+            verdict > 2 or (verdict == 2 and _free_rank(p, ()) >= 2)):
+        # Hopf, Freudenthal: a group has 0, 1, 2 or infinitely many ends,
+        # and a two-ended group is virtually Z, of abelian rank at most 1
+        verdict = UNCERTIFIED
     return EndsReport(count=verdict, class_history=tuple(history))
 
 

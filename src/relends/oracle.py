@@ -227,7 +227,13 @@ def canonical_code(ball: Ball) -> tuple[int, ...]:
 
 
 def graphs_isomorphic(g1: Ball, g2: Ball) -> bool:
-    """Base- and label-preserving isomorphism of truncated balls."""
+    """Base- and label-preserving isomorphism of truncated balls.
+
+    Every Ball constructor emits the canonical BFS labeling, under which
+    the only such isomorphism is the identity, so isomorphic balls have
+    equal tables: canonical_code of either is L followed by its table read
+    row by row.
+    """
     if g1.gen_names != g2.gen_names:
         raise ValueError("balls are over different generator alphabets")
-    return canonical_code(g1) == canonical_code(g2)
+    return g1.table == g2.table

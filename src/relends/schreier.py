@@ -66,6 +66,7 @@ class Ball:
     leads out of the enumerated region).  Vertex 0 is the base; dist is the
     BFS distance from it.  stable records whether slack + 1 reproduced the
     identical ball; results from unstable balls are uncertified.
+    Because the labeling is canonical, isomorphic balls have equal tables.
     """
 
     gen_names: tuple[str, ...]

@@ -1,6 +1,7 @@
 """Shared presentations and helpers for the test suite."""
 
 import pytest
+from hypothesis import strategies as st
 
 from relends import parse_presentation
 from relends.presentation import SubgroupSpec, word_from_text
@@ -10,6 +11,10 @@ FREE2 = "generators: a b\nrelators: none\n"
 LINE = "generators: a\nrelators: none\n"
 TORUS = "generators: a b\nrelators: abAB\n"
 TRIVIAL_Q_TEXT = "generators: x\nrelators: x\n"
+
+# a word of one to seven letters over a and b, for random presentations and
+# subgroups
+short_words = st.text("abAB", min_size=1, max_size=7)
 
 
 def sub(p, *texts):

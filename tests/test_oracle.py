@@ -11,10 +11,12 @@ from relends import (
     free_schreier_ball,
     graphs_isomorphic,
     parse_presentation,
+    restrict_to_generators,
+    stable_ball,
     stallings_fold,
 )
 
-from conftest import FREE2, sub
+from conftest import FREE2, short_words, sub
 
 
 def test_fold_needs_a_free_ambient_group(genus2):
@@ -118,6 +120,45 @@ def test_isomorphism_rejects_different_balls(f2, trivial):
     tree = free_schreier_ball(stallings_fold(f2, trivial), 2)
     quotient = free_schreier_ball(stallings_fold(f2, sub(f2, "a")), 2)
     assert not graphs_isomorphic(tree, quotient)
+
+
+def flattened(ball):
+    """L, then each vertex's targets in letter order: canonical_code's layout."""
+    return (ball.n_letters, *(col[v] for v in range(ball.n_vertices) for col in ball.table))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(short_words, max_size=2), st.lists(short_words, max_size=2),
+       st.integers(0, 3), st.sampled_from([("a",), ("b",), ("b", "a")]))
+def test_every_ball_is_canonically_labeled(relators, gens, radius, names):
+    # graphs_isomorphic compares tables, which is exact only because every
+    # Ball constructor emits the canonical BFS labeling
+    listed = "".join(f"\n  {w}" for w in relators) or " none"
+    p = parse_presentation(f"generators: a b\nrelators:{listed}\n")
+    h = sub(p, *gens)
+    ball = stable_ball(p, h, radius, max_slack=2)
+    balls = [
+        ball,
+        enumerate_cosets(p, h, radius),
+        restrict_to_generators(ball, names),
+        free_schreier_ball(stallings_fold(FREE[2], sub(FREE[2], *gens)), radius),
+    ]
+    for b in balls:
+        assert canonical_code(b) == flattened(b)
+    for g1 in balls:
+        for g2 in balls:
+            if g1.gen_names == g2.gen_names:
+                assert graphs_isomorphic(g1, g2) == (canonical_code(g1) == canonical_code(g2))
+
+
+def test_isomorphism_tells_the_axes_apart(f2):
+    # same shape, different labels: no label-preserving isomorphism
+    along_a = free_schreier_ball(stallings_fold(f2, sub(f2, "a")), 2)
+    along_b = free_schreier_ball(stallings_fold(f2, sub(f2, "b")), 2)
+    assert along_a.n_vertices == along_b.n_vertices
+    assert canonical_code(along_a) != canonical_code(along_b)
+    assert not graphs_isomorphic(along_a, along_b)
+    assert graphs_isomorphic(along_a, enumerate_cosets(f2, sub(f2, "a"), 2))
 
 
 def test_free_ball_of_radius_zero_is_the_base(f2, trivial):

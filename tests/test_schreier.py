@@ -35,7 +35,7 @@ from relends import (
 from relends.presentation import free_reduce, invert
 from relends.schreier import DEFAULT_NODE_BUDGET, _Closure, _finalize, _raw_enumerate
 
-from conftest import FREE2, GENUS2, LINE, TORUS, sub, walk
+from conftest import FREE2, GENUS2, LINE, TORUS, short_words, sub, walk
 
 # a presentation whose radius-2 ball shrinks once the enumeration digs deeper
 SHIFTY = "generators: a b\nrelators: bbabbb\n"
@@ -423,10 +423,7 @@ def test_tables_grown_in_place_match_pinned_digests():
 
 
 # random two-generator presentations: up to two relators and one subgroup
-# generator, each a word of one to seven letters
-short_words = st.text("abAB", min_size=1, max_size=7)
-
-
+# generator
 @settings(max_examples=150, deadline=None)
 @given(st.lists(short_words, max_size=2), st.lists(short_words, max_size=1),
        st.integers(0, 4))

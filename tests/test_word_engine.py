@@ -1,5 +1,7 @@
 """The word problem: Dehn reduction against walks through a bounded ball."""
 
+from functools import cached_property
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -64,7 +66,9 @@ def test_dehn_scans_pieces_once_per_presentation(monkeypatch):
 @pytest.mark.parametrize("cache", ["_rotations", "_small_cancellation"])
 def test_caches_cannot_be_forged_through_the_constructor(torus, cache):
     # a forged empty closure would pass C'(1/6) vacuously and send the
-    # torus to Dehn's algorithm
+    # torus to Dehn's algorithm; any unknown keyword raises TypeError, so
+    # first make sure the name is a cache at all
+    assert isinstance(presentation.Presentation.__dict__[cache], cached_property)
     with pytest.raises(TypeError):
         presentation.Presentation(torus.generators, torus.relators, **{cache: ()})
 
