@@ -18,10 +18,12 @@ when either gains an edge or takes part in a merge: the watched-literal
 scheme of SAT solvers (Moskewicz et al., Chaff, 2001), with the same rule
 in every pass.  The skipped visits are the ones that would change nothing,
 so the tables are those a sweep over every coset in every pass would build.
-Before each pass, the distances are settled to exact BFS distances from
-the rows whose edges changed.  The returned ball is truncated to the
-requested radius and relabeled in BFS order (generators in declared order,
-positive letter before inverse), so equal balls have equal tables.
+A coset that gap filling defines starts at its distance along the relator
+loop it fills, counted from the nearer end of the gap.  Before each pass,
+the distances are settled to exact BFS distances from the rows whose edges
+changed.  The returned ball is truncated to the requested radius and
+relabeled in BFS order (generators in declared order, positive letter
+before inverse), so equal balls have equal tables.
 
 Stability is certified empirically: a ball is stable when its closure at
 slack s, extended in place to slack s + 1, yields the identical truncated
@@ -211,6 +213,15 @@ def _raw_enumerate(
     the marked rows in ascending order, and the run ends when a pass leaves
     none marked.  settle() runs before each pass.
 
+    Fill chains.  A row that gap filling makes starts at the shorter of
+    its two walks along the relator loop it fills: from the chain's first
+    row f forward, or from the trace's far frontier row b back.  It has no
+    other edge yet, so this is the distance settle would give it, and
+    settle has work on a filled loop only where the chain shortens the
+    way to f or to b.  A chain row is visited at that distance, also in
+    the pass that makes it; tests/test_schreier.py checks the distances
+    after every run and pins the truncated balls.
+
     Run rule.  A relator trace that steps from f along letter x back to f
     moves past the whole run of x in one step: forward, i goes to the end
     of the run; backward, j goes to its start, which may lie before i: then
@@ -277,9 +288,11 @@ def _raw_enumerate(
 
     The extension also watches the record's radius R <= h: touched is set
     when a merge involves a row at pdist <= R, when settle lowers a
-    distance to R or below, or when scan closes an edge between two rows
+    distance to R or below, when a fill chain's row starts at R or below
+    by the walk back from b, or when scan closes an edge between two rows
     within R.  Only these events change the rows within R, their distances
-    or the edges among them.  A row enters R only by a merge or by settle.
+    or the edges among them.  A row enters R only by a merge, by settle or
+    by that walk back.
     A row below R at the start lies below h, so it already has every edge,
     and a row on R that gains one through a definition gains it to a new
     row past R.  So when touched stays down, the truncated ball at R is the
@@ -333,13 +346,14 @@ def _raw_enumerate(
             c = uf[c]
         return c
 
-    def new_row(src: int, x: int) -> int:
+    def new_row(src: int, x: int, d: int) -> int:
+        """Define letter x at src to a new row at distance d."""
         t = len(uf)
         if (t + 1) * L > node_budget:
             raise BudgetExceeded(node_budget, horizon, t)
         cells.extend(empty_row)
         uf.append(t)
-        pdist.append(pdist[src] + 1)
+        pdist.append(d)
         mark.append(cur)
         cells[src * L + x] = t
         cells[t * L + (x ^ 1)] = src
@@ -405,7 +419,11 @@ def _raw_enumerate(
 
         A step that loops crosses the rest of its letter's run: ahead[i] is
         the end of the run holding w[i], behind[j] the start of the run
-        holding w[j - 1].
+        holding w[j - 1].  A fill chain's new row starts at the shorter of
+        its two walks along the loop, from f or back from b, so consecutive
+        chain rows differ by at most one.  A chain row that starts more than
+        one below the row it hangs from is made dirty, and one that the walk
+        back brings within the watched radius sets touched.
         """
         nonlocal touched
         n = len(w)
@@ -450,11 +468,24 @@ def _raw_enumerate(
                 return
             if len(wait) > f and wait[f]:
                 gain(f)  # the fill chain's first row gains an edge
+            far = pdist[b] + j  # the chain row at position k is far - k from b
             while j > i + 1:
                 x = w[i]
                 t = cells[f * L + x]
-                f = find(t) if t >= 0 else new_row(f, x)
                 i += 1
+                if t >= 0:  # only in a word that is not freely reduced
+                    f = find(t)
+                    continue
+                d, df = far - i, pdist[f]
+                if d > df:
+                    f = new_row(f, x, df + 1)
+                    continue
+                # nearer to b: settle would have lowered the row to d
+                if d <= watch:
+                    touched = True
+                f = new_row(f, x, d)
+                if d < df - 1:
+                    dirty.append(f)
         # one gap left: w[i] should lead from f to b
         x = w[i]
         t = cells[f * L + x]
@@ -497,8 +528,11 @@ def _raw_enumerate(
         makes the nearer end of an edge it closes dirty when the ends differ
         by more than one, merge makes dirty the representative whose pdist
         it may lower (the merged row's edges that differ by more than one
-        already had a dirty nearer end), and a new row starts at pdist[src]
-        + 1.  An edge whose ends differ by at most one comes apart only when
+        already had a dirty nearer end), a row a visit defines starts at
+        pdist[src] + 1, and a fill chain's row starts at its distance along
+        the loop the chain fills, within one of its chain neighbours; scan
+        makes it dirty when it starts more than one below the row it hangs
+        from.  An edge whose ends differ by at most one comes apart only when
         an end's pdist falls, and that end is then a dirty merge
         representative or a row pushed here, which reads all its edges.  So
         pushing every dirty row outward in distance order (Dial's buckets)
@@ -554,7 +588,7 @@ def _raw_enumerate(
                         gain(c)  # c gains its missing edges
                     for x in range(L):
                         if cells[c * L + x] < 0:
-                            new_row(c, x)
+                            new_row(c, x, d + 1)
                 if d <= horizon:
                     inside = d < horizon
                     for w, ahead, behind in relators:

@@ -61,6 +61,10 @@ COLLAPSING = [
     ("a2b3ab5", "generators: a b\nrelators: aabbbababababab\n", (), 5),
     ("a3b2ab2", "generators: a b\nrelators: aaabbabab\n", (), 6),
 ] + FINITE
+# a fill chain whose walk back from its far end starts the chain's first row
+# more than one below the row it hangs from, found by a seeded search: that
+# row must seed settle, or the row above it keeps too high a distance
+CHAIN = ("AbbabABB", "generators: a b\nrelators: AbbabABB\n", (), 5)
 # small presentations, found by a seeded search, on which dropping any one
 # of the enumerator's wake sites leaves a table that is not a fixpoint.  An
 # open relator trace waits on its two frontier rows, and a row that gains an
@@ -314,8 +318,8 @@ def test_a_finite_index_subgroup_runs_at_any_horizon(text, gens):
 
 @pytest.mark.parametrize(
     "name, text, gens, top",
-    [(*case, 5) for case in CORPUS] + COLLAPSING + LOOPS + [RIPS_F2],
-    ids=[c[0] for c in CORPUS + COLLAPSING + LOOPS + [RIPS_F2]],
+    [(*case, 5) for case in CORPUS] + COLLAPSING + [CHAIN] + LOOPS + [RIPS_F2],
+    ids=[c[0] for c in CORPUS + COLLAPSING + [CHAIN] + LOOPS + [RIPS_F2]],
 )
 def test_enumerator_distances_are_bfs_distances(name, text, gens, top):
     runs = itertools.chain(*(raw_runs(text, gens, range(top + 1), r) for r in (False, True)))
@@ -446,6 +450,28 @@ def test_growing_a_closure_in_place_matches_a_fresh_run(relators, gens, h):
                 p, fresh_cells, fresh_find, radius), (watched, radius)
 
 
+# free groups of rank one to three, with up to three subgroup generators
+free_specs = st.sampled_from(["a", "ab", "abc"]).flatmap(lambda gens: st.tuples(
+    st.just(gens), st.lists(st.text(gens + gens.upper(), min_size=1, max_size=7), max_size=3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(free_specs, st.integers(0, 4))
+def test_growing_a_relator_free_closure_touches_nothing(spec, h):
+    # with no relators, an extension scans nothing and only defines edges to
+    # new rows one layer out: no merge, no distance falls, touched stays down
+    gens, texts = spec
+    p = parse_presentation(f"generators: {' '.join(gens)}\nrelators: none\n")
+    words = sub(p, *texts).words
+    for watched in range(h + 1):
+        closure = _Closure(watched)
+        _raw_enumerate(p, words, h, DEFAULT_NODE_BUDGET, _closure=closure)
+        dead = [c for c, u in enumerate(closure.uf) if u != c]
+        _raw_enumerate(p, words, h + 1, DEFAULT_NODE_BUDGET, _closure=closure)
+        assert not closure.touched, watched
+        assert [c for c, u in enumerate(closure.uf) if u != c] == dead, watched
+
+
 # random three-generator presentations: up to three relators of two to
 # fourteen letters, so that one horizon row can leave several relator loops
 # open after its first visit
@@ -461,8 +487,10 @@ def test_three_generator_closures_reach_the_same_fixpoint(relators, h):
     closure = _Closure(0)
     _raw_enumerate(p, (), h, DEFAULT_NODE_BUDGET, _closure=closure)
     resumed = _raw_enumerate(p, (), h + 1, DEFAULT_NODE_BUDGET, _closure=closure)
-    for cells, uf, pdist, _find in (fresh, resumed):
+    for cells, uf, pdist, find in (fresh, resumed):
         assert_fixpoint(p, h + 1, cells, uf, pdist)
+        # long relators fill long chains, whose rows start at their distance
+        assert_bfs_distances(p, h + 1, cells, uf, pdist, find)
     (cells, _uf, _pdist, find), (fresh_cells, _uf, _pdist, fresh_find) = resumed, fresh
     for radius in range(h + 2):
         assert _finalize(p, cells, find, radius) == _finalize(
