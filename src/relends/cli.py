@@ -27,7 +27,7 @@ from .ends import (
     count_relative_ends,
     empirical_ends,
 )
-from .oracle import CoreGraph, free_schreier_ball, graphs_isomorphic, stallings_fold
+from .oracle import free_schreier_ball, graphs_isomorphic, stallings_fold
 from .presentation import (
     Presentation,
     SubgroupSpec,
@@ -251,7 +251,7 @@ def _emit(
         Path(args.json_path).write_text(text)
 
 
-def _write_dot(args: Namespace, graph: Ball | CoreGraph, with_dist: bool = True) -> None:
+def _write_dot(args: Namespace, graph: Ball, with_dist: bool = True) -> None:
     if args.dot_path is None:
         return
     lines = ["digraph labeled_graph {", "  rankdir=LR;", '  0 [shape=doublecircle];']

@@ -69,6 +69,8 @@ class Ball:
     BFS distance from it.  stable records whether slack + 1 reproduced the
     identical ball; results from unstable balls are uncertified.
     Because the labeling is canonical, isomorphic balls have equal tables.
+    A folded core (oracle.stallings_fold) is a Ball too: its radius is the
+    base's eccentricity, and a -1 cell leads into a hanging tree.
     """
 
     gen_names: tuple[str, ...]
@@ -608,48 +610,47 @@ def _raw_enumerate(
     return cells, uf, pdist, find
 
 
-def _relabel(cells: list[int], L: int, find, root: int, radius: int):
-    """Truncate to the radius around root and relabel in canonical BFS order.
+def _relabel(cells: list[int], L: int, find, radius: int):
+    """Truncate to the radius around row 0 and relabel in canonical BFS order.
 
     cells holds L cells per row, as _raw_enumerate returns them; find
-    resolves a stored target to its live representative.  Returns
-    (table, dist).
+    resolves a stored target to its live representative.  Row 0 is the
+    base and stays live: a merge keeps the lower row, in _raw_enumerate and
+    in oracle.stallings_fold alike, so find(0) == 0.  One BFS labels the
+    targets and writes the table row by row.  A row is read only after
+    every row one layer nearer, so when it is read, every row within one
+    step of it that lies inside the radius has its label; a target still
+    unlabeled from a row on the radius lies outside the ball, and its cell
+    is -1.  Returns (table, dist).
     """
     canon = [-1] * (len(cells) // L)
-    canon[root] = 0
-    order = [root]
+    canon[0] = 0
+    order = [0]
     dist = [0]
+    flat: list[int] = []
     head = 0
-    while head < len(order):
+    while head < len(order) and (d := dist[head]) < radius:
         v = order[head]
-        d = dist[head]
         head += 1
-        if d == radius:
-            continue
-        for x in range(L):
-            t = cells[v * L + x]
-            if t < 0:
-                continue
-            t = find(t)
-            if canon[t] < 0:
-                canon[t] = len(order)
-                order.append(t)
-                dist.append(d + 1)
-    table: list[list[int]] = []
-    for x in range(L):
-        col_out = []
-        for v in order:
-            t = cells[v * L + x]
+        row = cells[v * L:v * L + L]
+        for x, t in enumerate(row):
             if t >= 0:
-                t = canon[find(t)]
-            col_out.append(t)
-        table.append(col_out)
-    return table, dist
+                t = find(t)
+                if canon[t] < 0:
+                    canon[t] = len(order)
+                    order.append(t)
+                    dist.append(d + 1)
+                row[x] = canon[t]
+        flat += row
+    # every row left lies on the radius, and nothing new gets a label
+    flat += [canon[find(t)] if t >= 0 else -1
+             for v in order[head:] for t in cells[v * L:v * L + L]]
+    return [flat[x::L] for x in range(L)], dist
 
 
 def _finalize(p: Presentation, cells: list[int], find, radius: int):
     """Truncate to the radius and relabel cosets in canonical BFS order."""
-    return _relabel(cells, p.n_letters, find, find(0), radius)
+    return _relabel(cells, p.n_letters, find, radius)
 
 
 def _ball(p: Presentation, cells: list[int], find, radius: int, slack: int) -> Ball:
@@ -795,5 +796,5 @@ def restrict_to_generators(ball: Ball, names: tuple[str, ...]) -> Ball:
         keep.append(i)
     cols = [ball.table[x] for i in keep for x in (2 * i, 2 * i + 1)]
     cells = [col[v] for v in range(ball.n_vertices) for col in cols]
-    table, dist = _relabel(cells, len(cols), lambda t: t, 0, ball.radius)
+    table, dist = _relabel(cells, len(cols), int, ball.radius)
     return Ball(tuple(names), table, dist, ball.radius, ball.slack, ball.stable)

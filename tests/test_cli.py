@@ -332,6 +332,27 @@ def test_oracle_fold_needs_a_free_group(files, capsys):
     assert "free ambient" in capsys.readouterr().err
 
 
+def test_oracle_fold_dot_file_is_pinned(tmp_path, capsys):
+    # core vertices carry no distance; edges in generator order, then by vertex
+    dot = tmp_path / "core.dot"
+    src = Path(__file__).parent / "golden" / "f2sub.grp"
+    assert run(["oracle-fold", str(src), "--subgroup-from-file", "--dot", str(dot)]) == 0
+    assert "core graph: 3 vertices, 4 edges" in capsys.readouterr().out
+    assert dot.read_text() == (
+        "digraph labeled_graph {\n"
+        "  rankdir=LR;\n"
+        "  0 [shape=doublecircle];\n"
+        '  0 [label="0"];\n'
+        '  1 [label="1"];\n'
+        '  2 [label="2"];\n'
+        '  0 -> 1 [label="a"];\n'
+        '  0 -> 2 [label="b"];\n'
+        '  1 -> 1 [label="b"];\n'
+        '  2 -> 0 [label="b"];\n'
+        "}\n"
+    )
+
+
 def test_oracle_compare_agrees(files, tmp_path, capsys):
     src = tmp_path / "sub.grp"
     src.write_text(FREE2 + "subgroup:\n  abA\n  bb\n")

@@ -488,6 +488,9 @@ def test_three_generator_closures_reach_the_same_fixpoint(relators, h):
     _raw_enumerate(p, (), h, DEFAULT_NODE_BUDGET, _closure=closure)
     resumed = _raw_enumerate(p, (), h + 1, DEFAULT_NODE_BUDGET, _closure=closure)
     for cells, uf, pdist, find in (fresh, resumed):
+        # a merge keeps the lower row, so the base stays live: _relabel reads
+        # the ball from row 0
+        assert find(0) == 0
         assert_fixpoint(p, h + 1, cells, uf, pdist)
         # long relators fill long chains, whose rows start at their distance
         assert_bfs_distances(p, h + 1, cells, uf, pdist, find)
