@@ -40,6 +40,7 @@ from .rips import rips_construct, verify_rips
 from .schreier import (
     Ball,
     BudgetExceeded,
+    DEFAULT_MAX_SLACK,
     DEFAULT_NODE_BUDGET,
     UnstableBallError,
     covering_degree_check,
@@ -134,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if radius:
             sp.add_argument("--radius", type=_int_at_least(0), required=True)
         if max_slack:
-            sp.add_argument("--max-slack", type=_int_at_least(0), default=12)
+            sp.add_argument("--max-slack", type=_int_at_least(0), default=DEFAULT_MAX_SLACK)
         if dot:
             sp.add_argument("--dot", dest="dot_path", type=Path,
                             help="write a DOT rendering here")

@@ -25,7 +25,8 @@ from fractions import Fraction
 
 from .constants import ConstantsLedger, annulus_inner_radius
 from .presentation import Presentation, SubgroupSpec
-from .schreier import Ball, DEFAULT_NODE_BUDGET, UnstableBallError, _free_rank, stable_ball
+from .schreier import (Ball, DEFAULT_MAX_SLACK, DEFAULT_NODE_BUDGET, UnstableBallError,
+                       _free_rank, stable_ball)
 
 INFINITE = "infinite (non-stabilizing)"
 UNCERTIFIED = "uncertified"
@@ -103,7 +104,7 @@ def count_relative_ends(
     probe_r0s: list[int],
     stabilization_window: int = 3,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    max_slack: int = 12,
+    max_slack: int = DEFAULT_MAX_SLACK,
 ) -> EndsReport:
     """Count relative ends of (G, H) by probed, stabilized sphere classes.
 

@@ -25,10 +25,11 @@ changed.  The returned ball is truncated to the requested radius and
 relabeled in BFS order (generators in declared order, positive letter
 before inverse), so equal balls have equal tables.
 
-Stability is certified empirically: a ball is stable when its closure at
-slack s, extended in place to slack s + 1, yields the identical truncated
-table.  Results from unstable balls must be treated as uncertified by
-callers.
+Every closure grows in place: a fresh run is the same growth, started from
+the bare base row at horizon 0.  Stability is certified empirically: a
+ball is stable when its closure at slack s, grown by one layer to slack
+s + 1, yields the identical truncated table.  Results from unstable balls
+must be treated as uncertified by callers.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from fractions import Fraction
 from .presentation import Presentation, SubgroupSpec, Word
 
 DEFAULT_NODE_BUDGET = 5_000_000
+DEFAULT_MAX_SLACK = 12
 
 
 class BudgetExceeded(RuntimeError):
@@ -158,13 +160,12 @@ def _free_rank(p: Presentation, h_words: tuple[Word, ...]) -> int:
 
 @dataclass
 class _Closure:
-    """A closure carried from one _raw_enumerate call to the next.
+    """A closure grown in place by one _raw_enumerate call after another.
 
-    A call handed a record without cells runs fresh and stores its table
-    and horizon here.  A call handed a filled record extends that table in
-    place to its own horizon and stores the new horizon.  Either sets
-    touched: whether the call may have changed the ball of the given radius
-    (always, for a fresh run).
+    A record without cells is the bare base row at horizon 0, which the
+    next call makes.  Each call grows the record's lists in place to its
+    own horizon, stores that horizon, and sets touched: whether the call
+    may have changed the ball of the given radius (always, for a fresh run).
     """
 
     radius: int
@@ -267,28 +268,27 @@ def _raw_enumerate(
     adds visits, and a visit that changes nothing is harmless.  The rule is
     the same in every pass, of a fresh run and of an extension alike.
 
-    Extension in place (resumed = fresh).  Handed the closure record of an
-    earlier call at horizon h < horizon, the run continues from that table
-    instead of from row 0.  That table is a fixpoint of the visit rules at
-    h: every live row below h has every edge and every relator loop closed,
-    and the subgroup loops at the base are closed.  A closed loop stays
-    closed through any later merge, and a complete row stays complete, so
-    those rows' visits at the new horizon would change nothing, and the
-    subgroup words are not traced again.  Every other live row -- pdist >=
-    h, which takes in the rows past h that gap filling left -- is marked,
-    and the run proceeds as a fresh one does after its subgroup scans: pass
-    1 visits the marked rows and the rows it defines, and every open trace
-    waits on its frontier rows.  So every row whose visit would change
-    something is marked before the pass reaches it, the wake rule above
-    holds from the first pass on, and the run stops at a fixpoint of the
-    visit rules at the new horizon, as the fresh run does.
-    Every identification either table holds is true in G; the two runs
-    make their definitions in a different order and may number and keep
-    different rows past the horizon, but their truncated balls agree
-    (tests/test_schreier.py checks this at every radius up to the new
-    horizon, on fixed corpora and on random presentations).
+    Growth in place.  Every run grows the table of a closure record
+    (_Closure) from the record's horizon h <= horizon.  A fresh run, with no
+    record or an empty one, starts from the bare base row at h = 0 and first
+    traces the subgroup words there, with unbounded gap filling.  The table
+    is then a fixpoint of the visit rules at h: every live row below h (none
+    at h = 0) has every edge and every relator loop closed, and the subgroup
+    loops at the base are closed.  A closed loop stays closed through any
+    later merge, and a complete row stays complete, so those rows' visits at
+    the new horizon would change nothing.  Every other live row, at
+    pdist >= h (the rows past h that gap filling left among them), is
+    marked, so pass 1 visits them and the rows it defines, and every open
+    trace waits on its frontier rows.  So every row whose visit would change
+    something is marked before the pass reaches it, the wake rule holds from
+    the first pass on, and the run stops at a fixpoint of the visit rules at
+    the new horizon.  Every identification a table holds is true in G.
+    Grown over several horizons or from the base row at once, tables may
+    number and keep different rows past the horizon, but their truncated
+    balls agree (tests/test_schreier.py checks this at every radius up to
+    the new horizon, on fixed corpora and on random presentations).
 
-    The extension also watches the record's radius R <= h: touched is set
+    An extension also watches the record's radius R <= h: touched is set
     when a merge involves a row at pdist <= R, when settle lowers a
     distance to R or below, when a fill chain's row starts at R or below
     by the walk back from b, or when scan closes an edge between two rows
@@ -307,24 +307,20 @@ def _raw_enumerate(
     table), and horizon + 1 rows of L cells exceed the budget.
     """
     L = p.n_letters
-    carried = _closure is not None and _closure.cells is not None
+    closure = _Closure(-1) if _closure is None else _closure
+    fresh = closure.cells is None
     if (horizon + 1) * L > node_budget and _free_rank(p, h_words) > 0:
-        raise BudgetExceeded(node_budget, horizon, len(_closure.uf) if carried else 0)
+        raise BudgetExceeded(node_budget, horizon, 0 if fresh else len(closure.uf))
+    if fresh:  # the bare base row at horizon 0
+        closure.cells, closure.uf, closure.pdist = [-1] * L, [0], [0]
+    cells, uf, pdist = closure.cells, closure.uf, closure.pdist
     relators = [_runs(w) for w in p.relators]
     empty_row = (-1,) * L
     # mark[c] is cur when c is to be visited in this pass, nxt for the next
     cur, nxt = 1, 2
-    if carried:
-        cells, uf, pdist = _closure.cells, _closure.uf, _closure.pdist
-        mark = bytearray(map(_closure.horizon.__le__, pdist))  # True is cur
-        watch = _closure.radius
-    else:
-        cells = [-1] * L
-        uf = [0]
-        pdist = [0]
-        mark = bytearray([cur])
-        watch = -1
-    touched = not carried
+    mark = bytearray(map(closure.horizon.__le__, pdist))  # True is cur
+    watch = closure.radius
+    touched = fresh
     pending: deque[tuple[int, int]] = deque()
     # rows whose distance may be too high for a neighbour; see settle()
     dirty: list[int] = []
@@ -332,12 +328,12 @@ def _raw_enumerate(
     # and the waiters of rows that gained an edge
     woken: list[int] = []
     # what waits on row f: bit 1 of wait[f] is f itself, bit 2 a chain of
-    # other rows; the bytes may end before the last row
-    wait = bytearray()
+    # other rows
+    wait = bytearray(len(uf))
     # the chains: head[f] is f's newest entry while bit 2 is set; entry e
     # holds the waiting row held[e] and the entry before it, link[e] (-1
     # ends a chain).  'i' holds every row number below the budget or the
-    # carried table's size, whichever is larger; at 8 bytes an entry, memory
+    # grown table's size, whichever is larger; at 8 bytes an entry, memory
     # runs out long before 2**31 entries.
     code = "i" if max(node_budget, len(cells)) <= 2**31 else "q"
     head, link, held = array(code), array(code), array(code)
@@ -357,6 +353,7 @@ def _raw_enumerate(
         uf.append(t)
         pdist.append(d)
         mark.append(cur)
+        wait.append(0)
         cells[src * L + x] = t
         cells[t * L + (x ^ 1)] = src
         return t
@@ -401,9 +398,9 @@ def _raw_enumerate(
                 pdist[a] = pdist[b]
             if pdist[a] <= watch:
                 touched = True
-            if len(wait) > a and wait[a]:
+            if wait[a]:
                 gain(a)
-            if len(wait) > b and wait[b]:
+            if wait[b]:
                 gain(b)
             dirty.append(a)
             for x in range(L):
@@ -458,9 +455,6 @@ def _raw_enumerate(
             return
         if j > i + 1:
             if not fill:  # c waits for f or b to gain an edge
-                top = len(wait)
-                if top <= c or top <= f or top <= b:
-                    wait.extend(bytes(len(uf) - top))
                 if f == b == c:  # most open traces took no step either way
                     wait[c] |= 1
                 else:
@@ -468,7 +462,7 @@ def _raw_enumerate(
                     if b != f:
                         hold(b, c)
                 return
-            if len(wait) > f and wait[f]:
+            if wait[f]:
                 gain(f)  # the fill chain's first row gains an edge
             far = pdist[b] + j  # the chain row at position k is far - k from b
             while j > i + 1:
@@ -508,19 +502,10 @@ def _raw_enumerate(
             dirty.append(b)
         elif db > df + 1:
             dirty.append(f)
-        if wait:
-            if len(wait) > f and wait[f]:
-                gain(f)
-            if len(wait) > b and wait[b]:
-                gain(b)
-
-    def wake(c: int) -> None:
-        """Mark the woken rows: those above c for this pass, the rest for
-        the next."""
-        for g in woken:
-            g = find(g)
-            mark[g] = cur if g > c else nxt
-        woken.clear()
+        if wait[f]:
+            gain(f)
+        if wait[b]:
+            gain(b)
 
     def settle() -> None:
         """Lower pdist to exact BFS distances on live rows.
@@ -571,7 +556,7 @@ def _raw_enumerate(
                             buckets.setdefault(d + 1, []).append(t)
             d += 1
 
-    if not carried:
+    if fresh:
         for w in h_words:  # traced once: no run bounds
             scan(0, w, range(1, len(w) + 1), range(-1, len(w)), True)
         woken.clear()  # every row is marked for pass 1
@@ -586,7 +571,7 @@ def _raw_enumerate(
             if uf[c] == c:
                 d = pdist[c]
                 if d < horizon:
-                    if len(wait) > c and wait[c]:
+                    if wait[c]:
                         gain(c)  # c gains its missing edges
                     for x in range(L):
                         if cells[c * L + x] < 0:
@@ -597,16 +582,16 @@ def _raw_enumerate(
                         scan(c, w, ahead, behind, inside)
                         if uf[c] != c:
                             break
-            if woken:
-                wake(c)
+            if woken:  # those above c wake in this pass, the rest in the next
+                for g in map(find, woken):
+                    mark[g] = cur if g > c else nxt
+                woken.clear()
             c += 1  # the next row is usually marked, always in pass 1
             if c == len(mark) or mark[c] != cur:
                 c = mark.find(cur, c)
         cur, nxt = nxt, cur
 
-    if _closure is not None:
-        _closure.cells, _closure.uf, _closure.pdist = cells, uf, pdist
-        _closure.horizon, _closure.touched = horizon, touched
+    closure.horizon, closure.touched = horizon, touched
     return cells, uf, pdist, find
 
 
@@ -653,32 +638,22 @@ def _finalize(p: Presentation, cells: list[int], find, radius: int):
     return _relabel(cells, p.n_letters, find, radius)
 
 
-def _ball(p: Presentation, cells: list[int], find, radius: int, slack: int) -> Ball:
-    table, dist = _finalize(p, cells, find, radius)
-    return Ball(p.generators, table, dist, radius, slack=slack)
+def _grow(p: Presentation, h: SubgroupSpec, closure: _Closure, horizon: int,
+          node_budget: int, ball: Ball | None = None) -> Ball | None:
+    """One growth step: run the closure to the horizon, fresh or in place,
+    and read its ball at the closure's radius, at slack horizon - radius.
 
-
-def _primary(p: Presentation, h: SubgroupSpec, radius: int, slack: int, node_budget: int):
-    """The ball at the slack, and the closure record that certifies it."""
-    closure = _Closure(radius)
-    cells, _uf, _pdist, find = _raw_enumerate(
-        p, h.words, radius + slack, node_budget, _closure=closure)
-    return _ball(p, cells, find, radius, slack), closure
-
-
-def _certify(p: Presentation, h: SubgroupSpec, ball: Ball, closure: _Closure,
-             node_budget: int) -> Ball | None:
-    """Extend the closure in place by one layer: None when that reproduces
-    the ball, else the new ball at slack + 1.
-
-    Only an extension that touched the ball pays for a second relabel.
+    Handed the ball the closure gave before this step, returns None when
+    the step left that ball untouched or unchanged: only a touched step
+    pays for the relabel.
     """
-    cells, _uf, _pdist, find = _raw_enumerate(
-        p, h.words, closure.horizon + 1, node_budget, _closure=closure)
+    cells, _uf, _pdist, find = _raw_enumerate(p, h.words, horizon, node_budget, _closure=closure)
     if not closure.touched:
         return None
-    nxt = _ball(p, cells, find, ball.radius, ball.slack + 1)
-    return None if (nxt.table, nxt.dist) == (ball.table, ball.dist) else nxt
+    table, dist = _finalize(p, cells, find, closure.radius)
+    if ball is not None and (table, dist) == (ball.table, ball.dist):
+        return None
+    return Ball(p.generators, table, dist, closure.radius, slack=horizon - closure.radius)
 
 
 def enumerate_cosets(
@@ -697,8 +672,9 @@ def enumerate_cosets(
     """
     if radius < 0 or slack < 0:
         raise ValueError("radius and slack must be nonnegative")
-    ball, closure = _primary(p, h, radius, slack, node_budget)
-    ball.stable = _certify(p, h, ball, closure, node_budget) is None
+    closure = _Closure(radius)
+    ball = _grow(p, h, closure, radius + slack, node_budget)
+    ball.stable = _grow(p, h, closure, closure.horizon + 1, node_budget, ball) is None
     return ball
 
 
@@ -712,7 +688,7 @@ def stable_ball(
     h: SubgroupSpec,
     radius: int,
     start_slack: int = 0,
-    max_slack: int = 12,
+    max_slack: int = DEFAULT_MAX_SLACK,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Ball:
     """Escalate slack until the closure, extended in place by one layer,
@@ -723,8 +699,9 @@ def stable_ball(
     """
     if radius < 0 or start_slack < 0:
         raise ValueError("radius and start_slack must be nonnegative")
-    ball, closure = _primary(p, h, radius, start_slack, node_budget)
-    while (nxt := _certify(p, h, ball, closure, node_budget)) is not None:
+    closure = _Closure(radius)
+    ball = _grow(p, h, closure, radius + start_slack, node_budget)
+    while (nxt := _grow(p, h, closure, closure.horizon + 1, node_budget, ball)) is not None:
         ball = nxt
         if ball.slack > max_slack:
             ball.stable = False

@@ -5,10 +5,10 @@ symmetrized relator by the inverse of the complement; on a C'(1/6)
 presentation the empty word is reached exactly for trivial elements.  For
 everything else a word is walked through a Cayley ball: `build_ball`
 enumerates the Schreier ball of the trivial subgroup under a radius cap
-(`None` = Dehn: C'(1/6) is required and the slack may reach 12; an int
-caps the slack at `radius_cap - radius`) and errs out loudly when the cap
-is too small to certify the ball.  Under the canonical BFS labeling a
-vertex's tree word is its shortlex normal form.
+(`None` = Dehn: C'(1/6) is required and the slack may reach
+DEFAULT_MAX_SLACK; an int caps it at `radius_cap - radius`) and errs out
+loudly when the cap is too small to certify the ball.  Under the
+canonical BFS labeling a vertex's tree word is its shortlex normal form.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .presentation import (
     free_reduce,
     invert,
 )
-from .schreier import Ball, DEFAULT_NODE_BUDGET, UnstableBallError, stable_ball
+from .schreier import Ball, DEFAULT_MAX_SLACK, DEFAULT_NODE_BUDGET, UnstableBallError, stable_ball
 
 
 class StrategyError(ValueError):
@@ -50,7 +50,7 @@ def build_ball(
     if radius_cap is None:
         if not check_small_cancellation(p).passes:
             raise StrategyError("dehn strategy needs a C'(1/6) presentation")
-        max_slack = 12
+        max_slack = DEFAULT_MAX_SLACK
     elif radius_cap < 1:
         raise ValueError("bounded_bfs needs a positive radius_cap")
     else:

@@ -26,7 +26,7 @@ from relends import (
 )
 from relends.ends import pair_certified
 
-from conftest import sub, walk
+from conftest import FREE2, TORUS, sub, walk
 
 
 # --- stabilization verdicts ------------------------------------------------
@@ -220,6 +220,66 @@ def test_unstable_balls_refuse_a_verdict():
     p = parse_presentation("generators: a b\nrelators: bbabbb\n")
     with pytest.raises(UnstableBallError):
         count_relative_ends(p, sub(p), probes_ledger([1, 2, 3]), [1, 2, 3], max_slack=0)
+
+
+def triangle(p, q, r):
+    """<a, b, c | a^2, b^2, c^2, (ab)^p, (bc)^q, (ca)^r>"""
+    return ("generators: a b c\nrelators:\n  aa\n  bb\n  cc\n"
+            f"  {'ab' * p}\n  {'bc' * q}\n  {'ca' * r}\n")
+
+
+def known_ends(name, text, want, gens=(), probes=(2, 3, 4, 5), conjugate=None, xfail=None):
+    marks = [pytest.mark.xfail(strict=True, reason=xfail)] if xfail else []
+    return pytest.param(text, gens, list(probes), want, conjugate, id=name, marks=marks)
+
+
+DINF = "generators: a b\nrelators:\n  aa\n  bb\n"
+
+# groups whose end counts are known (Hopf 1944, Stallings; Davis 2008 for
+# the triangle groups), read with the defaults of `ends count`: probes 2-5,
+# inner offset 3, outer gap 1, window 3
+KNOWN_ENDS = [
+    known_ends("triangle-2-3-7", triangle(2, 3, 7), 1, xfail=(
+        "reads infinite (history 1, 1, 2, 3): sphere vertices that relator "
+        "loops join beyond the annulus stay apart (ROADMAP item 2)")),
+    known_ends("triangle-2-4-6", triangle(2, 4, 6), 1),
+    known_ends("triangle-3-3-5", triangle(3, 3, 5), 1),
+    known_ends("triangle-2-3-6", triangle(2, 3, 6), 1),
+    known_ends("triangle-3-3-3", triangle(3, 3, 3), 1),
+    known_ends("triangle-2-3-5", triangle(2, 3, 5), 0, xfail=(
+        "reads 1: the finite group (order 120, diameter 15) is read inside "
+        "its diameter, and no check catches a ball that has not closed yet")),
+    known_ends("psl2z", "generators: a b\nrelators:\n  aa\n  bbb\n", INFINITE),
+    known_ends("d-infinity", DINF, 2),
+    known_ends("klein-bottle", "generators: a b\nrelators: abAb\n", 1),
+    known_ends("torus", TORUS, 1),
+    known_ends("abAbb", "generators: a b\nrelators: abAbb\n", 1),
+    known_ends("z2-free-z", "generators: a b c\nrelators: abAB\n", INFINITE),
+    # F2 has infinitely many ends, but 4, 4, 4 stabilizes at a count no
+    # group has: the Hopf gate must leave it uncertified
+    known_ends("f2-probes-1-3", FREE2, UNCERTIFIED, probes=(1, 2, 3)),
+    # the Schreier graph of D-infinity over <a> is a ray
+    known_ends("d-infinity-a", DINF, 1, gens=("a",), conjugate="bab"),
+    known_ends("torus-a", TORUS, 2, gens=("a",), conjugate="bbaBB"),
+]
+
+
+@pytest.mark.parametrize("text, gens, probes, want, conjugate", KNOWN_ENDS)
+def test_known_end_counts_read_right_or_uncertified(text, gens, probes, want, conjugate):
+    p = parse_presentation(text)
+
+    def count(*texts):
+        try:
+            return count_relative_ends(p, sub(p, *texts), probes_ledger(probes), probes).count
+        except UnstableBallError:  # `ends count` reads it as uncertified
+            return UNCERTIFIED
+
+    got = count(*gens)
+    assert got in (want, UNCERTIFIED)
+    if conjugate is not None:
+        # e(G, H) = e(G, gHg^-1) whenever both sides certify
+        other = count(conjugate)
+        assert got == other or UNCERTIFIED in (got, other)
 
 
 # --- annulus conditions ------------------------------------------------------

@@ -436,10 +436,15 @@ def test_growing_a_closure_in_place_matches_a_fresh_run(relators, gens, h):
     p = parse_presentation(f"generators: a b\nrelators:{listed}\n")
     words = sub(p, *gens).words
     fresh_cells, _uf, _pdist, fresh_find = _raw_enumerate(p, words, h + 1, DEFAULT_NODE_BUDGET)
+    bare = _raw_enumerate(p, words, h, DEFAULT_NODE_BUDGET)[:3]
     for watched in range(h + 1):
         closure = _Closure(watched)
-        cells, _uf, _pdist, find = _raw_enumerate(
+        cells, uf, pdist, find = _raw_enumerate(
             p, words, h, DEFAULT_NODE_BUDGET, _closure=closure)
+        # one start path: a fresh run into a record grows the bare base row
+        # as a run without one does, and the record holds the very lists
+        assert (cells, uf, pdist) == bare
+        assert closure.cells is cells and closure.uf is uf and closure.pdist is pdist
         before = _finalize(p, cells, find, watched)
         cells, _uf, _pdist, find = _raw_enumerate(
             p, words, h + 1, DEFAULT_NODE_BUDGET, _closure=closure)
