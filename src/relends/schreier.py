@@ -9,21 +9,23 @@ single-edge gaps on the horizon itself.  Coincidences go through a FIFO
 queue over a union-find with path halving; reads resolve stale targets
 lazily via find.  A trace step that loops crosses the rest of its letter's
 run in one step: each later copy of the letter reads the same cell at the
-same coset, so it loops too.  The first pass visits every coset; later
-passes visit only the cosets marked since, in ascending order, until a pass
-leaves none marked: new cosets, cosets whose distance crossed the horizon,
-and horizon cosets with an open relator loop that may have grown.  An open
-loop waits on the two frontier cosets where its trace stopped, and wakes
-when either gains an edge or takes part in a merge: the watched-literal
-scheme of SAT solvers (Moskewicz et al., Chaff, 2001), with the same rule
-in every pass.  The skipped visits are the ones that would change nothing,
-so the tables are those a sweep over every coset in every pass would build.
-A coset that gap filling defines starts at its distance along the relator
-loop it fills, counted from the nearer end of the gap.  Before each pass,
-the distances are settled to exact BFS distances from the rows whose edges
-changed.  The returned ball is truncated to the requested radius and
-relabeled in BFS order (generators in declared order, positive letter
-before inverse), so equal balls have equal tables.
+same coset, so it loops too.  Each pass visits only the marked cosets, in
+ascending order, until a pass leaves none marked.  A coset is marked only
+when its visit can act: when it is new or its distance crosses into reach
+(the horizon and all inside it when there are relators, only inside it when
+there are none; a coset past reach is marked once its distance falls into
+it), and when it lies on the horizon with an open relator loop that may
+have grown.  An open loop waits on the two frontier cosets where its trace
+stopped, and wakes when either gains an edge or takes part in a merge: the
+watched-literal scheme of SAT solvers (Moskewicz et al., Chaff, 2001), with
+the same rule in every pass.  The skipped visits are the ones that would
+change nothing, so the tables are those a sweep over every coset in every
+pass would build.  A coset that gap filling defines starts at its distance
+along the relator loop it fills, counted from the nearer end of the gap.
+Before each pass, the distances are settled to exact BFS distances from
+the rows whose edges changed.  The returned ball is truncated to the
+requested radius and relabeled in BFS order (generators in declared order,
+positive letter before inverse), so equal balls have equal tables.
 
 Every closure grows in place: a fresh run is the same growth, started from
 the bare base row at horizon 0.  Stability is certified empirically: a
@@ -211,10 +213,12 @@ def _raw_enumerate(
 
     A visit to a live row c at provisional distance d defines c's missing
     edges when d < horizon and scans every relator at c when d <= horizon,
-    filling gaps only when d < horizon.  Pass 1 visits every row in
-    ascending order, the rows it defines included; each later pass visits
-    the marked rows in ascending order, and the run ends when a pass leaves
-    none marked.  settle() runs before each pass.
+    filling gaps only when d < horizon.  So a visit can act only at
+    d < reach, where reach is horizon + 1 when there are relators and the
+    horizon when there are none.  Each pass visits the marked rows in
+    ascending order, the rows it marks above the visited one included, and
+    the run ends when a pass leaves none marked.  settle() runs before each
+    pass.
 
     Fill chains.  A row that gap filling makes starts at the shorter of
     its two walks along the relator loop it fills: from the chain's first
@@ -240,14 +244,21 @@ def _raw_enumerate(
     Wake rule.  The mutations are those of a sweep over every row in every
     pass, in the same order: a visit that would change nothing is the only
     kind skipped, because every row whose visit would change something is
-    marked before the pass reaches it.  A visit at d < horizon leaves c
+    marked before the pass reaches it.  A row at pdist >= reach is not
+    marked: its visit changes nothing.  A visit at d < horizon leaves c
     with every edge and every relator loop closed, and a closed loop stays
     closed through any later merge.  So a row can only need another visit
     when
-    - it is new, or its distance crosses the horizon in merge or settle;
-      such a row is marked;
+    - it is new and starts within reach, or its distance crosses the
+      horizon in merge or settle (which covers every fall into reach); such
+      a row is marked;
     - it is on the horizon, a relator's trace at it stopped with a gap of
       two or more letters (an open loop), and that trace has since grown.
+    A horizon visit whose trace would take no step either way, because c
+    has neither the relator's first letter nor the inverse of its last,
+    only makes c wait on itself; the visit loop sets that bit without
+    calling scan.  A one-letter relator always goes to scan, which closes
+    the two empty cells into a loop.
     The cells along an open trace stay filled and still lead, through find,
     to its two frontier rows f and b, so the trace grows only when f or b
     gains the letter it stopped at or takes part in a merge.  A scan that
@@ -276,13 +287,16 @@ def _raw_enumerate(
     at h = 0) has every edge and every relator loop closed, and the subgroup
     loops at the base are closed.  A closed loop stays closed through any
     later merge, and a complete row stays complete, so those rows' visits at
-    the new horizon would change nothing.  Every other live row, at
-    pdist >= h (the rows past h that gap filling left among them), is
-    marked, so pass 1 visits them and the rows it defines, and every open
-    trace waits on its frontier rows.  So every row whose visit would change
-    something is marked before the pass reaches it, the wake rule holds from
-    the first pass on, and the run stops at a fixpoint of the visit rules at
-    the new horizon.  Every identification a table holds is true in G.
+    the new horizon would change nothing.  Every other live row within
+    reach, at h <= pdist < reach, is marked, so pass 1 visits them and the
+    rows it defines within reach, and every open trace waits on its
+    frontier rows.  The rows past reach (gap filling leaves them past h)
+    are marked once a merge or settle brings them within reach; a fresh
+    run marks those that a merge in its subgroup trace brings there.  So
+    every row whose visit would change something is marked before the pass
+    reaches it, the wake rule holds from the first pass on, and the run
+    stops at a fixpoint of the visit rules at the new horizon.  Every
+    identification a table holds is true in G.
     Grown over several horizons or from the base row at once, tables may
     number and keep different rows past the horizon, but their truncated
     balls agree (tests/test_schreier.py checks this at every radius up to
@@ -314,11 +328,16 @@ def _raw_enumerate(
     if fresh:  # the bare base row at horizon 0
         closure.cells, closure.uf, closure.pdist = [-1] * L, [0], [0]
     cells, uf, pdist = closure.cells, closure.uf, closure.pdist
-    relators = [_runs(w) for w in p.relators]
+    # each relator with its run bounds and, when it has two or more letters,
+    # the letters its two traces read first at a row (else -1, -1)
+    relators = [(*_runs(w), *((w[0], w[-1] ^ 1) if len(w) > 1 else (-1, -1)))
+                for w in p.relators]
+    # a visit to a row at pdist >= reach changes nothing
+    reach = horizon + 1 if relators else horizon
     empty_row = (-1,) * L
     # mark[c] is cur when c is to be visited in this pass, nxt for the next
     cur, nxt = 1, 2
-    mark = bytearray(map(closure.horizon.__le__, pdist))  # True is cur
+    mark = bytearray(closure.horizon <= d < reach for d in pdist)  # True is cur
     watch = closure.radius
     touched = fresh
     pending: deque[tuple[int, int]] = deque()
@@ -352,7 +371,7 @@ def _raw_enumerate(
         cells.extend(empty_row)
         uf.append(t)
         pdist.append(d)
-        mark.append(cur)
+        mark.append(cur if d < reach else 0)
         wait.append(0)
         cells[src * L + x] = t
         cells[t * L + (x ^ 1)] = src
@@ -422,11 +441,13 @@ def _raw_enumerate(
         its two walks along the loop, from f or back from b, so consecutive
         chain rows differ by at most one.  A chain row that starts more than
         one below the row it hangs from is made dirty, and one that the walk
-        back brings within the watched radius sets touched.
+        back brings within the watched radius sets touched.  c is a live
+        row: the visit loop scans only while uf[c] == c, and the subgroup
+        words are traced at row 0, which no merge kills.
         """
         nonlocal touched
         n = len(w)
-        f = find(c)
+        f = c
         i = 0
         while i < n:
             t = cells[f * L + w[i]]
@@ -436,11 +457,10 @@ def _raw_enumerate(
             i = ahead[i] if t == f else i + 1
             f = t
         if i == n:
-            back = find(c)
-            if f != back:
-                merge(f, back)
+            if f != c:
+                merge(f, c)
             return
-        b = find(c)
+        b = c
         j = n
         while j > i:
             t = cells[b * L + (w[j - 1] ^ 1)]
@@ -559,7 +579,9 @@ def _raw_enumerate(
     if fresh:
         for w in h_words:  # traced once: no run bounds
             scan(0, w, range(1, len(w) + 1), range(-1, len(w)), True)
-        woken.clear()  # every row is marked for pass 1
+        for g in map(find, woken):  # rows a merge brought within reach
+            mark[g] = cur
+        woken.clear()
 
     while True:
         settle()
@@ -577,16 +599,19 @@ def _raw_enumerate(
                         if cells[c * L + x] < 0:
                             new_row(c, x, d + 1)
                 if d <= horizon:
-                    inside = d < horizon
-                    for w, ahead, behind in relators:
-                        scan(c, w, ahead, behind, inside)
-                        if uf[c] != c:
-                            break
+                    inside, row = d < horizon, c * L
+                    for w, ahead, behind, x, y in relators:
+                        if inside or x < 0 or cells[row + x] >= 0 or cells[row + y] >= 0:
+                            scan(c, w, ahead, behind, inside)
+                            if uf[c] != c:
+                                break
+                        else:  # the trace takes no step either way
+                            wait[c] |= 1
             if woken:  # those above c wake in this pass, the rest in the next
                 for g in map(find, woken):
                     mark[g] = cur if g > c else nxt
                 woken.clear()
-            c += 1  # the next row is usually marked, always in pass 1
+            c += 1  # the next row is usually marked
             if c == len(mark) or mark[c] != cur:
                 c = mark.find(cur, c)
         cur, nxt = nxt, cur

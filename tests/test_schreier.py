@@ -73,7 +73,9 @@ CHAIN = ("AbbabABB", "generators: a b\nrelators: AbbabABB\n", (), 5)
 # and its dead side (BAAAbAA-b, bABabb), in a visit's own definitions
 # (BaaBBB, aabaaB) and at the first row of a fill chain (AbAbaaab-bb).  A
 # trace whose frontier lies at another row waits on that row, not on its
-# own (aabaaB, BaaBBB).
+# own (aabaaB, BaaBBB).  A row is marked only once its distance falls within
+# reach of a visit that can act, so a merge in a fresh run's subgroup trace
+# that brings a row within reach must mark it (aaaaba-AB).
 WAKES = [
     ("BAAAbAA-b", "generators: a b\nrelators:\n  BAAAbAA\n  b\n", (), 3),
     ("ABABB", "generators: a b\nrelators: ABABB\n", (), 4),
@@ -84,6 +86,7 @@ WAKES = [
     ("bAb-bbb", "generators: a b\nrelators:\n  bAb\n  bbb\n", (), 2),
     ("AbAbaaab-bb", "generators: a b\nrelators:\n  AbAbaaab\n  bb\n", (), 3),
     ("aabaaB", "generators: a b\nrelators: aabaaB\n", (), 3),
+    ("aaaaba-AB", FREE2, ("aaaaba", "AB"), 3),
 ]
 # a letter that loops at every row, so that a relator's trace crosses its
 # run in one step: a by the subgroup itself, and a after a coincidence in
