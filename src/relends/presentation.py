@@ -75,6 +75,12 @@ def _common_prefix(a: str, b: str, lo: int = 0) -> int:
     return lo
 
 
+def _letter_names(names: Sequence[str]) -> list[str]:
+    """The text of every letter: its generator's name, capitalized for the
+    inverse."""
+    return [s for n in names for s in (n, n[0].upper() + n[1:])]
+
+
 def _is_single_letter_alphabet(names: Sequence[str]) -> bool:
     return all(len(n) == 1 for n in names)
 
@@ -129,17 +135,12 @@ class Presentation:
     def _small_cancellation(self) -> SmallCancellationReport:
         return _scan_pieces(self._rotations)
 
-    def letter_name(self, x: int) -> str:
-        name = self.generators[x >> 1]
-        if x & 1:
-            return name[0].upper() + name[1:]
-        return name
-
     def word_to_text(self, word: Sequence[int]) -> str:
         if not word:
             return "1"
         sep = "" if _is_single_letter_alphabet(self.generators) else " "
-        return sep.join(self.letter_name(x) for x in word)
+        names = _letter_names(self.generators)
+        return sep.join([names[x] for x in word])
 
     def word_from_text(self, text: str) -> Word:
         return word_from_text(text, self.generators)
@@ -178,21 +179,15 @@ def word_from_text(text: str, names: Sequence[str]) -> Word:
     text = text.strip()
     if text in ("", "1"):
         return ()
-    index = {n: 2 * i for i, n in enumerate(names)}
-    letters: list[int] = []
+    letters = {s: x for x, s in enumerate(_letter_names(names))}
     if _is_single_letter_alphabet(names):
-        tokens = [c for chunk in text.split() for c in chunk]
+        tokens = "".join(text.split())
     else:
         tokens = text.split()
-    for tok in tokens:
-        low = tok[0].lower() + tok[1:]
-        if low not in index:
-            raise ParseError(f"unknown generator symbol {tok!r}")
-        x = index[low]
-        if tok[0].isupper():
-            x ^= 1
-        letters.append(x)
-    return tuple(letters)
+    try:
+        return tuple([letters[tok] for tok in tokens])
+    except KeyError as e:
+        raise ParseError(f"unknown generator symbol {e.args[0]!r}") from None
 
 
 def _content_lines(text: str) -> list[str]:

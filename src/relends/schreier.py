@@ -7,10 +7,11 @@ scans visit cosets whose provisional distance is within radius + slack,
 filling gaps for cosets strictly inside the horizon and closing
 single-edge gaps on the horizon itself.  Coincidences go through a FIFO
 queue over a union-find with path halving; reads resolve stale targets
-lazily via find.  A trace step that loops crosses the rest of its letter's
-run in one step: each later copy of the letter reads the same cell at the
-same coset, so it loops too.  Each pass visits only the marked cosets, in
-ascending order, until a pass leaves none marked.  A coset is marked only
+lazily via find.  A trace step that loops jumps past every later letter
+that has already looped at its coset (the stretch rule): a trace writes
+nothing, so each such letter reads the same cell at the same coset and
+loops again.  Each pass visits only the marked cosets, in ascending order,
+until a pass leaves none marked.  A coset is marked only
 when its visit can act: when it is new or its distance crosses into reach
 (the horizon and all inside it when there are relators, only inside it when
 there are none; a coset past reach is marked once its distance falls into
@@ -178,20 +179,33 @@ class _Closure:
     touched: bool = False
 
 
-def _runs(w: Word) -> tuple[Word, list[int], list[int]]:
-    """w with its run bounds: ahead[i] is the end of the run of equal
-    letters that holds w[i], behind[j] the start of the run that holds
-    w[j - 1]."""
-    n = len(w)
-    ahead = list(range(1, n + 1))
-    for i in range(n - 2, -1, -1):
-        if w[i] == w[i + 1]:
-            ahead[i] = ahead[i + 1]
-    behind = list(range(-1, n))
-    for j in range(2, n + 1):
-        if w[j - 1] == w[j - 2]:
-            behind[j] = behind[j - 1]
-    return w, ahead, behind
+class _Stretches(dict):
+    """Where a trace of w jumps while it stays at one row, for one call.
+
+    self[i << L | mask] is the first position from i whose letter is not in
+    mask: forward, the least k >= i with w[k] not in mask; backward, the
+    greatest k <= i with k == 0 or w[k - 1] not in mask.  mask holds the
+    letters of w (not the inverses the backward trace reads) whose step
+    looped at the trace's row.
+    """
+
+    # no instance dict: relator-free runs are many and tiny, and each makes
+    # two of these for every subgroup word
+    __slots__ = ("w", "L", "forward")
+
+    def __init__(self, w: Word, L: int, forward: bool):
+        self.w, self.L, self.forward = w, L, forward
+
+    def __missing__(self, key: int) -> int:
+        w, k, mask = self.w, key >> self.L, key & ((1 << self.L) - 1)
+        if self.forward:
+            while k < len(w) and mask >> w[k] & 1:
+                k += 1
+        else:
+            while k > 0 and mask >> w[k - 1] & 1:
+                k -= 1
+        self[key] = k
+        return k
 
 
 def _raw_enumerate(
@@ -229,17 +243,20 @@ def _raw_enumerate(
     the pass that makes it; tests/test_schreier.py checks the distances
     after every run and pins the truncated balls.
 
-    Run rule.  A relator trace that steps from f along letter x back to f
-    moves past the whole run of x in one step: forward, i goes to the end
-    of the run; backward, j goes to its start, which may lie before i: then
-    the traces met, as at j == i.  Every later copy of x in the run reads
-    the same cell at the same row and loops again, and a trace reads
-    without mutating, so the tables are those of the letter-by-letter
-    trace; only the union-find's path halving may differ.  Nothing is lost
-    by testing only for a loop: once merges drain, each letter acts on the
-    live rows as a partial permutation, so a letter that moves f to f' != f
-    cannot loop at f'.  Run bounds are built once per call for each
-    relator; the subgroup words, traced once, get trivial ones.
+    Stretch rule.  While a trace stays at row f, it keeps the mask of the
+    letters that have looped at f.  A step that loops adds its letter and
+    jumps to the first position whose letter is not in the mask: forward,
+    i goes to the first such w[i]; backward, j goes to the last j with
+    w[j - 1] not in it, which may lie before i: then the traces met, as at
+    j == i.  A trace reads and never writes, so every later copy of a
+    letter in the mask reads the same cell at the same row and loops again,
+    and the tables are those of the letter-by-letter trace; only the
+    union-find's path halving may differ.  Nothing is lost by testing only
+    for a loop: once merges drain, each letter acts on the live rows as a
+    partial permutation, so a letter that moves f to f' != f cannot loop at
+    f'.  A jump depends only on the word, the position and the mask, so
+    every traced word, relator or subgroup word, caches its jumps for the
+    call (_Stretches).
 
     Wake rule.  The mutations are those of a sweep over every row in every
     pass, in the same order: a visit that would change nothing is the only
@@ -328,10 +345,10 @@ def _raw_enumerate(
     if fresh:  # the bare base row at horizon 0
         closure.cells, closure.uf, closure.pdist = [-1] * L, [0], [0]
     cells, uf, pdist = closure.cells, closure.uf, closure.pdist
-    # each relator with its run bounds and, when it has two or more letters,
+    # each relator with its jump caches and, when it has two or more letters,
     # the letters its two traces read first at a row (else -1, -1)
-    relators = [(*_runs(w), *((w[0], w[-1] ^ 1) if len(w) > 1 else (-1, -1)))
-                for w in p.relators]
+    relators = [(w, _Stretches(w, L, True), _Stretches(w, L, False),
+                 *((w[0], w[-1] ^ 1) if len(w) > 1 else (-1, -1))) for w in p.relators]
     # a visit to a row at pdist >= reach changes nothing
     reach = horizon + 1 if relators else horizon
     empty_row = (-1,) * L
@@ -435,11 +452,12 @@ def _raw_enumerate(
     def scan(c: int, w: Word, ahead, behind, fill: bool) -> None:
         """Trace w at c; close the loop, deduce, fill, or leave it open.
 
-        A step that loops crosses the rest of its letter's run: ahead[i] is
-        the end of the run holding w[i], behind[j] the start of the run
-        holding w[j - 1].  A fill chain's new row starts at the shorter of
-        its two walks along the loop, from f or back from b, so consecutive
-        chain rows differ by at most one.  A chain row that starts more than
+        A step that loops adds its letter to the mask of the letters that
+        looped at the trace's row, and jumps past every later letter in the
+        mask (the stretch rule): ahead and behind are w's forward and
+        backward _Stretches.  A fill chain's new row starts at the shorter
+        of its two walks along the loop, from f or back from b, so
+        consecutive chain rows differ by at most one.  A chain row that starts more than
         one below the row it hangs from is made dirty, and one that the walk
         back brings within the watched radius sets touched.  c is a live
         row: the visit loop scans only while uf[c] == c, and the subgroup
@@ -448,28 +466,37 @@ def _raw_enumerate(
         nonlocal touched
         n = len(w)
         f = c
-        i = 0
+        i = m = 0  # m: the letters that looped at f
         while i < n:
-            t = cells[f * L + w[i]]
+            x = w[i]
+            t = cells[f * L + x]
             if t < 0:
                 break
             t = t if uf[t] == t else find(t)  # spare the call on a live row
-            i = ahead[i] if t == f else i + 1
-            f = t
+            if t == f:
+                m |= 1 << x
+                i = ahead[i << L | m]
+            else:
+                f, i, m = t, i + 1, 0
         if i == n:
             if f != c:
                 merge(f, c)
             return
         b = c
         j = n
+        m = 0  # the letters of w whose inverse looped at b
         while j > i:
-            t = cells[b * L + (w[j - 1] ^ 1)]
+            x = w[j - 1]
+            t = cells[b * L + (x ^ 1)]
             if t < 0:
                 break
             t = t if uf[t] == t else find(t)
-            j = behind[j] if t == b else j - 1
-            b = t
-        if j <= i:  # crossing a run can carry j past i
+            if t == b:
+                m |= 1 << x
+                j = behind[j << L | m]
+            else:
+                b, j, m = t, j - 1, 0
+        if j <= i:  # a jump can carry j past i
             if f != b:
                 merge(f, b)
             return
@@ -577,8 +604,8 @@ def _raw_enumerate(
             d += 1
 
     if fresh:
-        for w in h_words:  # traced once: no run bounds
-            scan(0, w, range(1, len(w) + 1), range(-1, len(w)), True)
+        for w in h_words:
+            scan(0, w, _Stretches(w, L, True), _Stretches(w, L, False), True)
         for g in map(find, woken):  # rows a merge brought within reach
             mark[g] = cur
         woken.clear()

@@ -11,6 +11,9 @@ FREE2 = "generators: a b\nrelators: none\n"
 LINE = "generators: a\nrelators: none\n"
 TORUS = "generators: a b\nrelators: abAB\n"
 TRIVIAL_Q_TEXT = "generators: x\nrelators: x\n"
+# genus 2's radius-6 balls over the a-axis, <a, b> or <a, c> outgrow the
+# default node budget
+SURFACE_BUDGET = 40_000_000
 
 # a word of one to seven letters over a and b, for random presentations and
 # subgroups

@@ -36,9 +36,7 @@ from relends import (
 from relends.cli import run
 from relends.presentation import SubgroupSpec
 
-from conftest import FREE2, GENUS2, LINE, TRIVIAL_Q_TEXT, sub
-
-SURFACE_BUDGET = 40_000_000  # the radius-6 quotient ball outgrows the default
+from conftest import FREE2, GENUS2, LINE, SURFACE_BUDGET, TRIVIAL_Q_TEXT, sub
 
 
 @pytest.fixture(scope="module")

@@ -25,8 +25,9 @@ from relends import (
     stable_ball,
 )
 from relends.ends import pair_certified
+from relends.schreier import DEFAULT_NODE_BUDGET
 
-from conftest import FREE2, TORUS, sub, walk
+from conftest import FREE2, GENUS2, SURFACE_BUDGET, TORUS, sub, walk
 
 
 # --- stabilization verdicts ------------------------------------------------
@@ -156,9 +157,9 @@ def test_short_histories_stay_uncertified(zline, trivial):
 # --- end counts end to end ---------------------------------------------------
 
 
-def probes_ledger(probes, gap=1):
+def probes_ledger(probes, gap=1, offset=3):
     return empirical_ledger(
-        r0=probes[-1], inner_offset=Fraction(3), outer_radius=probes[-1] + gap
+        r0=probes[-1], inner_offset=Fraction(offset), outer_radius=probes[-1] + gap
     )
 
 
@@ -228,16 +229,20 @@ def triangle(p, q, r):
             f"  {'ab' * p}\n  {'bc' * q}\n  {'ca' * r}\n")
 
 
-def known_ends(name, text, want, gens=(), probes=(2, 3, 4, 5), conjugate=None, xfail=None):
+def known_ends(name, text, want, gens=(), probes=(2, 3, 4, 5), conjugate=None, xfail=None,
+               budget=DEFAULT_NODE_BUDGET, offset=3):
     marks = [pytest.mark.xfail(strict=True, reason=xfail)] if xfail else []
-    return pytest.param(text, gens, list(probes), want, conjugate, id=name, marks=marks)
+    return pytest.param(text, gens, list(probes), want, conjugate, budget, offset,
+                        id=name, marks=marks)
 
 
 DINF = "generators: a b\nrelators:\n  aa\n  bb\n"
 
 # groups whose end counts are known (Hopf 1944, Stallings; Davis 2008 for
-# the triangle groups), read with the defaults of `ends count`: probes 2-5,
-# inner offset 3, outer gap 1, window 3
+# the triangle groups; Scott 1978 for the subgroups of the genus-2 surface
+# group, where e(G, H) is the number of boundary circles of the cover
+# H\H^2), read with the defaults of `ends count`: probes 2-5, inner offset 3,
+# outer gap 1, window 3
 KNOWN_ENDS = [
     known_ends("triangle-2-3-7", triangle(2, 3, 7), 1, xfail=(
         "reads infinite (history 1, 1, 2, 3): sphere vertices that relator "
@@ -261,16 +266,28 @@ KNOWN_ENDS = [
     # the Schreier graph of D-infinity over <a> is a ray
     known_ends("d-infinity-a", DINF, 1, gens=("a",), conjugate="bab"),
     known_ends("torus-a", TORUS, 2, gens=("a",), conjugate="bbaBB"),
+    # in abABcdCD, a and b alternate at the vertex, and so do c and d:
+    # <a, b> is a one-holed torus, <a, c> a pair of pants and <a, b, c> a
+    # two-holed torus
+    known_ends("genus2-ab", GENUS2, 1, gens=("a", "b"), budget=SURFACE_BUDGET),
+    known_ends("genus2-ac", GENUS2, 3, gens=("a", "c"), budget=SURFACE_BUDGET),
+    known_ends("genus2-abc", GENUS2, 2, gens=("a", "b", "c")),
+    known_ends("genus2-aa", GENUS2, 2, gens=("aa",), probes=(2, 3, 4), offset=2, xfail=(
+        "reads infinite (history 1, 2, 288): probe 4's sphere has only the rim "
+        "to join through, and relator loops reach deeper (ROADMAP item 2)")),
 ]
 
 
-@pytest.mark.parametrize("text, gens, probes, want, conjugate", KNOWN_ENDS)
-def test_known_end_counts_read_right_or_uncertified(text, gens, probes, want, conjugate):
+@pytest.mark.parametrize("text, gens, probes, want, conjugate, budget, offset", KNOWN_ENDS)
+def test_known_end_counts_read_right_or_uncertified(text, gens, probes, want, conjugate,
+                                                    budget, offset):
     p = parse_presentation(text)
+    ledger = probes_ledger(probes, offset=offset)
 
     def count(*texts):
         try:
-            return count_relative_ends(p, sub(p, *texts), probes_ledger(probes), probes).count
+            return count_relative_ends(p, sub(p, *texts), ledger, probes,
+                                       node_budget=budget).count
         except UnstableBallError:  # `ends count` reads it as uncertified
             return UNCERTIFIED
 

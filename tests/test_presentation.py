@@ -1,5 +1,6 @@
 """Input format, letter encoding, and free-word arithmetic."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from relends import (
     invert,
     parse_file,
     parse_presentation,
+    rips_construct,
 )
 from relends.presentation import word_from_text
 
@@ -136,6 +138,19 @@ def test_round_trip_through_text():
     for text in ("abAB", "cdCD", "aA", "1", "dcbaDCBA"):
         w = p.word_from_text(text)
         assert p.word_from_text(p.word_to_text(w)) == w
+
+
+def test_rips_file_text_is_pinned_and_round_trips():
+    # the G file `ends rips` writes over Z2: four generators and nine
+    # relators of 965-985 letters, with H's two words; pinned from the writer
+    # that named each letter in turn
+    out = rips_construct(parse_presentation("generators: x y\nrelators: xyXY\n"))
+    text = out.g_presentation.to_text(out.h_generators)
+    digest = "c38c6f1ff7ad203aa98e6149b203b42df90ca6a39f758a772fe07248abb18cca"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    back = parse_file(text)
+    assert back.presentation == out.g_presentation
+    assert back.subgroup == out.h_generators
 
 
 def reference_pieces(relators):

@@ -429,6 +429,19 @@ def test_tables_grown_in_place_match_pinned_digests():
     assert finalized_digests(resumed=True) == json.loads(BALL_DIGESTS.read_text())
 
 
+@pytest.mark.parametrize("quotient, digest", [
+    (RIPS_F2[1].quotient, "3cf053b9b01eaa4e813eca4e1212523bad2be87d502d4a2916ef7bdb665701ad"),
+    (RIPS_Z2[1].quotient, "f078c4353b9f236bca796e668d0c6bd4a0f350652828f4f077d3d446ea224182"),
+], ids=["rips-f2", "rips-z2"])
+def test_rips_kernel_balls_match_pinned_digests(quotient, digest):
+    # the radius-6 balls of the rips-kernel benchmark, pinned from the
+    # enumerator that crossed only runs of one letter in one step
+    p, words = rips_kernel(quotient)
+    ball = stable_ball(p, SubgroupSpec(words), 6)
+    blob = json.dumps([ball.table, ball.dist, ball.slack]).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 # random two-generator presentations: up to two relators and one subgroup
 # generator
 @settings(max_examples=150, deadline=None)
@@ -519,7 +532,23 @@ run_words = st.lists(st.tuples(st.sampled_from("abAB"), st.integers(1, 6)),
        st.integers(0, 4))
 def test_traces_across_runs_reach_the_same_fixpoint(relators, gens, top):
     listed = "".join(f"\n  {w}" for w in relators)
-    text = f"generators: a b\nrelators:{listed}\n"
+    assert_fresh_and_grown_runs_agree(f"generators: a b\nrelators:{listed}\n", gens, top)
+
+
+# Rips-shaped relators x u X v, with u and v words in a and b, over
+# H = <a, b>: a and b loop at the base and at every row a relator makes
+# equal to it, so a trace crosses long stretches of a and b, mixed, at rows
+# where both loop
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(run_words, run_words), min_size=1, max_size=3), st.integers(0, 4))
+def test_traces_across_looping_stretches_reach_the_same_fixpoint(pairs, top):
+    listed = "".join(f"\n  x{u}X{v}" for u, v in pairs)
+    assert_fresh_and_grown_runs_agree(f"generators: x a b\nrelators:{listed}\n", ("a", "b"), top)
+
+
+def assert_fresh_and_grown_runs_agree(text, gens, top):
+    """At every horizon up to top, the fresh closure and the one grown in
+    place are fixpoints with BFS distances, and give equal balls."""
     fresh = raw_runs(text, gens, range(top + 1))
     grown = raw_runs(text, gens, range(top + 1), resumed=True)
     for (horizon, p, run), (_h, _p, grown_run) in zip(fresh, grown):
