@@ -10,6 +10,7 @@ is exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -95,7 +96,14 @@ def _fraction(text: str) -> Fraction:
 def _build_parser() -> argparse.ArgumentParser:
     # a string default goes through the type check, so a bad environment
     # value is a usage error like a bad flag
-    budget_default = os.environ.get("ENDS_NODE_BUDGET", str(DEFAULT_NODE_BUDGET))
+    return _parser(os.environ.get("ENDS_NODE_BUDGET", str(DEFAULT_NODE_BUDGET)))
+
+
+@functools.lru_cache(maxsize=1)
+def _parser(budget_default: str) -> argparse.ArgumentParser:
+    """The argument parser, with the ENDS_NODE_BUDGET value baked in as
+    --node-budget's default.  It is kept for the latest value only, so a
+    change to the variable between calls in one process builds a new one."""
     p = argparse.ArgumentParser(
         prog="ends",
         description="Count relative ends e(G, H) and run the supporting machinery.",

@@ -47,19 +47,25 @@ def cyclic_reduce(word: Sequence[int]) -> Word:
     return tuple(w)
 
 
-def _rotation_strings(relators: Iterable[Sequence[int]]) -> list[str]:
-    """The cyclic rotations of each relator and of its inverse, deduplicated
-    and sorted, as strings of one character chr(x) per letter x.
+def _rotation_strings(relators: Iterable[Sequence[int]], k: int | None = None) -> list[str]:
+    """The cyclic rotations of each relator and of its inverse, each cut to
+    its first k letters (None: kept whole), deduplicated and sorted, as
+    strings of one character chr(x) per letter x.
 
     Code-point order is tuple order, so the sort is the words' sort.  A
-    string takes a byte or two per letter where a tuple takes eight.
+    string takes a byte or two per letter where a tuple takes eight.  The
+    list is sorted before it is deduplicated: in the order they are cut in,
+    the rotations come in partly sorted runs, which sort faster than a
+    set's order.
     """
-    seen: set[str] = set()
+    cut: list[str] = []
     for r in relators:
         for w in (r, invert(r)):
             s = "".join(map(chr, w))
-            seen.update(s[i:] + s[:i] for i in range(len(s)))
-    return sorted(seen)
+            n = len(s) if k is None else min(k, len(s))
+            ss = s + s[: n - 1]
+            cut += [ss[i : i + n] for i in range(len(s))]
+    return list(dict.fromkeys(sorted(cut)))
 
 
 def _common_prefix(a: str, b: str, lo: int = 0) -> int:
@@ -103,9 +109,10 @@ def _check_generator_names(names: Sequence[str]) -> None:
 class Presentation:
     """A finite presentation: generator names plus cyclically reduced relators.
 
-    The symmetrized closure (rotations and inverses of every relator, as
-    the sorted strings of _rotation_strings) and its C'(1/6) report are
-    computed once, on first use.
+    The C'(1/6) report and the symmetrized closure (the rotations of every
+    relator and of its inverse, as the sorted strings of _rotation_strings)
+    are each computed once, on first use.  The report reads rotation
+    prefixes only, so the closure is built only for Dehn's algorithm.
     """
 
     generators: tuple[str, ...]
@@ -133,7 +140,7 @@ class Presentation:
 
     @cached_property
     def _small_cancellation(self) -> SmallCancellationReport:
-        return _scan_pieces(self._rotations)
+        return _scan_pieces(self.relators)
 
     def word_to_text(self, word: Sequence[int]) -> str:
         if not word:
@@ -261,18 +268,36 @@ def check_small_cancellation(p: Presentation) -> SmallCancellationReport:
 
     A piece is a maximal common prefix of two distinct symmetrized relators.
     The maximum over all pairs is attained by a lexicographically adjacent
-    pair, so one sort replaces the quadratic prefix scan.  No relators is a
-    vacuous pass.  The scan runs once per presentation.
+    pair, so one sort replaces the quadratic prefix scan; the sort reads
+    bounded rotation prefixes, not whole rotations (_scan_pieces).  No
+    relators is a vacuous pass.  The scan runs once per presentation.
     """
     return p._small_cancellation
 
 
-def _scan_pieces(sym: list[str]) -> SmallCancellationReport:
-    """The C'(1/6) report on sorted rotation strings (_rotation_strings)."""
+def _scan_pieces(relators: Sequence[Word]) -> SmallCancellationReport:
+    """The C'(1/6) report, read off sorted rotation prefixes.
+
+    The prefixes are _rotation_strings cut at k letters.  k starts just
+    above a sixth of the shortest relator and doubles while two rotations
+    share a k-prefix, until the prefixes are distinct or k reaches the
+    longest relator, where every prefix is a whole rotation and the dedup
+    is exact.  Either way the prefixes stand one to one for the distinct
+    rotations and sort as they do, and two of them share exactly what their
+    rotations share: fewer than k letters, or the whole of a rotation
+    shorter than k that begins the other.
+    """
     lam = Fraction(1, 6)
-    if not sym:
+    if not relators:
         return SmallCancellationReport(True, 0, 0, True, lam)
-    min_len = min(map(len, sym))
+    min_len = min(map(len, relators))
+    longest = max(map(len, relators))
+    n_rotations = 2 * sum(map(len, relators))
+    k = min_len // 6 + 1
+    sym = _rotation_strings(relators, k)
+    while len(sym) < n_rotations and k < longest:
+        k *= 2
+        sym = _rotation_strings(relators, k)
     max_piece = 0
     for a, b in zip(sym, sym[1:]):
         # a prefix no longer than the longest piece so far cannot raise it

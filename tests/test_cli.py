@@ -132,6 +132,20 @@ def test_bad_env_budget_is_a_usage_error(files, monkeypatch, capsys, value):
     assert "error:" in capsys.readouterr().err
 
 
+def test_the_env_var_is_read_on_every_call(files, monkeypatch, capsys):
+    # the parser is cached by the variable's value, so a change between
+    # calls in one process still takes effect
+    argv = ["count", files["f2"], "--probe-r0", "2,3,4,5"]
+    monkeypatch.setenv("ENDS_NODE_BUDGET", "100")
+    assert run(argv) == 3
+    monkeypatch.delenv("ENDS_NODE_BUDGET")
+    assert run(argv) == 0
+    monkeypatch.setenv("ENDS_NODE_BUDGET", "0")
+    assert run(argv) == 1
+    assert run(["--help"]) == 0
+    capsys.readouterr()
+
+
 def test_explicit_flag_beats_the_env_var(files, monkeypatch, capsys):
     monkeypatch.setenv("ENDS_NODE_BUDGET", "100")
     rc = run(

@@ -230,10 +230,15 @@ def triangle(p, q, r):
 
 
 def known_ends(name, text, want, gens=(), probes=(2, 3, 4, 5), conjugate=None, xfail=None,
-               budget=DEFAULT_NODE_BUDGET, offset=3):
+               budget=DEFAULT_NODE_BUDGET, offset=3, gap=1):
     marks = [pytest.mark.xfail(strict=True, reason=xfail)] if xfail else []
-    return pytest.param(text, gens, list(probes), want, conjugate, budget, offset,
+    return pytest.param(text, gens, list(probes), want, conjugate, budget, offset, gap,
                         id=name, marks=marks)
+
+
+def shallow_annulus(history):
+    return (f"reads infinite (history {history}): the annulus ends inside the "
+            "relator loops that join the sphere (ROADMAP item 2)")
 
 
 DINF = "generators: a b\nrelators:\n  aa\n  bb\n"
@@ -275,14 +280,30 @@ KNOWN_ENDS = [
     known_ends("genus2-aa", GENUS2, 2, gens=("aa",), probes=(2, 3, 4), offset=2, xfail=(
         "reads infinite (history 1, 2, 288): probe 4's sphere has only the rim "
         "to join through, and relator loops reach deeper (ROADMAP item 2)")),
+    # larger probes, where the outer gap of 1 or 2 reads a wrong "infinite";
+    # a deep enough gap reads the one end
+    known_ends("triangle-2-4-6-probes-4-7", triangle(2, 4, 6), 1, probes=(4, 5, 6, 7),
+               xfail=shallow_annulus("1, 1, 2, 4")),
+    known_ends("triangle-2-3-6-probes-6-9", triangle(2, 3, 6), 1, probes=(6, 7, 8, 9),
+               xfail=shallow_annulus("1, 1, 2, 4")),
+    known_ends("triangle-2-3-7-probes-6-9-gap-2", triangle(2, 3, 7), 1, probes=(6, 7, 8, 9),
+               gap=2, xfail=shallow_annulus("1, 1, 2, 4")),
+    known_ends("triangle-2-3-7-probes-6-9", triangle(2, 3, 7), 1, probes=(6, 7, 8, 9),
+               xfail=shallow_annulus("1, 1, 3, 5")),
+    known_ends("triangle-2-4-6-probes-4-7-gap-3", triangle(2, 4, 6), 1, probes=(4, 5, 6, 7),
+               gap=3),
+    known_ends("triangle-2-3-6-probes-6-9-gap-3", triangle(2, 3, 6), 1, probes=(6, 7, 8, 9),
+               gap=3),
+    known_ends("triangle-2-3-7-probes-6-9-gap-4", triangle(2, 3, 7), 1, probes=(6, 7, 8, 9),
+               gap=4),
 ]
 
 
-@pytest.mark.parametrize("text, gens, probes, want, conjugate, budget, offset", KNOWN_ENDS)
+@pytest.mark.parametrize("text, gens, probes, want, conjugate, budget, offset, gap", KNOWN_ENDS)
 def test_known_end_counts_read_right_or_uncertified(text, gens, probes, want, conjugate,
-                                                    budget, offset):
+                                                    budget, offset, gap):
     p = parse_presentation(text)
-    ledger = probes_ledger(probes, offset=offset)
+    ledger = probes_ledger(probes, gap=gap, offset=offset)
 
     def count(*texts):
         try:

@@ -185,9 +185,26 @@ def presentations(n_generators):
     periodic = st.tuples(st.lists(letter, min_size=1, max_size=3), st.integers(2, 4)).map(
         lambda t: t[0] * t[1])
     relator = st.one_of(word, periodic).map(cyclic_reduce).filter(bool)
+    # a relator drawn with its inverse, a rotation of it or an exact copy,
+    # whose rotations all repeat: the scan's prefixes never come apart, and
+    # it falls back to whole rotations
+    def twin(t):
+        r, i, how = t
+        i %= len(r)
+        return [r, {"inverse": invert(r), "rotation": r[i:] + r[:i], "copy": r}[how]]
+
+    twins = st.tuples(relator, st.integers(0, 11),
+                      st.sampled_from(["inverse", "rotation", "copy"])).map(twin)
+    # two relators around one piece longer than a sixth of either, which
+    # fails C'(1/6) and makes the scan double its cut
+    tail = st.lists(letter, max_size=6)
+    shared = st.tuples(st.lists(letter, min_size=3, max_size=8), tail, tail).map(
+        lambda t: [cyclic_reduce(t[0] + t[1]), cyclic_reduce(t[0] + t[2])])
+    group = st.one_of(relator.map(lambda r: [r]), twins, shared)
     names = tuple("abc"[:n_generators]) if n_generators <= 3 else tuple(
         f"g{i}" for i in range(1, n_generators + 1))
-    return st.lists(relator, max_size=3).map(lambda rs: Presentation(names, tuple(rs)))
+    return st.lists(group, max_size=3).map(
+        lambda gs: Presentation(names, tuple(r for g in gs for r in g if r)))
 
 
 @given(st.sampled_from([1, 2, 3]).flatmap(presentations))

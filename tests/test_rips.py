@@ -59,6 +59,14 @@ def test_piece_reports_of_the_constructions(text, fields):
     assert (rep.passes, rep.max_piece_len, rep.min_relator_len) == fields
 
 
+def test_the_check_on_rips_output_builds_no_whole_rotation():
+    # the piece scan reads rotation prefixes; the whole closure is built
+    # only when Dehn's algorithm runs
+    g = rips_construct(parse_presentation("generators: x y\nrelators: xyXY\n")).g_presentation
+    assert check_small_cancellation(g).passes
+    assert "_rotations" not in g.__dict__
+
+
 @pytest.mark.parametrize("text", [ORDER2_Q, ORDER3_Q])
 def test_finite_quotients_verify_too(text):
     out = rips_construct(parse_presentation(text))
