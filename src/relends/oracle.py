@@ -5,9 +5,10 @@ generator loops to get the core graph; the Schreier graph is the core with
 infinite trees hung on every missing direction, so a radius-R ball can be
 written down exactly.  The fold keeps its own union-find, independent of
 the coset enumerator by design, because the oracle is the enumerator's
-cross-check; only the canonical labeling, schreier._relabel, is shared, and
-canonical_code checks that labeling on its own.  Used as ground truth in
-tests and in the fold/compare commands.
+cross-check.  Only the fold shares the enumerator's relabel,
+schreier._relabel; free_schreier_ball writes its ball in canonical order
+in its own BFS, and canonical_code checks that labeling on its own.  Used
+as ground truth in tests and in the fold/compare commands.
 """
 
 from __future__ import annotations
@@ -102,26 +103,56 @@ def free_schreier_ball(core: Ball, radius: int) -> Ball:
     """Exact radius-R Schreier ball over a free group, from the folded core.
 
     Every missing direction at a vertex carries an infinite tree; geodesics
-    never shortcut through those trees, so the core with a fresh row grafted
-    on each missing letter of every row below the radius, the new rows in
-    turn, holds the true metric ball.
+    never shortcut through those trees, so one BFS over the core and its
+    hanging trees, out to the radius, walks the true metric ball.  It hands
+    out labels in discovery order, letters in column order, which is the
+    canonical labeling, so it writes the table as it goes and relabels
+    nothing.  Label i is core vertex src[i] >= 0, or the tree vertex
+    ~src[i] = u * L + x entered by letter x from label u.  A tree row is a
+    fixed pattern: its parent in the back-letter cell, and new children, or
+    -1 on the radius, everywhere else.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     L = core.n_letters
-    cells = [t for row in zip(*core.table) for t in row]
-    depth = list(core.dist)
-    empty_row = [-1] * L
-    for v, d in enumerate(depth):  # reaches the grafted rows as they are appended
-        if d < radius:
-            for x in range(L):
-                if cells[v * L + x] < 0:
-                    cells[v * L + x] = len(depth)
-                    depth.append(d + 1)
-                    cells += empty_row
-                    cells[(x ^ 1) - L] = v
-    table, dist = _relabel(cells, L, int, radius)
-    return Ball(core.gen_names, table, dist, radius)
+    rows = list(zip(*core.table))
+    canon = [-1] * core.n_vertices
+    canon[0] = 0
+    src, dist, flat = [0], [0], []
+    head = 0
+    while head < len(src) and (d := dist[head]) < radius:
+        s, n = src[head], len(src)
+        if s >= 0:
+            row = []
+            for x, t in enumerate(rows[s]):
+                if t < 0:
+                    src.append(~(head * L + x))
+                elif canon[t] < 0:
+                    canon[t] = len(src)
+                    src.append(t)
+                else:
+                    row.append(canon[t])
+                    continue
+                row.append(len(src) - 1)
+        else:
+            u, back = divmod(~s, L)
+            back ^= 1
+            row = list(range(n, n + L - 1))
+            row.insert(back, u)
+            src += range(~(head * L), ~(head * L + L), -1)
+            del src[back - L]  # a child by every letter but the way back
+        dist += [d + 1] * (len(src) - n)
+        flat += row
+        head += 1
+    # every row left lies on the radius, and nothing new gets a label
+    flat += [-1] * (L * (len(src) - head))
+    for i in range(head, len(src)):
+        if (s := src[i]) >= 0:
+            flat[i * L:i * L + L] = [canon[t] if t >= 0 else -1 for t in rows[s]]
+        else:
+            u, x = divmod(~s, L)
+            flat[i * L + (x ^ 1)] = u
+    return Ball(core.gen_names, [flat[x::L] for x in range(L)], dist, radius)
 
 
 def canonical_code(ball: Ball) -> tuple[int, ...]:

@@ -375,6 +375,18 @@ def test_oracle_compare_agrees(files, tmp_path, capsys):
     assert "28 cosets; oracle: 28; isomorphic" in capsys.readouterr().out
 
 
+def test_oracle_compare_enumerates_within_budget_first(files, monkeypatch, capsys):
+    # the oracle ball has no budget of its own; it is built only after the
+    # enumeration fits, since the enumerator's ball is never the smaller
+    def unbudgeted(core, radius):
+        raise AssertionError("the oracle ball was built before the budget check")
+
+    monkeypatch.setattr(relends.cli, "free_schreier_ball", unbudgeted)
+    argv = ["oracle-compare", files["f2"], "--radius", "11", "--node-budget", "100"]
+    assert run(argv) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_rips_output_file_parses_back(files, tmp_path, capsys):
     out_path = tmp_path / "G.grp"
     assert run(["rips", files["q1"], "-o", str(out_path)]) == 0

@@ -1,5 +1,7 @@
 """Folded core graphs as an independent membership and ball oracle."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from relends import (
     stable_ball,
     stallings_fold,
 )
+from relends.schreier import Ball, _relabel
 
 from conftest import FREE2, short_words, sub
 
@@ -176,3 +179,70 @@ def test_free_ball_of_radius_zero_is_the_base(f2, trivial):
     ball = free_schreier_ball(stallings_fold(f2, trivial), 0)
     assert ball.n_vertices == 1
     assert ball.dist == [0]
+
+
+def grafted_ball(core, radius):
+    """The reference construction: graft a fresh tree row on each missing
+    letter of every row below the radius, then relabel the result."""
+    L = core.n_letters
+    cells = [t for row in zip(*core.table) for t in row]
+    depth = list(core.dist)
+    for v, d in enumerate(depth):  # reaches the grafted rows as they are appended
+        if d < radius:
+            for x in range(L):
+                if cells[v * L + x] < 0:
+                    cells[v * L + x] = len(depth)
+                    depth.append(d + 1)
+                    cells += [-1] * L
+                    cells[(x ^ 1) - L] = v
+    table, dist = _relabel(cells, L, int, radius)
+    return Ball(core.gen_names, table, dist, radius)
+
+
+def free_group(rank):
+    return parse_presentation(f"generators: {' '.join('abc'[:rank])}\nrelators: none\n")
+
+
+def seeded_cores(seed=28, per_rank=40):
+    """Cores over F1, F2 and F3 of 0-3 words of 1-7 letters, drawn without
+    free reduction, so words like aA and bBa occur."""
+    rng = random.Random(seed)
+    for rank in (1, 2, 3):
+        p = free_group(rank)
+        for _ in range(per_rank):
+            words = tuple(tuple(rng.randrange(2 * rank) for _ in range(rng.randint(1, 7)))
+                          for _ in range(rng.randint(0, 3)))
+            yield stallings_fold(p, SubgroupSpec(words))
+
+
+def truncated(ball, radius):
+    """The ball cut down to a smaller radius; BFS labels make it a prefix."""
+    n = sum(1 for d in ball.dist if d <= radius)
+    table = [[t if t < n else -1 for t in col[:n]] for col in ball.table]
+    return Ball(ball.gen_names, table, ball.dist[:n], radius)
+
+
+def test_free_ball_equals_the_grafted_construction():
+    cores = list(seeded_cores())
+    # radii run past every core's eccentricity, so trees hang off the far rows
+    assert 2 <= max(core.radius for core in cores) < 6
+    for core in cores:
+        for radius in range(7):
+            assert free_schreier_ball(core, radius) == grafted_ball(core, radius)
+
+
+def test_free_ball_truncates_to_the_smaller_ball():
+    for core in seeded_cores(seed=29, per_rank=15):
+        balls = [free_schreier_ball(core, radius) for radius in range(7)]
+        for radius, (inner, outer) in enumerate(zip(balls, balls[1:])):
+            assert truncated(outer, radius) == inner
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_trivial_subgroup_gives_the_free_cayley_ball(rank):
+    # |B(r)| in F_n is 1 + 2n((2n-1)^r - 1)/(2n - 2); for n = 1, 1 + 2r
+    core = stallings_fold(free_group(rank), SubgroupSpec(()))
+    n = 2 * rank
+    for radius in range(7):
+        want = 1 + 2 * radius if rank == 1 else 1 + n * ((n - 1) ** radius - 1) // (n - 2)
+        assert free_schreier_ball(core, radius).n_vertices == want
