@@ -7,8 +7,9 @@ written down exactly.  The fold keeps its own union-find, independent of
 the coset enumerator by design, because the oracle is the enumerator's
 cross-check.  Only the fold shares the enumerator's relabel,
 schreier._relabel; free_schreier_ball writes its ball in canonical order
-in its own BFS, and canonical_code checks that labeling on its own.  Used
-as ground truth in tests and in the fold/compare commands.
+in its own BFS, and canonical_code checks that labeling by the in-ball
+BFS, Ball.layers, independent of both.  Used as ground truth in tests and
+in the fold/compare commands.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ def stallings_fold(
     """
     if p.relators:
         raise ValueError("Stallings folding needs a free ambient group (no relators)")
+    p.check_letters(h.words, "subgroup")
     L = p.n_letters
 
     # wedge of loops, one row of L cells per vertex as in _raw_enumerate
@@ -156,28 +158,19 @@ def free_schreier_ball(core: Ball, radius: int) -> Ball:
 
 
 def canonical_code(ball: Ball) -> tuple[int, ...]:
-    """Base-rooted BFS certificate; equal codes mean label-preserving iso."""
-    L = ball.n_letters
-    canon = {0: 0}
-    order = [0]
-    code: list[int] = [L]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for x in range(L):
-            t = ball.table[x][v]
-            if t < 0:
-                code.append(-1)
-                continue
-            c = canon.get(t)
-            if c is None:
-                c = len(order)
-                canon[t] = c
-                order.append(t)
-            code.append(c)
+    """Base-rooted BFS certificate; equal codes mean label-preserving iso.
+
+    The vertices are numbered in the order Ball.layers(0) discovers them,
+    letters in column order; the code is L followed by every vertex's row
+    under that numbering, -1 for a cell that leaves the ball.
+    """
+    order = [v for layer in ball.layers(0) for v in layer]
     if len(order) != ball.n_vertices:
         raise ValueError("ball has vertices unreachable from the base")
+    canon = {v: i for i, v in enumerate(order)}
+    code = [ball.n_letters]
+    for v in order:
+        code += [canon[t] if (t := col[v]) >= 0 else -1 for col in ball.table]
     return tuple(code)
 
 

@@ -109,9 +109,12 @@ def _check_generator_names(names: Sequence[str]) -> None:
 class Presentation:
     """A finite presentation: generator names plus cyclically reduced relators.
 
-    The C'(1/6) report and the symmetrized closure (the rotations of every
-    relator and of its inverse, as the sorted strings of _rotation_strings)
-    are each computed once, on first use.  The report reads rotation
+    Relators are freely and cyclically reduced on construction, however
+    the presentation is built, and those that reduce to the identity are
+    dropped; no other module reduces them.  The C'(1/6) report and the
+    symmetrized closure (the rotations of every relator and of its inverse,
+    as the sorted strings of _rotation_strings) are each computed once, on
+    first use.  The report reads rotation
     prefixes only, so the closure is built only for Dehn's algorithm.
     """
 
@@ -120,11 +123,9 @@ class Presentation:
 
     def __post_init__(self) -> None:
         _check_generator_names(self.generators)
-        n = 2 * len(self.generators)
-        for r in self.relators:
-            for x in r:
-                if not 0 <= x < n:
-                    raise ParseError(f"relator letter {x} outside alphabet")
+        self.check_letters(self.relators, "relator")
+        reduced = tuple(r for r in map(cyclic_reduce, self.relators) if r)
+        object.__setattr__(self, "relators", reduced)
 
     @property
     def n_generators(self) -> int:
@@ -133,6 +134,14 @@ class Presentation:
     @property
     def n_letters(self) -> int:
         return 2 * len(self.generators)
+
+    def check_letters(self, words: Iterable[Sequence[int]], what: str) -> None:
+        """Raise ParseError unless every letter of words is in the alphabet."""
+        n = self.n_letters
+        for w in words:
+            if w and not (0 <= min(w) and max(w) < n):
+                x = next(x for x in w if not 0 <= x < n)
+                raise ParseError(f"{what} letter {x} outside alphabet")
 
     @cached_property
     def _rotations(self) -> list[str]:
@@ -216,9 +225,10 @@ def parse_file(text: str) -> ParsedInput:
     """Parse a presentation file: generators, relators, optional subgroup.
 
     One word per entry: inline after the section head, or one per following
-    line.  Relators are freely and cyclically reduced; relators that reduce
-    to the identity are dropped.  A missing subgroup section means the
-    trivial subgroup.
+    line.  The words are read as written: Presentation reduces the relators
+    (freely and cyclically, dropping identities) and SubgroupSpec the
+    subgroup words (freely, dropping identities).  A missing subgroup
+    section means the trivial subgroup.
     """
     lines = _content_lines(text)
     if not lines or not lines[0].lstrip().startswith("generators:"):
@@ -241,12 +251,9 @@ def parse_file(text: str) -> ParsedInput:
             raise ParseError(f"unexpected line before any section: {line!r}")
         sections[current].append(stripped)
 
-    relators = tuple(
-        r for r in (cyclic_reduce(word_from_text(t, names)) for t in sections["relators"]) if r
-    )
+    relators = tuple(word_from_text(t, names) for t in sections["relators"])
     subgroup_words = tuple(word_from_text(t, names) for t in sections["subgroup"])
-    pres = Presentation(names, relators)
-    return ParsedInput(pres, SubgroupSpec(subgroup_words))
+    return ParsedInput(Presentation(names, relators), SubgroupSpec(subgroup_words))
 
 
 def parse_presentation(text: str) -> Presentation:

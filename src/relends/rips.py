@@ -177,15 +177,12 @@ def verify_rips(out: RipsOutput) -> RipsReport:
     recovered = sorted(
         w for r in g.relators if (w := _kill_a_letters(r, nq))
     )
-    expected = sorted(free_reduce(r) for r in q.relators if free_reduce(r))
-    quotient_ok = recovered == expected
+    quotient_ok = recovered == sorted(q.relators)
 
     conj_ok = True
     a_letters = set(range(nq, g.n_letters))
     h_positive = {w[0] for w in out.h_generators.words if len(w) == 1}
     for r in g.relators:
-        if not any(x < nq for x in r):
-            continue
         if _kill_a_letters(r, nq):
             continue  # a Q-relator block, judged by check (b)
         ok = (

@@ -218,6 +218,10 @@ def _raw_enumerate(
 ):
     """Run closure out to the horizon; returns (cells, uf, pdist, find).
 
+    Every traced word is freely reduced: the relators are cyclically reduced
+    by Presentation, and the subgroup words, h_words, are freely reduced by
+    SubgroupSpec.  A fresh run first checks that h_words lie in p's alphabet.
+
     cells is the coset table, one row of L cells per coset:
     cells[c * L + x] is the stored target of letter x at row c, or -1.  It
     is one list grown a row at a time, because L lists growing side by side
@@ -280,9 +284,14 @@ def _raw_enumerate(
     to its two frontier rows f and b, so the trace grows only when f or b
     gains the letter it stopped at or takes part in a merge.  A scan that
     leaves a trace open at c therefore makes c wait on f and on b: one bit
-    on c when the frontier row is c itself (f == b == c for three in four
-    open traces on genus 2), else an entry on the frontier row's chain.  A
-    row gains an edge
+    on c when the frontier row is c itself, else an entry on the frontier
+    row's chain.  On genus 2 (H = 1, a radius-5 stable_ball) the visit loop
+    makes 113,616 no-step waits and scan leaves 39,162 traces open, each
+    with one frontier row at c and the other on a chain (273,344 at radius
+    6); scan's f == b == c path never fires.  It serves the Rips kernels,
+    whose relators are long stretches of letters that loop at every row:
+    Rips(F2) with its H at radius 6 takes it 23,328 times and makes no
+    chain entry.  A row gains an edge
     - at either end of an edge a scan closes;
     - in the visit's own definitions;
     - at the first row of a fill chain (its later rows are new);
@@ -340,6 +349,8 @@ def _raw_enumerate(
     L = p.n_letters
     closure = _Closure(-1) if _closure is None else _closure
     fresh = closure.cells is None
+    if fresh:  # _free_rank below and the subgroup trace index by letter
+        p.check_letters(h_words, "subgroup")
     if (horizon + 1) * L > node_budget and _free_rank(p, h_words) > 0:
         raise BudgetExceeded(node_budget, horizon, 0 if fresh else len(closure.uf))
     if fresh:  # the bare base row at horizon 0
@@ -461,7 +472,10 @@ def _raw_enumerate(
         one below the row it hangs from is made dirty, and one that the walk
         back brings within the watched radius sets touched.  c is a live
         row: the visit loop scans only while uf[c] == c, and the subgroup
-        words are traced at row 0, which no merge kills.
+        words are traced at row 0, which no merge kills.  w is freely
+        reduced, so the cell that w[i] reads at f is empty where the
+        forward trace stopped and at every new chain row, which holds
+        only its cell back.
         """
         nonlocal touched
         n = len(w)
@@ -502,7 +516,7 @@ def _raw_enumerate(
             return
         if j > i + 1:
             if not fill:  # c waits for f or b to gain an edge
-                if f == b == c:  # most open traces took no step either way
+                if f == b == c:  # no step either way, as in the Rips kernels
                     wait[c] |= 1
                 else:
                     hold(f, c)
@@ -514,11 +528,7 @@ def _raw_enumerate(
             far = pdist[b] + j  # the chain row at position k is far - k from b
             while j > i + 1:
                 x = w[i]
-                t = cells[f * L + x]
                 i += 1
-                if t >= 0:  # only in a word that is not freely reduced
-                    f = find(t)
-                    continue
                 d, df = far - i, pdist[f]
                 if d > df:
                     f = new_row(f, x, df + 1)
@@ -531,11 +541,6 @@ def _raw_enumerate(
                     dirty.append(f)
         # one gap left: w[i] should lead from f to b
         x = w[i]
-        t = cells[f * L + x]
-        if t >= 0:
-            if find(t) != b:
-                merge(t, b)
-            return
         back = cells[b * L + (x ^ 1)]
         if back >= 0:
             merge(back, f)

@@ -5,12 +5,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relends import (
     ParseError,
     Presentation,
+    SubgroupSpec,
     check_small_cancellation,
     cyclic_reduce,
     free_reduce,
@@ -18,6 +19,7 @@ from relends import (
     parse_file,
     parse_presentation,
     rips_construct,
+    stable_ball,
 )
 from relends.presentation import word_from_text
 
@@ -228,3 +230,44 @@ def test_piece_report_of_periodic_and_wide_relators(text):
 @given(presentations(130))
 def test_piece_report_matches_a_pairwise_scan_past_letter_255(p):
     assert_pieces_match_the_reference(p)
+
+
+def written_relators(n_generators):
+    """Relators as a user may write them: words with cancelling pairs
+    planted inside and conjugating letters x ... X around them, and words
+    u U that reduce to the identity."""
+    letter = st.integers(0, 2 * n_generators - 1)
+    word = st.lists(letter, max_size=6)
+
+    def plant(t):
+        w, pairs, conjugators = t
+        for i, x in pairs:
+            i %= len(w) + 1
+            w = w[:i] + [x, x ^ 1] + w[i:]
+        for x in conjugators:
+            w = [x] + w + [x ^ 1]
+        return tuple(w)
+
+    pair = st.tuples(st.integers(0, 8), letter)
+    planted = st.tuples(word, st.lists(pair, max_size=2), st.lists(letter, max_size=2)).map(plant)
+    identity = word.map(lambda u: tuple(u) + invert(u))
+    return st.lists(st.one_of(planted, identity), max_size=3).map(
+        lambda rels: (tuple("abcdx"[:n_generators]), tuple(rels)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(written_relators))
+# genus 2 with its relator conjugated by a fifth generator: the written word
+# has a piece of 2 against a length of 10, the reduced one 1 against 8
+@example((tuple("abcdx"), (word_from_text("xabABcdCDX", tuple("abcdx")),)))
+def test_relators_are_reduced_however_the_presentation_is_built(drawn):
+    names, written = drawn
+    reduced = tuple(r for r in map(cyclic_reduce, written) if r)
+    p, q = Presentation(names, written), Presentation(names, reduced)
+    assert p == q and p.relators == reduced
+    assert parse_file(p.to_text()).presentation == p
+    rep = check_small_cancellation(p)
+    fields = (rep.passes, rep.max_piece_len, rep.min_relator_len, rep.vacuous)
+    assert fields == reference_pieces(reduced)[1]
+    for radius in range(4):
+        assert stable_ball(p, SubgroupSpec(()), radius) == stable_ball(q, SubgroupSpec(()), radius)

@@ -105,6 +105,17 @@ def test_mangling_a_conjugation_relator_is_caught(built):
     assert not rep.conjugators_formal
 
 
+def test_a_relator_of_a_letters_only_is_caught(built):
+    g = built.g_presentation
+    a1 = 2 * built.q_presentation.n_generators
+    bad = dataclasses.replace(
+        built, g_presentation=Presentation(g.generators, g.relators + ((a1, a1 + 2),))
+    )
+    rep = verify_rips(bad)
+    assert rep.quotient_recovered
+    assert not rep.conjugators_formal
+
+
 def test_small_blocks_escalate_until_the_bound_holds():
     out = rips_construct(parse_presentation(TRIVIAL_Q), block_length=8)
     assert out.block_length == 513

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from relends import (
     Ball,
     BudgetExceeded,
+    ParseError,
     Presentation,
     SubgroupSpec,
     canonical_code,
+    count_relative_ends,
     covering_degree_check,
     dehn_reduce,
     empirical_ends,
@@ -317,6 +319,25 @@ def test_a_finite_index_subgroup_runs_at_any_horizon(text, gens):
     p = parse_presentation(text)
     ball = stable_ball(p, sub(p, *gens), 10**6, node_budget=100)
     assert ball.stable and ball.n_vertices == 1
+
+
+# every entry point where H meets G, the budget precheck of a horizon no
+# budget holds included; F2 has letters 0 to 3
+ENTRY_POINTS = {
+    "stable_ball": lambda p, h: stable_ball(p, h, 2),
+    "budget-precheck": lambda p, h: stable_ball(p, h, 20, node_budget=100),
+    "enumerate_cosets": lambda p, h: enumerate_cosets(p, h, 2),
+    "count_relative_ends": lambda p, h: count_relative_ends(
+        p, h, empirical_ledger(r0=1, inner_offset=Fraction(1), outer_radius=2), [1, 2]),
+    "stallings_fold": stallings_fold,
+}
+
+
+@pytest.mark.parametrize("letter", [4, -1])
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_subgroup_letters_outside_the_alphabet_are_input_errors(f2, entry, letter):
+    with pytest.raises(ParseError, match=f"subgroup letter {letter} outside alphabet"):
+        entry(f2, SubgroupSpec(((0, letter),)))
 
 
 @pytest.mark.parametrize(
