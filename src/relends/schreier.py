@@ -10,19 +10,22 @@ queue over a union-find with path halving; reads resolve stale targets
 lazily via find.  A trace step that loops jumps past every later letter
 that has already looped at its coset (the stretch rule): a trace writes
 nothing, so each such letter reads the same cell at the same coset and
-loops again.  Each pass visits only the marked cosets, in ascending order,
-until a pass leaves none marked.  A coset is marked only
-when its visit can act: when it is new or its distance crosses into reach
-(the horizon and all inside it when there are relators, only inside it when
-there are none; a coset past reach is marked once its distance falls into
-it), and when it lies on the horizon with an open relator loop that may
-have grown.  An open loop waits on the two frontier cosets where its trace
-stopped, and wakes when either gains an edge or takes part in a merge: the
-watched-literal scheme of SAT solvers (Moskewicz et al., Chaff, 2001), with
-the same rule in every pass.  The skipped visits are the ones that would
-change nothing, so the tables are those a sweep over every coset in every
-pass would build.  A coset that gap filling defines starts at its distance
-along the relator loop it fills, counted from the nearer end of the gap.
+loops again.  The worklist is one mark bit per coset, read by a cursor that
+sweeps the cosets in ascending order: a coset marked past the cursor is
+visited in this pass, any other in the next, and the run ends when a pass
+leaves none marked.  A coset is marked only when its visit can act: when it
+is new or its distance crosses into reach (the horizon and all inside it
+when there are relators, only inside it when there are none; a coset past
+reach is marked once its distance falls into it), and when it lies on the
+horizon with an open relator loop that may have grown.  An open loop waits
+on the two frontier cosets where its trace stopped.  When either gains an
+edge or takes part in a merge, the waiting coset's live row is marked at
+once: the watched-literal scheme of SAT solvers (Moskewicz et al., Chaff,
+2001), with the same rule in every pass.  A merge hands a dead coset's mark
+to its survivor.  The skipped visits are the ones that would change
+nothing, so the tables are those a sweep over every coset in every pass
+would build.  A coset that gap filling defines starts at its distance along
+the relator loop it fills, counted from the nearer end of the gap.
 Before each pass, the distances are settled to exact BFS distances from
 the rows whose edges changed.  The returned ball is truncated to the
 requested radius and relabeled in BFS order (generators in declared order,
@@ -265,7 +268,10 @@ def _raw_enumerate(
     Wake rule.  The mutations are those of a sweep over every row in every
     pass, in the same order: a visit that would change nothing is the only
     kind skipped, because every row whose visit would change something is
-    marked before the pass reaches it.  A row at pdist >= reach is not
+    marked before the pass reaches it.  The one worklist is mark, a bit per
+    row, and the pass's cursor picks when a marked row is visited: in this
+    pass when it lies past the visited row, else in the next.  That is
+    where the sweep would next visit it.  A row at pdist >= reach is not
     marked: its visit changes nothing.  A visit at d < horizon leaves c
     with every edge and every relator loop closed, and a closed loop stays
     closed through any later merge.  So a row can only need another visit
@@ -285,25 +291,18 @@ def _raw_enumerate(
     gains the letter it stopped at or takes part in a merge.  A scan that
     leaves a trace open at c therefore makes c wait on f and on b: one bit
     on c when the frontier row is c itself, else an entry on the frontier
-    row's chain.  On genus 2 (H = 1, a radius-5 stable_ball) the visit loop
-    makes 113,616 no-step waits and scan leaves 39,162 traces open, each
-    with one frontier row at c and the other on a chain (273,344 at radius
-    6); scan's f == b == c path never fires.  It serves the Rips kernels,
-    whose relators are long stretches of letters that loop at every row:
-    Rips(F2) with its H at radius 6 takes it 23,328 times and makes no
-    chain entry.  A row gains an edge
+    row's chain.  A row gains an edge
     - at either end of an edge a scan closes;
     - in the visit's own definitions;
     - at the first row of a fill chain (its later rows are new);
     - on both sides of a merge;
-    and there it wakes all its waiters and drops them.  After the visit, a
-    woken row above the visited one is marked for this pass, any other for
-    the next: that is where the sweep would next visit it.  The two mark
-    values alternate between passes and never meet on one row.  Waking on
-    any gain, not only on the letter the trace stopped at, on a merge
-    whatever it gives, and at the live row of a waiter that has died, only
-    adds visits, and a visit that changes nothing is harmless.  The rule is
-    the same in every pass, of a fresh run and of an extension alike.
+    and there it wakes all its waiters and drops them: the live row of
+    each is marked at once.  A merge hands the dead row's mark to its
+    survivor.  Waking on any gain, not only on the letter the trace stopped
+    at, on a merge whatever it gives, and handing every mark on only adds
+    visits, each one the sweep makes at the same point, and a visit that
+    changes nothing is harmless.  The rule is the same in every pass, of a
+    fresh run and of an extension alike.
 
     Growth in place.  Every run grows the table of a closure record
     (_Closure) from the record's horizon h <= horizon.  A fresh run, with no
@@ -363,17 +362,14 @@ def _raw_enumerate(
     # a visit to a row at pdist >= reach changes nothing
     reach = horizon + 1 if relators else horizon
     empty_row = (-1,) * L
-    # mark[c] is cur when c is to be visited in this pass, nxt for the next
-    cur, nxt = 1, 2
-    mark = bytearray(closure.horizon <= d < reach for d in pdist)  # True is cur
+    # mark[c] is 1 when c is to be visited: in this pass when c lies past the
+    # visited row, else in the next
+    mark = bytearray(closure.horizon <= d < reach for d in pdist)
     watch = closure.radius
     touched = fresh
     pending: deque[tuple[int, int]] = deque()
     # rows whose distance may be too high for a neighbour; see settle()
     dirty: list[int] = []
-    # rows to mark after the visit: rows whose distance crossed the horizon,
-    # and the waiters of rows that gained an edge
-    woken: list[int] = []
     # what waits on row f: bit 1 of wait[f] is f itself, bit 2 a chain of
     # other rows
     wait = bytearray(len(uf))
@@ -399,7 +395,7 @@ def _raw_enumerate(
         cells.extend(empty_row)
         uf.append(t)
         pdist.append(d)
-        mark.append(cur if d < reach else 0)
+        mark.append(d < reach)
         wait.append(0)
         cells[src * L + x] = t
         cells[t * L + (x ^ 1)] = src
@@ -421,11 +417,11 @@ def _raw_enumerate(
         """Row f gained an edge or took part in a merge: its waiters wake."""
         w, wait[f] = wait[f], 0
         if w & 1:
-            woken.append(f)
+            mark[find(f)] = 1
         if w & 2:
             e = head[f]
             while e >= 0:
-                woken.append(held[e])
+                mark[find(held[e])] = 1
                 e = link[e]
 
     def merge(a: int, b: int) -> None:
@@ -441,8 +437,10 @@ def _raw_enumerate(
             uf[b] = a
             if pdist[b] < pdist[a]:
                 if pdist[b] <= horizon <= pdist[a]:
-                    woken.append(a)
+                    mark[a] = 1
                 pdist[a] = pdist[b]
+            if mark[b]:
+                mark[a] = 1
             if pdist[a] <= watch:
                 touched = True
             if wait[a]:
@@ -516,12 +514,9 @@ def _raw_enumerate(
             return
         if j > i + 1:
             if not fill:  # c waits for f or b to gain an edge
-                if f == b == c:  # no step either way, as in the Rips kernels
-                    wait[c] |= 1
-                else:
-                    hold(f, c)
-                    if b != f:
-                        hold(b, c)
+                hold(f, c)
+                if b != f:
+                    hold(b, c)
                 return
             if wait[f]:
                 gain(f)  # the fill chain's first row gains an edge
@@ -601,7 +596,7 @@ def _raw_enumerate(
                             t = find(t)
                         if pdist[t] > d + 1:
                             if d + 1 <= horizon <= pdist[t]:
-                                mark[t] = cur
+                                mark[t] = 1
                             pdist[t] = d + 1
                             if d < watch:
                                 touched = True
@@ -611,13 +606,10 @@ def _raw_enumerate(
     if fresh:
         for w in h_words:
             scan(0, w, _Stretches(w, L, True), _Stretches(w, L, False), True)
-        for g in map(find, woken):  # rows a merge brought within reach
-            mark[g] = cur
-        woken.clear()
 
     while True:
         settle()
-        c = mark.find(cur)
+        c = mark.find(1)
         if c < 0:
             break
         while c >= 0:
@@ -639,14 +631,9 @@ def _raw_enumerate(
                                 break
                         else:  # the trace takes no step either way
                             wait[c] |= 1
-            if woken:  # those above c wake in this pass, the rest in the next
-                for g in map(find, woken):
-                    mark[g] = cur if g > c else nxt
-                woken.clear()
             c += 1  # the next row is usually marked
-            if c == len(mark) or mark[c] != cur:
-                c = mark.find(cur, c)
-        cur, nxt = nxt, cur
+            if c == len(mark) or not mark[c]:
+                c = mark.find(1, c)
 
     closure.horizon, closure.touched = horizon, touched
     return cells, uf, pdist, find
@@ -753,6 +740,9 @@ def stable_ball(
 
     One table grows a layer per slack.  Returns the first stable ball, or
     the last attempt flagged unstable when max_slack is exhausted.
+    The certificate is empirical: over <a, b | BaBAB, bb>, where b = 1, the
+    radius-0 ball reads stable at slack 0 with every cell -1, while slack 2
+    and beyond close b into a loop at the base.
     """
     if radius < 0 or start_slack < 0:
         raise ValueError("radius and start_slack must be nonnegative")

@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .presentation import (
+    ParseError,
     Presentation,
     SubgroupSpec,
     Word,
@@ -77,7 +78,9 @@ def dehn_reduce(w: Word, p: Presentation) -> Word:
     character per letter, so the word is searched as a string too; only the
     replaced piece goes back to letters.  Each replacement strictly shortens
     the word (the threshold 2|u| > |r| is strict), so the loop terminates.
+    A letter outside p's alphabet raises ParseError.
     """
+    p.check_letters((w,), "word")
     if not check_small_cancellation(p).passes:
         raise StrategyError("Dehn's algorithm needs a C'(1/6) presentation")
     sym = p._rotations
@@ -106,8 +109,11 @@ def shortlex_normal_form(w: Word, ball: Ball) -> Word:
 
     The walk follows w edge by edge from the identity vertex, so it needs
     every prefix of (the free reduction of) w to stay inside the ball, not
-    just the endpoint.
+    just the endpoint.  A letter outside the ball's alphabet raises
+    ParseError.
     """
+    if bad := [x for x in w if not 0 <= x < ball.n_letters]:
+        raise ParseError(f"word letter {bad[0]} outside alphabet")
     v = 0
     for x in free_reduce(w):
         v = ball.table[x][v]

@@ -75,9 +75,12 @@ CHAIN = ("AbbabABB", "generators: a b\nrelators: AbbabABB\n", (), 5)
 # and its dead side (BAAAbAA-b, bABabb), in a visit's own definitions
 # (BaaBBB, aabaaB) and at the first row of a fill chain (AbAbaaab-bb).  A
 # trace whose frontier lies at another row waits on that row, not on its
-# own (aabaaB, BaaBBB).  A row is marked only once its distance falls within
-# reach of a visit that can act, so a merge in a fresh run's subgroup trace
-# that brings a row within reach must mark it (aaaaba-AB).
+# own (aabaaB, BaaBBB).  A woken row is marked at once, and a row is marked
+# only once its distance falls within reach of a visit that can act, so a
+# merge whose survivor crosses the horizon must mark it (CBC-BBCACBB).  A
+# merge also hands the dead row's mark to the survivor; in a fresh run's
+# subgroup trace, either of the two marks the row that a merge brings within
+# reach (aaaaba-AB fails only when both are dropped).
 WAKES = [
     ("BAAAbAA-b", "generators: a b\nrelators:\n  BAAAbAA\n  b\n", (), 3),
     ("ABABB", "generators: a b\nrelators: ABABB\n", (), 4),
@@ -89,6 +92,7 @@ WAKES = [
     ("AbAbaaab-bb", "generators: a b\nrelators:\n  AbAbaaab\n  bb\n", (), 3),
     ("aabaaB", "generators: a b\nrelators: aabaaB\n", (), 3),
     ("aaaaba-AB", FREE2, ("aaaaba", "AB"), 3),
+    ("CBC-BBCACBB", "generators: a b c\nrelators:\n  CBC\n  BBCACBB\n", (), 3),
 ]
 # a letter that loops at every row, so that a relator's trace crosses its
 # run in one step: a by the subgroup itself, and a after a coincidence in
@@ -288,6 +292,24 @@ def test_generous_start_slack_is_already_stable():
     p = parse_presentation(SHIFTY)
     ball = stable_ball(p, sub(p), 2, start_slack=3)
     assert ball.stable and ball.n_vertices == 13
+
+
+# two-generator presentations whose relators close a loop at the base only
+# several layers out; the loop is there from slack 2 on over the first, where
+# b = 1 and G = Z
+LATE_LOOPS = {"b": ("BaBAB", "bb"), "a": ("AABab", "aa"), "a-long": ("bbabA", "bAAbab")}
+
+
+@pytest.mark.xfail(strict=True, reason="stable_ball's certificate is empirical: slack s + 1 "
+                   "reproducing the ball of slack s does not prove that no deeper closure "
+                   "changes it")
+@pytest.mark.parametrize("relators", LATE_LOOPS.values(), ids=LATE_LOOPS.keys())
+def test_a_stable_ball_is_the_ball_of_a_deeper_closure(relators):
+    p = parse_presentation("generators: a b\nrelators:" + "".join(f"\n  {w}" for w in relators))
+    ball = stable_ball(p, sub(p), 0)
+    assert (ball.slack, ball.stable) == (0, True)
+    deep = enumerate_cosets(p, sub(p), 0, slack=8)
+    assert (ball.table, ball.dist) == (deep.table, deep.dist)
 
 
 def test_budget_cuts_enumeration_short(genus2, trivial):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relends import (
+    ParseError,
     UnstableBallError,
     build_ball,
     check_small_cancellation,
@@ -134,6 +135,21 @@ def test_bfs_decides_the_commutator(torus):
     ball = build_ball(torus, 4, radius_cap=12)
     assert shortlex_normal_form(torus.word_from_text("abAB"), ball) == ()
     assert shortlex_normal_form(torus.word_from_text("ab"), ball) != ()
+
+
+@pytest.mark.parametrize("letter", [-1, 4])
+def test_shortlex_normal_form_refuses_letters_outside_the_alphabet(torus, letter):
+    # the torus has letters 0 to 3; -1 would read the last column
+    ball = build_ball(torus, 2, radius_cap=12)
+    with pytest.raises(ParseError, match=f"word letter {letter} outside alphabet"):
+        shortlex_normal_form((letter,), ball)
+
+
+@pytest.mark.parametrize("letter", [9, -1])
+def test_dehn_reduce_refuses_letters_outside_the_alphabet(genus2, letter):
+    # genus 2 has letters 0 to 7
+    with pytest.raises(ParseError, match=f"word letter {letter} outside alphabet"):
+        dehn_reduce((letter,), genus2)
 
 
 def test_bfs_gives_up_beyond_its_radius(torus):
