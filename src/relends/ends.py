@@ -109,7 +109,7 @@ def count_relative_ends(
     """Count relative ends of (G, H) by probed, stabilized sphere classes.
 
     The ledger acts as a template: its inner_offset and its outer gap
-    (outer_radius - R0) are reused at every probe.  One Schreier ball is
+    (outer_radius - R0, at least 1) are reused at every probe.  One ball is
     enumerated out to the largest probe's outer radius and escalated until
     stable; an unstable ball at max_slack is an error, not a number.  A
     stable ball with an empty rim is a complete coset table, so it reads 0.
@@ -121,6 +121,9 @@ def count_relative_ends(
     if ledger.outer_radius is None:
         raise ValueError("ledger template needs an outer_radius")
     gap = ledger.outer_radius - ledger.r0
+    if gap < 1:
+        raise ValueError(f"ledger template's outer_radius {ledger.outer_radius} leaves "
+                         f"no annulus past R0 = {ledger.r0}")
     radius = probe_r0s[-1] + gap
     ball = stable_ball(p, h, radius, max_slack=max_slack, node_budget=node_budget)
     if not ball.stable:

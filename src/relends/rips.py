@@ -28,6 +28,9 @@ from .presentation import (
     invert,
 )
 
+# the block-length doublings rips_construct tries before it gives up
+MAX_ESCALATIONS = 6
+
 
 @dataclass(frozen=True)
 class RipsOutput:
@@ -95,15 +98,13 @@ def _fresh_names(taken: tuple[str, ...]) -> tuple[str, str]:
     return picked[0], picked[1]
 
 
-def rips_construct(
-    q: Presentation, block_length: int = 480, max_escalations: int = 6
-) -> RipsOutput:
+def rips_construct(q: Presentation, block_length: int = 480) -> RipsOutput:
     """Build the pair (G, H) over Q and certify C'(1/6).
 
     block_length is the minimum length of each fresh a-word; both it and
     the exponent cap grow geometrically until the small-cancellation check
     passes (pieces stay O(cap) while relators grow linearly, so this
-    terminates fast in practice).
+    terminates fast in practice), at most MAX_ESCALATIONS times.
     """
     if block_length < 8:
         raise ValueError("block_length must be at least 8")
@@ -117,7 +118,7 @@ def rips_construct(
 
     max_r = max((len(r) for r in q.relators), default=1)
     length = block_length
-    for _ in range(max_escalations + 1):
+    for _ in range(MAX_ESCALATIONS + 1):
         # letters drawn from the walk total about 0.45 * cap^3 before the
         # pairs run dry; pieces cost about 3 * cap, so cap must also fit
         # under the C'(1/6) budget for the shortest relator
@@ -152,7 +153,7 @@ def rips_construct(
             )
         length *= 2
     raise RuntimeError(
-        f"no C'(1/6) instance within {max_escalations} escalations "
+        f"no C'(1/6) instance within {MAX_ESCALATIONS} escalations "
         f"(last block length {length // 2})"
     )
 

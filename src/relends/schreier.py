@@ -19,17 +19,17 @@ when there are relators, only inside it when there are none; a coset past
 reach is marked once its distance falls into it), and when it lies on the
 horizon with an open relator loop that may have grown.  An open loop waits
 on the two frontier cosets where its trace stopped.  When either gains an
-edge or takes part in a merge, the waiting coset's live row is marked at
-once: the watched-literal scheme of SAT solvers (Moskewicz et al., Chaff,
-2001), with the same rule in every pass.  A merge hands a dead coset's mark
-to its survivor.  The skipped visits are the ones that would change
-nothing, so the tables are those a sweep over every coset in every pass
-would build.  A coset that gap filling defines starts at its distance along
-the relator loop it fills, counted from the nearer end of the gap.
-Before each pass, the distances are settled to exact BFS distances from
-the rows whose edges changed.  The returned ball is truncated to the
-requested radius and relabeled in BFS order (generators in declared order,
-positive letter before inverse), so equal balls have equal tables.
+edge or takes part in a merge, the waiting coset is marked at once: the
+watched-literal scheme of SAT solvers (Moskewicz et al., Chaff, 2001).  A
+merge moves no mark: a survivor's open loops wait on their own frontier
+cosets.  The skipped visits are the ones that would change nothing, so the
+tables are those a sweep over every coset in every pass would build.  A
+coset that gap filling defines starts at its distance along the relator
+loop it fills, counted from the nearer end of the gap.  Before each pass,
+the distances are settled to exact BFS distances from the rows whose edges
+changed.  The returned ball is truncated to the requested radius and
+relabeled in BFS order (generators in declared order, positive letter
+before inverse), so equal balls have equal tables.
 
 Every closure grows in place: a fresh run is the same growth, started from
 the bare base row at horizon 0.  Stability is certified empirically: a
@@ -270,39 +270,39 @@ def _raw_enumerate(
     kind skipped, because every row whose visit would change something is
     marked before the pass reaches it.  The one worklist is mark, a bit per
     row, and the pass's cursor picks when a marked row is visited: in this
-    pass when it lies past the visited row, else in the next.  That is
-    where the sweep would next visit it.  A row at pdist >= reach is not
-    marked: its visit changes nothing.  A visit at d < horizon leaves c
-    with every edge and every relator loop closed, and a closed loop stays
-    closed through any later merge.  So a row can only need another visit
-    when
-    - it is new and starts within reach, or its distance crosses the
-      horizon in merge or settle (which covers every fall into reach); such
-      a row is marked;
-    - it is on the horizon, a relator's trace at it stopped with a gap of
-      two or more letters (an open loop), and that trace has since grown.
-    A horizon visit whose trace would take no step either way, because c
-    has neither the relator's first letter nor the inverse of its last,
-    only makes c wait on itself; the visit loop sets that bit without
-    calling scan.  A one-letter relator always goes to scan, which closes
-    the two empty cells into a loop.
-    The cells along an open trace stay filled and still lead, through find,
-    to its two frontier rows f and b, so the trace grows only when f or b
-    gains the letter it stopped at or takes part in a merge.  A scan that
-    leaves a trace open at c therefore makes c wait on f and on b: one bit
-    on c when the frontier row is c itself, else an entry on the frontier
-    row's chain.  A row gains an edge
-    - at either end of an edge a scan closes;
-    - in the visit's own definitions;
-    - at the first row of a fill chain (its later rows are new);
-    - on both sides of a merge;
-    and there it wakes all its waiters and drops them: the live row of
-    each is marked at once.  A merge hands the dead row's mark to its
-    survivor.  Waking on any gain, not only on the letter the trace stopped
-    at, on a merge whatever it gives, and handing every mark on only adds
-    visits, each one the sweep makes at the same point, and a visit that
-    changes nothing is harmless.  The rule is the same in every pass, of a
-    fresh run and of an extension alike.
+    pass when it lies past the visited row, else in the next, where the
+    sweep would next visit it.  Outside merge, every live row c but the
+    visited one keeps two invariants, so that an unmarked row's visit
+    changes nothing (a row at pdist >= reach needs no mark):
+    (I1) at pdist < horizon, c is marked, or it is complete with every
+      relator loop closed;
+    (I2) on the horizon, c is marked, or each relator's trace at c is
+      closed or open (stopped with a gap of two or more letters), and c
+      waits on an open trace's two frontier rows f and b: bit 1 of wait[c]
+      when one is c itself, else an entry holding c on that row's chain.
+    A visit leaves c complete and closed below the horizon, and on it each
+    trace closed or open with c waiting; a trace that would take no step
+    either way only sets c's bit, without calling scan.  A complete row and
+    a closed loop stay so through any merge.  The cells along an open trace
+    stay filled and lead, through find, to its next rows, so the trace
+    grows only when f or b gains the letter it stopped at or takes part in
+    a merge.  A row gains an edge at either end of an edge a scan closes,
+    in a visit's own definitions, at the first row of a fill chain (its
+    later rows are new) and on both sides of a merge, and there it wakes
+    its waiters and drops them: each row it holds is marked at once, dead
+    or live.  A merge needs nothing else from its dead row b, neither b's
+    mark nor its waits.  The survivor a keeps its cells, so its traces go
+    on only past a frontier row that gained or merged, which wakes a.
+    That happens whenever b's trace of the word goes further: merging a
+    and b merges, pair by pair, the rows that the two traces reach while
+    both rows have the next letter, so the shorter trace's frontier row
+    takes part in a merge; a frontier at a itself is the bit that merge's
+    gain(a) wakes.  A waiter that died is covered by its survivor alike.
+    A survivor that falls into reach or below the horizon gets the
+    crossing mark (pdist[b] <= horizon <= pdist[a]); settle marks a row
+    whose distance crosses the horizon, new_row one that starts in reach.
+    So no mark moves between rows.  Waking on any gain, and on a merge
+    whatever it gives, only adds visits the sweep makes at the same point.
 
     Growth in place.  Every run grows the table of a closure record
     (_Closure) from the record's horizon h <= horizon.  A fresh run, with no
@@ -417,11 +417,11 @@ def _raw_enumerate(
         """Row f gained an edge or took part in a merge: its waiters wake."""
         w, wait[f] = wait[f], 0
         if w & 1:
-            mark[find(f)] = 1
+            mark[f] = 1
         if w & 2:
             e = head[f]
             while e >= 0:
-                mark[find(held[e])] = 1
+                mark[held[e]] = 1
                 e = link[e]
 
     def merge(a: int, b: int) -> None:
@@ -439,8 +439,6 @@ def _raw_enumerate(
                 if pdist[b] <= horizon <= pdist[a]:
                     mark[a] = 1
                 pdist[a] = pdist[b]
-            if mark[b]:
-                mark[a] = 1
             if pdist[a] <= watch:
                 touched = True
             if wait[a]:
@@ -463,17 +461,16 @@ def _raw_enumerate(
 
         A step that loops adds its letter to the mask of the letters that
         looped at the trace's row, and jumps past every later letter in the
-        mask (the stretch rule): ahead and behind are w's forward and
-        backward _Stretches.  A fill chain's new row starts at the shorter
-        of its two walks along the loop, from f or back from b, so
-        consecutive chain rows differ by at most one.  A chain row that starts more than
-        one below the row it hangs from is made dirty, and one that the walk
-        back brings within the watched radius sets touched.  c is a live
-        row: the visit loop scans only while uf[c] == c, and the subgroup
-        words are traced at row 0, which no merge kills.  w is freely
-        reduced, so the cell that w[i] reads at f is empty where the
-        forward trace stopped and at every new chain row, which holds
-        only its cell back.
+        mask (the stretch rule): ahead and behind are w's forward and backward
+        _Stretches.  A fill chain's new row starts at the shorter of its two
+        walks along the loop, from f or back from b, so consecutive chain rows
+        differ by at most one.  A chain row that starts more than one below the
+        row it hangs from is made dirty, and one that the walk back brings
+        within the watched radius sets touched.  c is a live row: the visit
+        loop scans only while uf[c] == c, and the subgroup words are traced at
+        row 0, which no merge kills.  w is freely reduced, so the cell that
+        w[i] reads at f is empty where the forward trace stopped and at every
+        new chain row, which holds only its cell back.
         """
         nonlocal touched
         n = len(w)
@@ -779,8 +776,13 @@ def covering_degree_check(ball: Ball, exclusion_radius: int) -> CoveringReport:
     edges defined, no loop, and no doubled edge.  The lower bound is
     inclusive so an H-loop sitting exactly on the exclusion sphere is
     reported.  Violations mean the exclusion radius is below this
-    instance's quotient-hyperbolicity threshold.
+    instance's quotient-hyperbolicity threshold.  An exclusion radius at or
+    past the ball's radius would leave nothing to check and read as a
+    vacuous pass, so it is an error.
     """
+    if exclusion_radius >= ball.radius:
+        raise ValueError(f"covering check radius {exclusion_radius} leaves no cosets "
+                         f"below the ball radius {ball.radius}")
     L = ball.n_letters
     violations: list[CoveringViolation] = []
     checked = 0

@@ -204,6 +204,19 @@ def test_certified_count_on_z_is_refused_before_any_row(files, capsys):
     assert ", 0 rows allocated)" in capsys.readouterr().err
 
 
+def test_certified_count_without_an_annulus_is_refused_before_any_row(files, capsys, monkeypatch):
+    # delta 0 gives outer_radius = R0: the template leaves no annulus, so
+    # the count is refused by name before the ball is enumerated
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("the ball was enumerated")
+
+    monkeypatch.setattr("relends.ends.stable_ball", enumerate_nothing)
+    argv = ["count", files["z"], "--mode", "certified", "--delta", "0", "--epsilon", "0"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "outer_radius 4 leaves no annulus past R0 = 4" in err
+
+
 @pytest.mark.parametrize("flags", [[], ["--epsilon", "1"], ["--delta", "1/2"]])
 def test_ledger_estimates_are_always_text(files, capsys, flags):
     assert run(["count", files["z"], "--probe-r0", "2,3,4,5", *flags, "--json", "-"]) == 0
@@ -245,6 +258,16 @@ def test_schreier_covering_check_flag(files, capsys):
     )
     assert rc == 0
     assert "covering check outside radius 1: passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("exclusion", ["2", "7"])
+def test_a_covering_check_with_nothing_to_check_is_an_error(files, capsys, exclusion):
+    # at radius 2, R = 2 or more leaves no coset with R <= dist < 2
+    argv = ["schreier", files["f2"], "--radius", "2", "--covering-check", exclusion]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "passed" not in captured.out
+    assert "leaves no cosets below the ball radius 2" in captured.err
 
 
 def test_dot_export_writes_a_digraph(files, tmp_path, capsys):

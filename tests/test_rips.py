@@ -122,9 +122,10 @@ def test_small_blocks_escalate_until_the_bound_holds():
     assert verify_rips(out).small_cancellation.passes
 
 
-def test_escalation_budget_is_respected():
+def test_escalation_budget_is_respected(monkeypatch):
+    monkeypatch.setattr("relends.rips.MAX_ESCALATIONS", 0)
     with pytest.raises(RuntimeError):
-        rips_construct(parse_presentation(TRIVIAL_Q), block_length=8, max_escalations=0)
+        rips_construct(parse_presentation(TRIVIAL_Q), block_length=8)
 
 
 def test_kernel_subgroup_collapses_the_quotient_ball(built):

@@ -77,10 +77,9 @@ CHAIN = ("AbbabABB", "generators: a b\nrelators: AbbabABB\n", (), 5)
 # trace whose frontier lies at another row waits on that row, not on its
 # own (aabaaB, BaaBBB).  A woken row is marked at once, and a row is marked
 # only once its distance falls within reach of a visit that can act, so a
-# merge whose survivor crosses the horizon must mark it (CBC-BBCACBB).  A
-# merge also hands the dead row's mark to the survivor; in a fresh run's
-# subgroup trace, either of the two marks the row that a merge brings within
-# reach (aaaaba-AB fails only when both are dropped).
+# merge whose survivor crosses the horizon must mark it (CBC-BBCACBB,
+# bABabb).  A merge moves no mark, so in a fresh run's subgroup trace that
+# crossing mark alone marks the row a merge brings within reach (aaaaba-AB).
 WAKES = [
     ("BAAAbAA-b", "generators: a b\nrelators:\n  BAAAbAA\n  b\n", (), 3),
     ("ABABB", "generators: a b\nrelators: ABABB\n", (), 4),
@@ -621,6 +620,14 @@ def test_covering_check_passes_on_an_honest_ball(f2, trivial):
     assert report.passed
     assert report.checked == 12
     assert not report.violations
+
+
+@pytest.mark.parametrize("exclusion", [3, 4])
+def test_covering_check_refuses_a_vacuous_exclusion(f2, trivial, exclusion):
+    # no coset lies in exclusion <= dist < radius, so a pass would be vacuous
+    ball = stable_ball(f2, trivial, 3)
+    with pytest.raises(ValueError):
+        covering_degree_check(ball, exclusion)
 
 
 def test_covering_check_flags_tampering(f2, trivial):
