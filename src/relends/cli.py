@@ -26,6 +26,8 @@ from .ends import (
     check_dag,
     check_ddag,
     count_relative_ends,
+    dag_least_r,
+    ddag_least_r,
     empirical_ends,
 )
 from .oracle import free_schreier_ball, graphs_isomorphic, stallings_fold
@@ -44,6 +46,7 @@ from .schreier import (
     DEFAULT_MAX_SLACK,
     DEFAULT_NODE_BUDGET,
     UnstableBallError,
+    check_covering_radius,
     covering_degree_check,
     enumerate_cosets,
     stable_ball,
@@ -359,6 +362,8 @@ def _cmd_ball(args: Namespace) -> int:
 
 def _cmd_schreier(args: Namespace) -> int:
     p, h = _load(args)
+    if args.covering_radius is not None:  # refused before the ball is enumerated
+        check_covering_radius(args.covering_radius, args.radius)
     ball = stable_ball(
         p, h, args.radius,
         start_slack=args.start_slack, max_slack=args.max_slack,
@@ -452,6 +457,11 @@ def _cmd_count(args: Namespace) -> int:
 
 def _cmd_check(args: Namespace) -> int:
     p, h = _load(args)
+    # the inputs the check refuses are refused before the ball is enumerated
+    if args.subcommand == "check-ddag":
+        ddag_least_r(args.m, args.k, args.delta, args.r_cap)
+    else:
+        dag_least_r(args.m, args.delta_xh, args.r_cap)
     ball = stable_ball(p, h, args.radius, max_slack=args.max_slack, node_budget=args.node_budget)
     if args.subcommand == "check-ddag":
         rep = check_ddag(ball, args.m, args.k, delta_x=args.delta, r_cap=args.r_cap)

@@ -185,17 +185,18 @@ class ConditionReport:
     pairs_checked: int
 
 
-def _admissible(lo_r: int, hi_r: int, r_cap: int | None) -> list[int]:
-    """Sphere radii lo_r..hi_r, trimmed from above by r_cap.
+def _least_r(lo_r: int, r_cap: int | None) -> int:
+    """lo_r, unless r_cap lies below it: a cap that leaves nothing to test
+    would read as a vacuous pass, so it is an error (a ball too small for
+    lo_r is not)."""
+    if r_cap is not None and r_cap < lo_r:
+        raise ValueError(f"r_cap {r_cap} is below the least admissible R = {lo_r}")
+    return lo_r
 
-    A cap below lo_r would leave nothing to test and read as a vacuous
-    pass, so it is an error; a ball too small for lo_r is not.
-    """
-    if r_cap is not None:
-        if r_cap < lo_r:
-            raise ValueError(f"r_cap {r_cap} is below the least admissible R = {lo_r}")
-        hi_r = min(hi_r, r_cap)
-    return list(range(lo_r, hi_r + 1))
+
+def _admissible(lo_r: int, hi_r: int, r_cap: int | None) -> list[int]:
+    """Sphere radii lo_r..hi_r, trimmed from above by r_cap."""
+    return list(range(lo_r, (hi_r if r_cap is None else min(hi_r, r_cap)) + 1))
 
 
 def pair_certified(dist: list[int], radius: int, u: int, v: int, d: int) -> bool:
@@ -283,12 +284,19 @@ def check_ddag(
     counterexample there says nothing; keep radius - r_cap at least half
     the longest relator plus one.
     """
+    lo_r = ddag_least_r(m, k, delta_x, r_cap)
+    admissible = _admissible(lo_r, ball.radius - k, r_cap)
+    return _run_condition(ball, f"ddag(M={m},K={k})", admissible, k, k + 2 * Fraction(delta_x), m)
+
+
+def ddag_least_r(m: int, k: int, delta_x: Fraction | int, r_cap: int | None) -> int:
+    """check_ddag's least admissible R, K + 2 delta_x and at least 1; raises
+    ValueError for the inputs check_ddag refuses whatever the ball, so a
+    caller can refuse them before it enumerates one."""
     dx = Fraction(delta_x)
     if m < 1 or k < 0 or dx < 0:
         raise ValueError("need m >= 1, k >= 0, delta_x >= 0")
-    lo_r = max(math.ceil(k + 2 * dx), 1)  # spheres start at 1
-    admissible = _admissible(lo_r, ball.radius - k, r_cap)
-    return _run_condition(ball, f"ddag(M={m},K={k})", admissible, k, k + 2 * dx, m)
+    return _least_r(max(math.ceil(k + 2 * dx), 1), r_cap)  # spheres start at 1
 
 
 def check_dag(
@@ -305,9 +313,16 @@ def check_dag(
     check_ddag: counterexamples hard against the ball edge are truncation
     artifacts, not geometry.
     """
+    lo_r = dag_least_r(m, delta_xh, r_cap)
+    admissible = _admissible(lo_r, ball.radius, r_cap)
+    return _run_condition(ball, f"dag(M={m})", admissible, 0, 8 * Fraction(delta_xh), m)
+
+
+def dag_least_r(m: int, delta_xh: Fraction | int, r_cap: int | None) -> int:
+    """check_dag's least admissible R, max(M + delta_xh, 8 delta_xh) and at
+    least 1; raises ValueError for the inputs check_dag refuses, as
+    ddag_least_r does."""
     dxh = Fraction(delta_xh)
     if m < 1 or dxh < 0:
         raise ValueError("need m >= 1, delta_xh >= 0")
-    lo_r = max(math.ceil(max(m + dxh, 8 * dxh)), 1)
-    admissible = _admissible(lo_r, ball.radius, r_cap)
-    return _run_condition(ball, f"dag(M={m})", admissible, 0, 8 * dxh, m)
+    return _least_r(max(math.ceil(max(m + dxh, 8 * dxh)), 1), r_cap)

@@ -41,9 +41,12 @@ must be treated as uncertified by callers.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 
 from .presentation import Presentation, SubgroupSpec, Word
 
@@ -79,6 +82,12 @@ class Ball:
     Because the labeling is canonical, isomorphic balls have equal tables.
     A folded core (oracle.stallings_fold) is a Ball too: its radius is the
     base's eccentricity, and a -1 cell leads into a hanging tree.
+
+    Every constructor keeps two invariants, which tests/test_schreier.py
+    checks for each of them.  The table is symmetric: table[x][v] == w >= 0
+    exactly when table[x ^ 1][w] == v.  And labels ascend with distance
+    (canonical BFS order), so dist is nondecreasing and a sphere is a
+    label range.
     """
 
     gen_names: tuple[str, ...]
@@ -114,29 +123,40 @@ class Ball:
     def sphere(self, r: int) -> list[int]:
         if r > self.radius:
             raise ValueError(f"sphere radius {r} exceeds ball radius {self.radius}")
-        return [v for v, d in enumerate(self.dist) if d == r]
+        return list(range(bisect_left(self.dist, r), bisect_right(self.dist, r)))
+
+    @cached_property
+    def leaf(self) -> bytes:
+        """leaf[v] is 1 when v has at most one cell >= 0 (in a truncated
+        ball, nearly every rim vertex)."""
+        L = self.n_letters
+        return bytes(map((L - 1).__le__, map(tuple.count, zip(*self.table), repeat(-1))))
 
     def layers(self, src: int, allowed: list[bool] | None = None):
         """In-ball BFS from src: yields the vertices at distance 0, 1, ...
 
         Only vertices that allowed marks are entered, src included (all
         when allowed is None).  Within a layer, vertices come in discovery
-        order, letters in column order.
+        order, letters in column order.  The row of a leaf other than src
+        is not read: the table is symmetric, so a leaf's one cell is the
+        edge the BFS entered it by, which leads back into seen vertices.
         """
         if allowed is not None and not allowed[src]:
             return
+        table, leaf = self.table, self.leaf
         seen = {src}
-        layer = [src]
+        layer = read = [src]
         while layer:
             yield layer
             nxt = []
-            for v in layer:
-                for col in self.table:
+            for v in read:
+                for col in table:
                     t = col[v]
                     if t >= 0 and t not in seen and (allowed is None or allowed[t]):
                         seen.add(t)
                         nxt.append(t)
             layer = nxt
+            read = [v for v in nxt if not leaf[v]]
 
 
 def _free_rank(p: Presentation, h_words: tuple[Word, ...]) -> int:
@@ -769,6 +789,14 @@ class CoveringReport:
     violations: tuple[CoveringViolation, ...]
 
 
+def check_covering_radius(exclusion_radius: int, radius: int) -> None:
+    """Refuse an exclusion radius that leaves no coset of a radius-R ball
+    to check; a caller can refuse it before it enumerates the ball."""
+    if exclusion_radius >= radius:
+        raise ValueError(f"covering check radius {exclusion_radius} leaves no cosets "
+                         f"below the ball radius {radius}")
+
+
 def covering_degree_check(ball: Ball, exclusion_radius: int) -> CoveringReport:
     """Check the ball looks like a covering of a wedge outside the exclusion.
 
@@ -778,11 +806,9 @@ def covering_degree_check(ball: Ball, exclusion_radius: int) -> CoveringReport:
     reported.  Violations mean the exclusion radius is below this
     instance's quotient-hyperbolicity threshold.  An exclusion radius at or
     past the ball's radius would leave nothing to check and read as a
-    vacuous pass, so it is an error.
+    vacuous pass, so it is an error (check_covering_radius).
     """
-    if exclusion_radius >= ball.radius:
-        raise ValueError(f"covering check radius {exclusion_radius} leaves no cosets "
-                         f"below the ball radius {ball.radius}")
+    check_covering_radius(exclusion_radius, ball.radius)
     L = ball.n_letters
     violations: list[CoveringViolation] = []
     checked = 0

@@ -1,9 +1,11 @@
 """Shared presentations and helpers for the test suite."""
 
+import random
+
 import pytest
 from hypothesis import strategies as st
 
-from relends import parse_presentation
+from relends import parse_presentation, stallings_fold
 from relends.presentation import SubgroupSpec, word_from_text
 
 GENUS2 = "generators: a b c d\nrelators: abABcdCD\n"
@@ -23,6 +25,22 @@ short_words = st.text("abAB", min_size=1, max_size=7)
 def sub(p, *texts):
     """Subgroup spec from generator words written in the presentation's letters."""
     return SubgroupSpec(tuple(word_from_text(t, p.generators) for t in texts))
+
+
+def free_group(rank):
+    return parse_presentation(f"generators: {' '.join('abc'[:rank])}\nrelators: none\n")
+
+
+def seeded_cores(seed=28, per_rank=40):
+    """Cores over F1, F2 and F3 of 0-3 words of 1-7 letters, drawn without
+    free reduction, so words like aA and bBa occur."""
+    rng = random.Random(seed)
+    for rank in (1, 2, 3):
+        p = free_group(rank)
+        for _ in range(per_rank):
+            words = tuple(tuple(rng.randrange(2 * rank) for _ in range(rng.randint(1, 7)))
+                          for _ in range(rng.randint(0, 3)))
+            yield stallings_fold(p, SubgroupSpec(words))
 
 
 def walk(ball, text):

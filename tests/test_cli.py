@@ -270,6 +270,33 @@ def test_a_covering_check_with_nothing_to_check_is_an_error(files, capsys, exclu
     assert "leaves no cosets below the ball radius 2" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["schreier", "--covering-check", "9"], "covering check radius 9 leaves no cosets"),
+    (["check-ddag", "--m", "0", "--k", "1"], "need m >= 1, k >= 0, delta_x >= 0"),
+    (["check-ddag", "--m", "2", "--k", "-1"], "need m >= 1, k >= 0, delta_x >= 0"),
+    (["check-ddag", "--m", "2", "--k", "1", "--delta=-1/2"], "need m >= 1, k >= 0"),
+    (["check-ddag", "--m", "4", "--k", "1", "--delta", "1", "--r-cap", "2"],
+     "r_cap 2 is below the least admissible R = 3"),
+    (["check-dag", "--m", "0", "--delta-xh", "0"], "need m >= 1, delta_xh >= 0"),
+    (["check-dag", "--m", "2", "--delta-xh=-1/8"], "need m >= 1, delta_xh >= 0"),
+    (["check-dag", "--m", "2", "--delta-xh", "1/8", "--r-cap", "2"],
+     "r_cap 2 is below the least admissible R = 3"),
+], ids=["covering-radius", "ddag-m", "ddag-k", "ddag-delta", "ddag-r-cap",
+        "dag-m", "dag-delta-xh", "dag-r-cap"])
+def test_input_errors_are_refused_before_the_ball_is_enumerated(
+        files, tmp_path, monkeypatch, capsys, argv, message):
+    # at radius 9 the genus-2 ball would exhaust the default budget (exit 3)
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("the ball was enumerated")
+
+    monkeypatch.setattr(relends.cli, "stable_ball", enumerate_nothing)
+    subcommand, *rest = argv
+    dot = ["--dot", str(tmp_path / "ball.dot")] if subcommand == "schreier" else []
+    assert run([subcommand, files["genus2"], "--radius", "9", *rest, *dot]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ball.dot").exists()
+
+
 def test_dot_export_writes_a_digraph(files, tmp_path, capsys):
     dot = tmp_path / "ball.dot"
     rc = run(

@@ -114,6 +114,17 @@ def test_empirical_tree_diverges(f2, trivial):
     assert rep.verdict == INFINITE
 
 
+def test_a_rim_vertex_with_two_edges_joins_classes(trivial):
+    # Z/6 at radius 3: the rim vertex 5 = aaa = AAA has two in-ball edges,
+    # to 3 = aa and 4 = AA, and its row is what joins the two halves of
+    # S(2); a BFS that read no rim row would see two classes and (2, 2, 2)
+    ball = stable_ball(parse_presentation("generators: a\nrelators: aaaaaa\n"), trivial, 3)
+    assert ball.dist == [0, 1, 1, 2, 2, 3]
+    assert ball.table[0][3] == 5 and ball.table[1][4] == 5
+    assert sphere_classes(ball, 2, 1) == [(3, 4)]
+    assert empirical_ends(ball, [0, 1, 2]).counts == (1, 1, 1)
+
+
 def test_empirical_ignores_branches_that_stop_short_of_the_rim():
     # the a-line out to the rim at 3, plus a b-branch that dead-ends at
     # distance 2; letter columns are a, A, b, B

@@ -1,7 +1,5 @@
 """Folded core graphs as an independent membership and ball oracle."""
 
-import random
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +17,7 @@ from relends import (
 )
 from relends.schreier import Ball, _relabel
 
-from conftest import FREE2, short_words, sub
+from conftest import FREE2, free_group, seeded_cores, short_words, sub
 
 
 def is_folded(core):
@@ -197,22 +195,6 @@ def grafted_ball(core, radius):
                     cells[(x ^ 1) - L] = v
     table, dist = _relabel(cells, L, int, radius)
     return Ball(core.gen_names, table, dist, radius)
-
-
-def free_group(rank):
-    return parse_presentation(f"generators: {' '.join('abc'[:rank])}\nrelators: none\n")
-
-
-def seeded_cores(seed=28, per_rank=40):
-    """Cores over F1, F2 and F3 of 0-3 words of 1-7 letters, drawn without
-    free reduction, so words like aA and bBa occur."""
-    rng = random.Random(seed)
-    for rank in (1, 2, 3):
-        p = free_group(rank)
-        for _ in range(per_rank):
-            words = tuple(tuple(rng.randrange(2 * rank) for _ in range(rng.randint(1, 7)))
-                          for _ in range(rng.randint(0, 3)))
-            yield stallings_fold(p, SubgroupSpec(words))
 
 
 def truncated(ball, radius):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,7 @@ from relends import (
 from relends.presentation import free_reduce, invert
 from relends.schreier import DEFAULT_NODE_BUDGET, _Closure, _finalize, _raw_enumerate
 
-from conftest import FREE2, GENUS2, LINE, TORUS, short_words, sub, walk
+from conftest import FREE2, GENUS2, LINE, TORUS, seeded_cores, short_words, sub, walk
 
 # a presentation whose radius-2 ball shrinks once the enumeration digs deeper
 SHIFTY = "generators: a b\nrelators: bbabbb\n"
@@ -218,6 +219,65 @@ def test_layers_stay_inside_the_allowed_region(genus2):
         expected = [v for v in range(ball.n_vertices)
                     if allowed[src] and allowed[v] and find(v) == find(src)]
         assert sorted(reached) == expected
+
+
+def plain_layers(ball, src, allowed=None):
+    """The in-ball BFS that reads the row of every vertex it enters."""
+    if allowed is not None and not allowed[src]:
+        return []
+    out, seen, layer = [], {src}, [src]
+    while layer:
+        out.append(layer)
+        nxt = []
+        for v in layer:
+            for col in ball.table:
+                t = col[v]
+                if t >= 0 and t not in seen and (allowed is None or allowed[t]):
+                    seen.add(t)
+                    nxt.append(t)
+        layer = nxt
+    return out
+
+
+@functools.cache
+def balls_of_every_constructor():
+    """(name, ball) from the enumerator, the fold, the oracle and
+    restrict_to_generators."""
+    genus2 = parse_presentation(GENUS2)
+    balls = [(name, stable_ball(genus2, sub(genus2, *gens), 4))
+             for name, gens in (("genus2", ()), ("genus2-a", ("a",)))]
+    # small enumerated balls beside genus 2, each at its own horizon
+    for name, text, gens, top in [(*case, 3) for case in CORPUS[2:]] + FINITE + WAKES:
+        p = parse_presentation(text)
+        balls.append((name, enumerate_cosets(p, sub(p, *gens), top)))
+    for i, core in enumerate(seeded_cores(seed=32, per_rank=4)):
+        balls += [(f"core-{i}", core), (f"free-ball-{i}", free_schreier_ball(core, 4))]
+    balls.append(("restricted", restrict_to_generators(stable_ball(genus2, sub(genus2), 3),
+                                                       ("a", "c"))))
+    return balls
+
+
+def test_every_ball_is_symmetric_and_labeled_by_distance():
+    # Ball.layers skips the rows of leaves and Ball.sphere reads a label
+    # range; both rest on these two invariants
+    for name, ball in balls_of_every_constructor():
+        for x, col in enumerate(ball.table):
+            back = ball.table[x ^ 1]
+            assert all(w < 0 or back[w] == v for v, w in enumerate(col)), (name, x)
+        assert all(a <= b for a, b in zip(ball.dist, ball.dist[1:])), name
+        for r in range(ball.radius + 1):
+            assert ball.sphere(r) == [v for v, d in enumerate(ball.dist) if d == r], (name, r)
+
+
+def test_layers_match_a_bfs_that_reads_every_row():
+    rng = random.Random(32)
+    for name, ball in balls_of_every_constructor():
+        sources = {0, ball.n_vertices - 1, *(rng.randrange(ball.n_vertices) for _ in range(24))}
+        cut = ball.radius // 2
+        for allowed in (None, [d > cut for d in ball.dist], [d != 1 for d in ball.dist]):
+            for src in sorted(sources):
+                assert list(ball.layers(src, allowed)) == plain_layers(ball, src, allowed), \
+                    (name, src)
 
 
 def walk_letters(ball, word):
