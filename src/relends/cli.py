@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from argparse import Namespace
+from collections.abc import Callable
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -116,12 +117,14 @@ def _parser(budget_default: str) -> argparse.ArgumentParser:
     def common(
         name: str,
         summary: str,
+        handler: Callable[[Namespace], int],
         subgroup: bool = True,
         radius: bool = False,
         max_slack: bool = False,
         dot: bool = False,
     ) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(handler=handler)
         sp.add_argument("input", type=Path, help="presentation file")
         if subgroup:
             g = sp.add_mutually_exclusive_group()
@@ -152,26 +155,29 @@ def _parser(budget_default: str) -> argparse.ArgumentParser:
                             help="write a DOT rendering here")
         return sp
 
-    common("parse", "parse a file and report its structure", subgroup=False)
+    common("parse", "parse a file and report its structure", _cmd_parse, subgroup=False)
 
-    sp = common("word-reduce", "reduce a word; decide if it is the identity", subgroup=False)
+    sp = common("word-reduce", "reduce a word; decide if it is the identity", _cmd_word_reduce,
+                subgroup=False)
     sp.add_argument("--word", required=True, help="word to reduce")
     sp.add_argument("--strategy", choices=("auto", "dehn", "bounded-bfs"), default="auto")
     sp.add_argument("--radius-cap", type=int, default=12,
                     help="bounded-bfs enumeration cap (default 12)")
 
-    sp = common("ball", "build a certified Cayley ball", subgroup=False, radius=True, dot=True)
+    sp = common("ball", "build a certified Cayley ball", _cmd_ball,
+                subgroup=False, radius=True, dot=True)
     sp.add_argument("--strategy", choices=("auto", "dehn", "bounded-bfs"), default="auto")
     sp.add_argument("--radius-cap", type=int, default=None,
                     help="bounded-bfs cap (default: radius + 4)")
 
-    sp = common("schreier", "enumerate a Schreier ball for (G, H)",
+    sp = common("schreier", "enumerate a Schreier ball for (G, H)", _cmd_schreier,
                 radius=True, max_slack=True, dot=True)
     sp.add_argument("--start-slack", type=_int_at_least(0), default=0)
     sp.add_argument("--covering-check", dest="covering_radius", type=_int_at_least(0),
                     metavar="R", help="also verify covering degree outside radius R")
 
-    sp = common("count", "count relative ends by stabilized sphere classes", max_slack=True)
+    sp = common("count", "count relative ends by stabilized sphere classes", _cmd_count,
+                max_slack=True)
     sp.add_argument("--probe-r0", dest="probe_r0s", type=_ascending(1), metavar="LIST",
                     help="comma-separated probe radii, e.g. 2,3,4,5")
     sp.add_argument("--window", type=_int_at_least(1), default=3,
@@ -191,20 +197,21 @@ def _parser(budget_default: str) -> argparse.ArgumentParser:
     sp.add_argument("--m", type=_int_at_least(1), help="connectivity constant override")
 
     r_cap_help = "largest sphere R to test; leave room to the ball edge"
-    sp = common("check-ddag", "annulus connectivity check with tolerance K",
+    sp = common("check-ddag", "annulus connectivity check with tolerance K", _cmd_check,
                 radius=True, max_slack=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--delta", type=_fraction, default=Fraction(0))
     sp.add_argument("--r-cap", type=int, help=r_cap_help)
 
-    sp = common("check-dag", "sphere-pair connectivity check in the quotient",
+    sp = common("check-dag", "sphere-pair connectivity check in the quotient", _cmd_check,
                 radius=True, max_slack=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--delta-xh", type=_fraction, required=True)
     sp.add_argument("--r-cap", type=int, help=r_cap_help)
 
-    sp = common("empirical", "raw end counts from complement components", max_slack=True)
+    sp = common("empirical", "raw end counts from complement components", _cmd_empirical,
+                max_slack=True)
     sp.add_argument("--radii", type=_ascending(0), required=True, metavar="LIST",
                     help="comma-separated radii, e.g. 2,3,4,5")
     sp.add_argument("--ball-radius", type=int,
@@ -212,14 +219,17 @@ def _parser(budget_default: str) -> argparse.ArgumentParser:
                          "room past the largest cut damps rim artifacts")
     sp.add_argument("--window", type=_int_at_least(1), default=3)
 
-    sp = common("rips", "build a C'(1/6) pair (G, H) over a quotient Q", subgroup=False)
+    sp = common("rips", "build a C'(1/6) pair (G, H) over a quotient Q", _cmd_rips,
+                subgroup=False)
     sp.add_argument("--block-length", type=_int_at_least(8), default=480,
                     help="minimum length of the fresh a-words (default 480)")
     sp.add_argument("-o", "--out", dest="out_path", type=Path,
                     help="write the G presentation file here")
 
-    common("oracle-fold", "fold a free-group subgroup to its core graph", dot=True)
-    common("oracle-compare", "enumerated Schreier ball vs the folded-core oracle", radius=True)
+    common("oracle-fold", "fold a free-group subgroup to its core graph", _cmd_oracle_fold,
+           dot=True)
+    common("oracle-compare", "enumerated Schreier ball vs the folded-core oracle",
+           _cmd_oracle_compare, radius=True)
 
     return p
 
@@ -280,10 +290,7 @@ def _write_dot(args: Namespace, graph: Ball, with_dist: bool = True) -> None:
 
 
 def _sphere_sizes(ball: Ball) -> list[int]:
-    sizes = [0] * (ball.radius + 1)
-    for d in ball.dist:
-        sizes[d] += 1
-    return sizes
+    return [len(ball.sphere(r)) for r in range(ball.radius + 1)]
 
 
 def _radius_cap(args: Namespace, p: Presentation, radius: int) -> int | None:
@@ -506,8 +513,7 @@ def _cmd_rips(args: Namespace) -> int:
     try:
         out = rips_construct(q, block_length=args.block_length)
     except RuntimeError as exc:
-        print(f"construction failed: {exc}")
-        _emit(args, q, h, {"constructed": False}, [])
+        _emit(args, q, h, {"constructed": False}, [f"construction failed: {exc}"])
         return UNCERT
     g = out.g_presentation
     rep = verify_rips(out)
@@ -573,25 +579,10 @@ def _cmd_oracle_compare(args: Namespace) -> int:
     return OK if same else UNCERT
 
 
-_DISPATCH = {
-    "parse": _cmd_parse,
-    "word-reduce": _cmd_word_reduce,
-    "ball": _cmd_ball,
-    "schreier": _cmd_schreier,
-    "count": _cmd_count,
-    "check-ddag": _cmd_check,
-    "check-dag": _cmd_check,
-    "empirical": _cmd_empirical,
-    "rips": _cmd_rips,
-    "oracle-fold": _cmd_oracle_fold,
-    "oracle-compare": _cmd_oracle_compare,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _DISPATCH[args.subcommand](args)
+        return args.handler(args)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for bad arguments; fold the
         # latter into the usage code so 2 stays reserved for uncertified.

@@ -20,6 +20,7 @@ Freudenthal forbid is "uncertified" too.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,12 +33,13 @@ INFINITE = "infinite (non-stabilizing)"
 UNCERTIFIED = "uncertified"
 
 
-def _labels(ball: Ball, seeds: list[int], allowed: list[bool]) -> list[int]:
-    """Each vertex's first seed whose in-region BFS reaches it, or -1."""
+def _labels(ball: Ball, seeds: list[int], cut: int) -> list[int]:
+    """Each vertex's first seed whose BFS inside {dist > cut} reaches it, or -1."""
+    lo = bisect_right(ball.dist, cut)
     label = [-1] * ball.n_vertices
     for s in seeds:
         if label[s] < 0:
-            for layer in ball.layers(s, allowed):
+            for layer in ball.layers(s, lo):
                 for v in layer:
                     label[v] = s
     return label
@@ -55,7 +57,7 @@ def sphere_classes(ball: Ball, r0: int, inner: int) -> list[tuple[int, ...]]:
     if not (0 <= inner < ball.radius and r0 <= ball.radius):
         raise ValueError(f"bad annulus radii: inner={inner}, R0={r0}, ball radius={ball.radius}")
     sphere = ball.sphere(r0)
-    label = _labels(ball, sphere, [inner < d for d in ball.dist])
+    label = _labels(ball, sphere, inner)
     groups: dict[int, list[int]] = {}
     for v in sphere:
         groups.setdefault(v if label[v] < 0 else label[v], []).append(v)
@@ -167,7 +169,7 @@ def empirical_ends(ball: Ball, radii: list[int], window: int = 3) -> EmpiricalEn
     rim = ball.sphere(ball.radius)
     counts = []
     for r in radii:
-        label = _labels(ball, rim, [d > r for d in ball.dist])
+        label = _labels(ball, rim, r)
         counts.append(sum(label[v] == v for v in rim))
     return EmpiricalEndsReport(
         counts=tuple(counts),
@@ -219,27 +221,28 @@ def _run_condition(
     witness = 0
     pairs = 0
     for r in admissible:
-        lo, hi = r - k, r + k
-        threshold = math.floor(r - cut)
-        allowed = [d > threshold for d in dist]
+        # label ranges: the band |dist - R| <= K is lo..hi - 1, S(R) starts
+        # at first, and the region past the cut ball at past
+        lo, hi = bisect_left(dist, r - k), bisect_right(dist, r + k)
+        first = bisect_left(dist, r)
+        past = bisect_right(dist, math.floor(r - cut))
         for x in ball.sphere(r):
             partners = []
             for d, layer in zip(range(m + 1), ball.layers(x)):
                 for y in layer:
-                    if y == x or not (lo <= dist[y] <= hi):
+                    # first <= y <= x: x itself, and unordered sphere pairs once
+                    if not lo <= y < hi or first <= y <= x:
                         continue
-                    if dist[y] == r and y < x:
-                        continue  # unordered sphere pairs once
                     if pair_certified(dist, ball.radius, x, y, d):
                         partners.append(y)
             if not partners:
                 continue
             pairs += len(partners)
-            # shortest paths from x inside the allowed region, out to the
-            # layer that reaches the last partner
+            # shortest paths from x past the cut ball, out to the layer that
+            # reaches the last partner
             targets = set(partners)
             reached: dict[int, int] = {}
-            for d, layer in enumerate(ball.layers(x, allowed)):
+            for d, layer in enumerate(ball.layers(x, past)):
                 reached.update((y, d) for y in layer if y in targets)
                 if len(reached) == len(targets):
                     break

@@ -86,8 +86,10 @@ class Ball:
     Every constructor keeps two invariants, which tests/test_schreier.py
     checks for each of them.  The table is symmetric: table[x][v] == w >= 0
     exactly when table[x ^ 1][w] == v.  And labels ascend with distance
-    (canonical BFS order), so dist is nondecreasing and a sphere is a
-    label range.
+    (canonical BFS order), so dist is nondecreasing and every distance
+    region is a label range: the sphere S(r), every band r <= dist <= s,
+    and every region {dist > r}, which is the labels from
+    bisect_right(dist, r) up.
     """
 
     gen_names: tuple[str, ...]
@@ -109,14 +111,15 @@ class Ball:
         """Letters of the BFS-tree path from the base to v (shortlex-least).
 
         The canonical labeling determines the tree: v's tree parent is its
-        least-labeled neighbour one layer in, and the tree letter is that
-        neighbour's least letter to v.
+        least-labeled neighbour, and the tree letter is that neighbour's
+        least letter to v.  For v != 0 that neighbour lies one layer in: v
+        has a neighbour there, and labels ascend with distance, so every
+        neighbour in v's own layer or past it has a greater label.
         """
-        table, dist = self.table, self.dist
+        table = self.table
         out: list[int] = []
         while v != 0:
-            v, x = min((u, y ^ 1) for y, col in enumerate(table)
-                       if (u := col[v]) >= 0 and dist[u] == dist[v] - 1)
+            v, x = min((u, y ^ 1) for y, col in enumerate(table) if (u := col[v]) >= 0)
             out.append(x)
         return tuple(reversed(out))
 
@@ -132,16 +135,18 @@ class Ball:
         L = self.n_letters
         return bytes(map((L - 1).__le__, map(tuple.count, zip(*self.table), repeat(-1))))
 
-    def layers(self, src: int, allowed: list[bool] | None = None):
+    def layers(self, src: int, lo: int = 0):
         """In-ball BFS from src: yields the vertices at distance 0, 1, ...
 
-        Only vertices that allowed marks are entered, src included (all
-        when allowed is None).  Within a layer, vertices come in discovery
-        order, letters in column order.  The row of a leaf other than src
-        is not read: the table is symmetric, so a leaf's one cell is the
-        edge the BFS entered it by, which leads back into seen vertices.
+        Only labels >= lo are entered, src included (nothing when src < lo);
+        lo = bisect_right(dist, r) confines the BFS to {dist > r}.  As
+        lo >= 0, the one test t >= lo also keeps out every -1 cell.  Within
+        a layer, vertices come in discovery order, letters in column order.
+        The row of a leaf other than src is not read: the table is
+        symmetric, so a leaf's one cell is the edge the BFS entered it by,
+        which leads back into seen vertices.
         """
-        if allowed is not None and not allowed[src]:
+        if src < lo:
             return
         table, leaf = self.table, self.leaf
         seen = {src}
@@ -152,7 +157,7 @@ class Ball:
             for v in read:
                 for col in table:
                     t = col[v]
-                    if t >= 0 and t not in seen and (allowed is None or allowed[t]):
+                    if t >= lo and t not in seen:
                         seen.add(t)
                         nxt.append(t)
             layer = nxt
@@ -812,22 +817,20 @@ def covering_degree_check(ball: Ball, exclusion_radius: int) -> CoveringReport:
     L = ball.n_letters
     violations: list[CoveringViolation] = []
     checked = 0
-    for v in range(ball.n_vertices):
-        d = ball.dist[v]
-        if not (exclusion_radius <= d < ball.radius):
-            continue
-        checked += 1
-        seen: dict[int, int] = {}
-        for x in range(L):
-            t = ball.table[x][v]
-            if t < 0:
-                violations.append(CoveringViolation(v, d, "missing_edge", x))
-            elif t == v:
-                violations.append(CoveringViolation(v, d, "loop", x))
-            elif t in seen:
-                violations.append(CoveringViolation(v, d, "multi_edge", x))
-            else:
-                seen[t] = x
+    for d in range(exclusion_radius, ball.radius):
+        for v in ball.sphere(d):
+            checked += 1
+            seen: dict[int, int] = {}
+            for x in range(L):
+                t = ball.table[x][v]
+                if t < 0:
+                    violations.append(CoveringViolation(v, d, "missing_edge", x))
+                elif t == v:
+                    violations.append(CoveringViolation(v, d, "loop", x))
+                elif t in seen:
+                    violations.append(CoveringViolation(v, d, "multi_edge", x))
+                else:
+                    seen[t] = x
     return CoveringReport(not violations, exclusion_radius, checked, tuple(violations))
 
 

@@ -260,6 +260,21 @@ def test_schreier_covering_check_flag(files, capsys):
     assert "covering check outside radius 1: passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, checked, kind", [
+    ("generators: a b\nrelators:\n  a\n", 3, "loop"),
+    ("generators: a\nrelators: aa\n", 2, "multi_edge"),
+], ids=["loop", "multi-edge"])
+def test_a_covering_check_reports_loops_and_doubled_edges(tmp_path, capsys, text, checked, kind):
+    path = tmp_path / "g.grp"
+    path.write_text(text)
+    argv = ["schreier", str(path), "--radius", "2", "--covering-check", "0", "--json", "-"]
+    assert run(argv) == 0
+    covering = json.loads(capsys.readouterr().out)["covering"]
+    assert covering["passed"] is False
+    assert covering["checked"] == checked
+    assert {v["kind"] for v in covering["violations"]} == {kind}
+
+
 @pytest.mark.parametrize("exclusion", ["2", "7"])
 def test_a_covering_check_with_nothing_to_check_is_an_error(files, capsys, exclusion):
     # at radius 2, R = 2 or more leaves no coset with R <= dist < 2
@@ -270,29 +285,44 @@ def test_a_covering_check_with_nothing_to_check_is_an_error(files, capsys, exclu
     assert "leaves no cosets below the ball radius 2" in captured.err
 
 
+# at radius 9 the genus-2 ball would exhaust the default budget (exit 3)
 @pytest.mark.parametrize("argv, message", [
-    (["schreier", "--covering-check", "9"], "covering check radius 9 leaves no cosets"),
-    (["check-ddag", "--m", "0", "--k", "1"], "need m >= 1, k >= 0, delta_x >= 0"),
-    (["check-ddag", "--m", "2", "--k", "-1"], "need m >= 1, k >= 0, delta_x >= 0"),
-    (["check-ddag", "--m", "2", "--k", "1", "--delta=-1/2"], "need m >= 1, k >= 0"),
-    (["check-ddag", "--m", "4", "--k", "1", "--delta", "1", "--r-cap", "2"],
+    (["schreier", "genus2", "--radius", "9", "--covering-check", "9"],
+     "covering check radius 9 leaves no cosets"),
+    (["check-ddag", "genus2", "--radius", "9", "--m", "0", "--k", "1"],
+     "need m >= 1, k >= 0, delta_x >= 0"),
+    (["check-ddag", "genus2", "--radius", "9", "--m", "2", "--k", "-1"],
+     "need m >= 1, k >= 0, delta_x >= 0"),
+    (["check-ddag", "genus2", "--radius", "9", "--m", "2", "--k", "1", "--delta=-1/2"],
+     "need m >= 1, k >= 0"),
+    (["check-ddag", "genus2", "--radius", "9", "--m", "4", "--k", "1", "--delta", "1",
+      "--r-cap", "2"], "r_cap 2 is below the least admissible R = 3"),
+    (["check-dag", "genus2", "--radius", "9", "--m", "0", "--delta-xh", "0"],
+     "need m >= 1, delta_xh >= 0"),
+    (["check-dag", "genus2", "--radius", "9", "--m", "2", "--delta-xh=-1/8"],
+     "need m >= 1, delta_xh >= 0"),
+    (["check-dag", "genus2", "--radius", "9", "--m", "2", "--delta-xh", "1/8", "--r-cap", "2"],
      "r_cap 2 is below the least admissible R = 3"),
-    (["check-dag", "--m", "0", "--delta-xh", "0"], "need m >= 1, delta_xh >= 0"),
-    (["check-dag", "--m", "2", "--delta-xh=-1/8"], "need m >= 1, delta_xh >= 0"),
-    (["check-dag", "--m", "2", "--delta-xh", "1/8", "--r-cap", "2"],
-     "r_cap 2 is below the least admissible R = 3"),
+    (["count", "z", "--probe-r0", "2,3", "--outer-gap", "0"],
+     "need inner_offset > 0 and 0 < R0 < outer_radius, got inner_offset=3, R0=3, "
+     "outer_radius=3"),
+    (["count", "z", "--probe-r0", "2,3", "--inner-offset", "0"],
+     "need inner_offset > 0 and 0 < R0 < outer_radius, got inner_offset=0"),
+    (["count", "z", "--probe-r0", "2,x"], "not a comma-separated integer list: '2,x'"),
 ], ids=["covering-radius", "ddag-m", "ddag-k", "ddag-delta", "ddag-r-cap",
-        "dag-m", "dag-delta-xh", "dag-r-cap"])
+        "dag-m", "dag-delta-xh", "dag-r-cap", "count-outer-gap", "count-inner-offset",
+        "count-probe-r0"])
 def test_input_errors_are_refused_before_the_ball_is_enumerated(
         files, tmp_path, monkeypatch, capsys, argv, message):
-    # at radius 9 the genus-2 ball would exhaust the default budget (exit 3)
     def enumerate_nothing(*args, **kwargs):
         raise AssertionError("the ball was enumerated")
 
+    # count enumerates through the ends layer
     monkeypatch.setattr(relends.cli, "stable_ball", enumerate_nothing)
-    subcommand, *rest = argv
+    monkeypatch.setattr("relends.ends.stable_ball", enumerate_nothing)
+    subcommand, name, *rest = argv
     dot = ["--dot", str(tmp_path / "ball.dot")] if subcommand == "schreier" else []
-    assert run([subcommand, files["genus2"], "--radius", "9", *rest, *dot]) == 1
+    assert run([subcommand, files[name], *rest, *dot]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "ball.dot").exists()
 
@@ -453,6 +483,28 @@ def test_rips_json_stdout_is_parseable(files, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["block_length"] == 480
     assert report["constructed"] is True
+
+
+def test_rips_without_a_destination_writes_g_to_stdout(files, tmp_path, capsys):
+    out_path = tmp_path / "G.grp"
+    assert run(["rips", files["q1"], "-o", str(out_path)]) == 0
+    capsys.readouterr()
+    assert run(["rips", files["q1"]]) == 0
+    # G's file first, then the human lines
+    assert capsys.readouterr().out.startswith(out_path.read_text())
+
+
+@pytest.mark.parametrize("json_args", [[], ["--json", "-"]], ids=["human", "json-stdout"])
+def test_a_failed_rips_construction_keeps_stdout_parseable(files, monkeypatch, capsys,
+                                                             json_args):
+    monkeypatch.setattr("relends.rips.MAX_ESCALATIONS", 0)
+    assert run(["rips", files["q1"], "--block-length", "8", *json_args]) == 2
+    out = capsys.readouterr().out
+    if json_args:
+        assert json.loads(out)["constructed"] is False
+    else:
+        assert out == ("construction failed: no C'(1/6) instance within 0 escalations "
+                       "(last block length 8)\n")
 
 
 def test_bad_radii_are_usage_errors(files, capsys):

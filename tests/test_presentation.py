@@ -42,6 +42,12 @@ def test_relator_section_one_word_per_line():
     assert p.relators == ((0, 0, 0), (2, 2, 2))
 
 
+def test_inline_relators_read_as_one_word():
+    # two relators need a line each
+    p = parse_presentation("generators: a b\nrelators: aa bb\n")
+    assert p.relators == ((0, 0, 2, 2),)
+
+
 def test_single_letter_names_concatenate():
     p = parse_presentation("generators: a b\nrelators: none")
     assert p.word_from_text("aBba") == (0, 3, 2, 0)

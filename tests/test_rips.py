@@ -14,7 +14,7 @@ from relends import (
     stable_ball,
     verify_rips,
 )
-from relends.rips import _kill_a_letters
+from relends.rips import _fresh_names, _kill_a_letters
 
 TRIVIAL_Q = "generators: x\nrelators: x\n"
 ORDER2_Q = "generators: x b\nrelators:\n  x\n  bb\n"
@@ -126,6 +126,13 @@ def test_escalation_budget_is_respected(monkeypatch):
     monkeypatch.setattr("relends.rips.MAX_ESCALATIONS", 0)
     with pytest.raises(RuntimeError):
         rips_construct(parse_presentation(TRIVIAL_Q), block_length=8)
+
+
+def test_fresh_names_fall_back_to_numbered_names():
+    # with one letter left free, the fresh generators are numbered
+    letters = tuple("bcdefghijklmnopqrstuvwxyz")
+    assert _fresh_names(letters) == ("g1", "g2")
+    assert _fresh_names(letters + ("g1",)) == ("g2", "g3")
 
 
 def test_kernel_subgroup_collapses_the_quotient_ball(built):

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from relends import (
     Ball,
     BudgetExceeded,
+    CoveringViolation,
     ParseError,
     Presentation,
     SubgroupSpec,
@@ -198,32 +200,36 @@ def test_layers_from_the_base_are_the_ball_distances(text, gens):
 
 def test_layers_stay_inside_the_allowed_region(genus2):
     ball = stable_ball(genus2, sub(genus2, "a"), 3)
-    allowed = [d != 1 for d in ball.dist]
-    # reference components: a union-find over the edges inside the region
-    root = list(range(ball.n_vertices))
 
-    def find(v):
+    def find(root, v):
         while root[v] != v:
             v = root[v]
         return v
 
-    for col in ball.table:
-        for v, t in enumerate(col):
-            if t >= 0 and allowed[v] and allowed[t]:
-                root[find(v)] = find(t)
-    for src in range(ball.n_vertices):
-        reached = [v for layer in ball.layers(src, allowed) for v in layer]
-        assert all(allowed[v] for v in reached)
-        assert len(set(reached)) == len(reached)
-        # everything the region joins to src, and nothing else
-        expected = [v for v in range(ball.n_vertices)
-                    if allowed[src] and allowed[v] and find(v) == find(src)]
-        assert sorted(reached) == expected
+    for cut in range(ball.radius):
+        # the region {dist > cut} is the labels from lo up
+        allowed = [d > cut for d in ball.dist]
+        lo = bisect_right(ball.dist, cut)
+        # reference components: a union-find over the edges inside the region
+        root = list(range(ball.n_vertices))
+        for col in ball.table:
+            for v, t in enumerate(col):
+                if t >= 0 and allowed[v] and allowed[t]:
+                    root[find(root, v)] = find(root, t)
+        for src in range(ball.n_vertices):
+            reached = [v for layer in ball.layers(src, lo) for v in layer]
+            assert all(allowed[v] for v in reached)
+            assert len(set(reached)) == len(reached)
+            # everything the region joins to src, and nothing else
+            expected = [v for v in range(ball.n_vertices)
+                        if allowed[src] and allowed[v] and find(root, v) == find(root, src)]
+            assert sorted(reached) == expected, (cut, src)
 
 
-def plain_layers(ball, src, allowed=None):
-    """The in-ball BFS that reads the row of every vertex it enters."""
-    if allowed is not None and not allowed[src]:
+def plain_layers(ball, src, allowed):
+    """The in-ball BFS that reads the row of every vertex it enters, and
+    enters only the vertices that allowed marks."""
+    if not allowed[src]:
         return []
     out, seen, layer = [], {src}, [src]
     while layer:
@@ -232,7 +238,7 @@ def plain_layers(ball, src, allowed=None):
         for v in layer:
             for col in ball.table:
                 t = col[v]
-                if t >= 0 and t not in seen and (allowed is None or allowed[t]):
+                if t >= 0 and t not in seen and allowed[t]:
                     seen.add(t)
                     nxt.append(t)
         layer = nxt
@@ -272,12 +278,16 @@ def test_every_ball_is_symmetric_and_labeled_by_distance():
 def test_layers_match_a_bfs_that_reads_every_row():
     rng = random.Random(32)
     for name, ball in balls_of_every_constructor():
-        sources = {0, ball.n_vertices - 1, *(rng.randrange(ball.n_vertices) for _ in range(24))}
-        cut = ball.radius // 2
-        for allowed in (None, [d > cut for d in ball.dist], [d != 1 for d in ball.dist]):
+        n = ball.n_vertices
+        sources = {0, n - 1, *(rng.randrange(n) for _ in range(24))}
+        # lo at every sphere boundary (0 and n included) and inside each sphere
+        bounds = [bisect_left(ball.dist, r) for r in range(ball.radius + 2)]
+        inside = (rng.randrange(a + 1, b) for a, b in zip(bounds, bounds[1:]) if b - a > 1)
+        for lo in sorted({*bounds, *inside}):
+            allowed = [v >= lo for v in range(n)]
             for src in sorted(sources):
-                assert list(ball.layers(src, allowed)) == plain_layers(ball, src, allowed), \
-                    (name, src)
+                assert list(ball.layers(src, lo)) == plain_layers(ball, src, allowed), \
+                    (name, src, lo)
 
 
 def walk_letters(ball, word):
@@ -688,6 +698,21 @@ def test_covering_check_refuses_a_vacuous_exclusion(f2, trivial, exclusion):
     ball = stable_ball(f2, trivial, 3)
     with pytest.raises(ValueError):
         covering_degree_check(ball, exclusion)
+
+
+@pytest.mark.parametrize("text, checked, found", [
+    # G = Z over b: the letter a loops at every coset
+    ("generators: a b\nrelators:\n  a\n", 3,
+     [(v, d, "loop", x) for v, d in ((0, 0), (1, 1), (2, 1)) for x in (0, 1)]),
+    # Z/2: a and A lead to the same neighbour
+    ("generators: a\nrelators: aa\n", 2, [(0, 0, "multi_edge", 1), (1, 1, "multi_edge", 1)]),
+], ids=["loop", "multi-edge"])
+def test_covering_check_flags_loops_and_doubled_edges(text, checked, found):
+    p = parse_presentation(text)
+    report = covering_degree_check(stable_ball(p, sub(p), 2), 0)
+    assert not report.passed
+    assert report.checked == checked
+    assert report.violations == tuple(CoveringViolation(*v) for v in found)
 
 
 def test_covering_check_flags_tampering(f2, trivial):
