@@ -32,10 +32,16 @@ relabeled in BFS order (generators in declared order, positive letter
 before inverse), so equal balls have equal tables.
 
 Every closure grows in place: a fresh run is the same growth, started from
-the bare base row at horizon 0.  Stability is certified empirically: a
-ball is stable when its closure at slack s, grown by one layer to slack
-s + 1, yields the identical truncated table.  Results from unstable balls
-must be treated as uncertified by callers.
+the bare base row at horizon 0.  Stability is certified empirically when
+there are relators: a ball is stable when its closure at slack s, grown by
+one layer to slack s + 1, yields the identical truncated table.  With no
+relators that growth scans nothing: it only defines edges to new rows one
+layer out, with no merge and no distance falling, so it cannot touch the
+ball, and enumerate_cosets flags a relator-free ball stable by that
+argument without growing it.  stable_ball still grows it, because the
+benchmark's harness test (perfbench/test_harness.py) pins the horizons of
+its runs on a relator-free group.  Results from unstable balls must be
+treated as uncertified by callers.
 """
 
 from __future__ import annotations
@@ -78,7 +84,9 @@ class Ball:
     table[x][v] is the target coset or -1 when the edge leaves the ball (or
     leads out of the enumerated region).  Vertex 0 is the base; dist is the
     BFS distance from it.  stable records whether slack + 1 reproduced the
-    identical ball; results from unstable balls are uncertified.
+    identical ball; a relator-free ball from enumerate_cosets is stable by
+    proof, since growing a closure with no relators cannot touch it.
+    Results from unstable balls are uncertified.
     Because the labeling is canonical, isomorphic balls have equal tables.
     A folded core (oracle.stallings_fold) is a Ball too: its radius is the
     base's eccentricity, and a -1 cell leads into a hanging tree.
@@ -734,13 +742,19 @@ def enumerate_cosets(
     Cosets are enumerated to radius + slack, closed under subgroup loops at
     the base and relator loops wherever they fit, truncated, and relabeled.
     The stable flag records whether that closure, extended in place to
-    slack + 1, gives the identical ball.
+    slack + 1, gives the identical ball.  With no relators the flag is set
+    without the extension, which could only define edges to new rows one
+    layer out: nothing scans, merges or lowers a distance, so it leaves the
+    ball as it is (tests/test_schreier.py checks that it never sets
+    touched).  So a relator-free call makes one run, and only that run
+    meets the node budget.  stable_ball still extends relator-free balls.
     """
     if radius < 0 or slack < 0:
         raise ValueError("radius and slack must be nonnegative")
     closure = _Closure(radius)
     ball = _grow(p, h, closure, radius + slack, node_budget)
-    ball.stable = _grow(p, h, closure, closure.horizon + 1, node_budget, ball) is None
+    ball.stable = not p.relators or _grow(
+        p, h, closure, closure.horizon + 1, node_budget, ball) is None
     return ball
 
 
@@ -761,13 +775,19 @@ def stable_ball(
     gives the identical ball.
 
     One table grows a layer per slack.  Returns the first stable ball, or
-    the last attempt flagged unstable when max_slack is exhausted.
+    the last attempt flagged unstable when max_slack is exhausted; a
+    max_slack below start_slack is refused before anything is enumerated.
+    Relator-free balls are extended too, though enumerate_cosets proves
+    them stable without it: the benchmark's harness test pins the horizons
+    of these runs.
     The certificate is empirical: over <a, b | BaBAB, bb>, where b = 1, the
     radius-0 ball reads stable at slack 0 with every cell -1, while slack 2
     and beyond close b into a loop at the base.
     """
     if radius < 0 or start_slack < 0:
         raise ValueError("radius and start_slack must be nonnegative")
+    if max_slack < start_slack:  # the first ball would already exceed the cap
+        raise ValueError(f"max_slack {max_slack} is below start_slack {start_slack}")
     closure = _Closure(radius)
     ball = _grow(p, h, closure, radius + start_slack, node_budget)
     while (nxt := _grow(p, h, closure, closure.horizon + 1, node_budget, ball)) is not None:
@@ -795,8 +815,11 @@ class CoveringReport:
 
 
 def check_covering_radius(exclusion_radius: int, radius: int) -> None:
-    """Refuse an exclusion radius that leaves no coset of a radius-R ball
-    to check; a caller can refuse it before it enumerates the ball."""
+    """Refuse a negative exclusion radius, and one that leaves no coset of
+    a radius-R ball to check; a caller can refuse them before it enumerates
+    the ball."""
+    if exclusion_radius < 0:
+        raise ValueError(f"covering check radius {exclusion_radius} must be nonnegative")
     if exclusion_radius >= radius:
         raise ValueError(f"covering check radius {exclusion_radius} leaves no cosets "
                          f"below the ball radius {radius}")
@@ -811,7 +834,8 @@ def covering_degree_check(ball: Ball, exclusion_radius: int) -> CoveringReport:
     reported.  Violations mean the exclusion radius is below this
     instance's quotient-hyperbolicity threshold.  An exclusion radius at or
     past the ball's radius would leave nothing to check and read as a
-    vacuous pass, so it is an error (check_covering_radius).
+    vacuous pass, so it is an error, as is a negative one
+    (check_covering_radius).
     """
     check_covering_radius(exclusion_radius, ball.radius)
     L = ball.n_letters

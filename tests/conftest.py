@@ -31,16 +31,22 @@ def free_group(rank):
     return parse_presentation(f"generators: {' '.join('abc'[:rank])}\nrelators: none\n")
 
 
-def seeded_cores(seed=28, per_rank=40):
-    """Cores over F1, F2 and F3 of 0-3 words of 1-7 letters, drawn without
-    free reduction, so words like aA and bBa occur."""
+def seeded_specs(seed=28, per_rank=40):
+    """Subgroups of F1, F2 and F3 of 0-3 words of 1-7 letters, drawn without
+    free reduction, so words like aA and bBa occur; yields (p, h)."""
     rng = random.Random(seed)
     for rank in (1, 2, 3):
         p = free_group(rank)
         for _ in range(per_rank):
             words = tuple(tuple(rng.randrange(2 * rank) for _ in range(rng.randint(1, 7)))
                           for _ in range(rng.randint(0, 3)))
-            yield stallings_fold(p, SubgroupSpec(words))
+            yield p, SubgroupSpec(words)
+
+
+def seeded_cores(seed=28, per_rank=40):
+    """The folded cores of seeded_specs."""
+    for p, h in seeded_specs(seed, per_rank):
+        yield stallings_fold(p, h)
 
 
 def walk(ball, text):

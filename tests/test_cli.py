@@ -285,6 +285,16 @@ def test_a_covering_check_with_nothing_to_check_is_an_error(files, capsys, exclu
     assert "leaves no cosets below the ball radius 2" in captured.err
 
 
+def test_a_slack_cap_below_the_start_slack_is_an_error(files, monkeypatch, capsys):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("the ball was enumerated")
+
+    monkeypatch.setattr("relends.schreier._raw_enumerate", enumerate_nothing)
+    argv = ["schreier", files["f2"], "--radius", "2", "--start-slack", "3", "--max-slack", "1"]
+    assert run(argv) == 1
+    assert "max_slack 1 is below start_slack 3" in capsys.readouterr().err
+
+
 # at radius 9 the genus-2 ball would exhaust the default budget (exit 3)
 @pytest.mark.parametrize("argv, message", [
     (["schreier", "genus2", "--radius", "9", "--covering-check", "9"],
@@ -465,6 +475,15 @@ def test_oracle_compare_enumerates_within_budget_first(files, monkeypatch, capsy
     argv = ["oracle-compare", files["f2"], "--radius", "11", "--node-budget", "100"]
     assert run(argv) == 3
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_oracle_compare_over_a_free_group_enumerates_one_horizon(files, capsys):
+    # the radius-2 ball of F2 fills 17 rows of 4 cells; the extension to
+    # horizon 3 would need 53 rows, but with no relators it cannot change
+    # the ball, so it is never run
+    argv = ["oracle-compare", files["f2"], "--radius", "2", "--node-budget", "100"]
+    assert run(argv) == 0
+    assert "17 cosets; oracle: 17; isomorphic" in capsys.readouterr().out
 
 
 def test_rips_output_file_parses_back(files, tmp_path, capsys):

@@ -11,6 +11,7 @@ from relends import (
     build_ball,
     canonical_code,
     count_relative_ends,
+    covering_degree_check,
     derive_certified,
     empirical_ledger,
     free_schreier_ball,
@@ -73,6 +74,11 @@ CASES = [
      ValueError, "balls are over different generator alphabets"),
     ("rips-block-length", lambda: rips_construct(parse_presentation(TRIVIAL_Q_TEXT), 7),
      ValueError, "block_length must be at least 8"),
+    ("covering-negative", lambda: covering_degree_check(f2_ball(), -3),
+     ValueError, "covering check radius -3 must be nonnegative"),
+    ("stable-ball-slack-cap",
+     lambda: stable_ball(p := parse_presentation(FREE2), sub(p), 1, start_slack=3, max_slack=1),
+     ValueError, "max_slack 1 is below start_slack 3"),
     ("sphere-radius", lambda: f2_ball().sphere(3),
      ValueError, "sphere radius 3 exceeds ball radius 2"),
     ("restrict-name", lambda: restrict_to_generators(f2_ball(), ("a", "z")),

@@ -40,7 +40,8 @@ from relends import (
 from relends.presentation import free_reduce, invert
 from relends.schreier import DEFAULT_NODE_BUDGET, _Closure, _finalize, _raw_enumerate
 
-from conftest import FREE2, GENUS2, LINE, TORUS, seeded_cores, short_words, sub, walk
+from conftest import (FREE2, GENUS2, LINE, TORUS, seeded_cores, seeded_specs, short_words,
+                      sub, walk)
 
 # a presentation whose radius-2 ball shrinks once the enumeration digs deeper
 SHIFTY = "generators: a b\nrelators: bbabbb\n"
@@ -603,6 +604,36 @@ def test_growing_a_relator_free_closure_touches_nothing(spec, h):
         _raw_enumerate(p, words, h + 1, DEFAULT_NODE_BUDGET, _closure=closure)
         assert not closure.touched, watched
         assert [c for c, u in enumerate(closure.uf) if u != c] == dead, watched
+
+
+def test_relator_free_balls_are_stable_without_the_extension():
+    # enumerate_cosets skips the extension that cannot touch a relator-free
+    # ball; stable_ball still runs it, and the two must agree
+    for p, h in seeded_specs(seed=34, per_rank=6):
+        for radius, slack in itertools.product(range(6), (0, 1)):
+            ball = enumerate_cosets(p, h, radius, slack)
+            ref = stable_ball(p, h, radius, start_slack=slack)
+            assert (ball.table, ball.dist, ball.slack, ball.stable) == (
+                ref.table, ref.dist, ref.slack, ref.stable), (p.generators, h.words, radius)
+            assert ball.stable and ball.slack == slack
+
+
+# the horizons of the runs of enumerate_cosets at radius 2 and slack 1
+@pytest.mark.parametrize("text, gens, horizons", [
+    (FREE2, (), [3]), (FREE2, ("ab", "bbA"), [3]), (TORUS, (), [3, 4]), (GENUS2, ("a",), [3, 4]),
+], ids=["f2", "f2-sub", "torus", "genus2-a"])
+def test_only_presentations_with_relators_pay_for_the_extension(
+        monkeypatch, text, gens, horizons):
+    calls = []
+
+    def counted(p, h_words, horizon, *args, **kwargs):
+        calls.append(horizon)
+        return _raw_enumerate(p, h_words, horizon, *args, **kwargs)
+
+    monkeypatch.setattr("relends.schreier._raw_enumerate", counted)
+    p = parse_presentation(text)
+    enumerate_cosets(p, sub(p, *gens), 2, slack=1)
+    assert calls == horizons
 
 
 # random three-generator presentations: up to three relators of two to
