@@ -22,9 +22,14 @@ on the two frontier cosets where its trace stopped.  When either gains an
 edge or takes part in a merge, the waiting coset is marked at once: the
 watched-literal scheme of SAT solvers (Moskewicz et al., Chaff, 2001).  A
 merge moves no mark: a survivor's open loops wait on their own frontier
-cosets.  The skipped visits are the ones that would change nothing, so the
-tables are those a sweep over every coset in every pass would build.  A
-coset that gap filling defines starts at its distance along the relator
+cosets.  A new coset that a visit defines onto the horizon holds only its
+edge back, so when every relator has two or more letters and none starts
+with that edge's letter or ends with its inverse, none of its loops can take
+a step: it is born waiting on itself, unmarked, as its visit would leave it.
+The skipped visits are the ones that would change nothing, so the tables are
+those a sweep over every coset in every pass would build.  New rows are
+written in place, a visit's and gap filling's alike, with no call per row.
+A coset that gap filling defines starts at its distance along the relator
 loop it fills, counted from the nearer end of the gap.  Before each pass,
 the distances are settled to exact BFS distances from the rows whose edges
 changed.  The returned ball is truncated to the requested radius and
@@ -333,9 +338,24 @@ def _raw_enumerate(
     gain(a) wakes.  A waiter that died is covered by its survivor alike.
     A survivor that falls into reach or below the horizon gets the
     crossing mark (pdist[b] <= horizon <= pdist[a]); settle marks a row
-    whose distance crosses the horizon, new_row one that starts in reach.
+    whose distance crosses the horizon, and a new row that starts in reach
+    is marked unless it is born waiting.
     So no mark moves between rows.  Waking on any gain, and on a merge
     whatever it gives, only adds visits the sweep makes at the same point.
+
+    Born waiting.  A row t that a visit defines by letter x onto the
+    horizon holds only its cell x ^ 1 back.  When every relator has two or
+    more letters and none starts with x ^ 1 or ends with x, each trace at t
+    reads an empty cell first either way, so t's visit would only set bit 1
+    of wait[t].  So t is born with that bit and no mark, which is (I2) at
+    birth: every trace open, with both frontier rows t.  Until t gains an
+    edge, takes part in a merge or falls below the horizon, its visit would
+    change nothing.  gain(t) marks it, dead or live, at either of the first
+    two, and the crossing mark of merge or settle at the third.  t lies past
+    the visited row, so when one of these comes before the cursor reaches
+    t, t is visited in this pass, where the sweep visits it; when none
+    does, the sweep's visit would leave t as it was born, unmarked and
+    waiting on itself.
 
     Growth in place.  Every run grows the table of a closure record
     (_Closure) from the record's horizon h <= horizon.  A fresh run, with no
@@ -395,6 +415,17 @@ def _raw_enumerate(
     # a visit to a row at pdist >= reach changes nothing
     reach = horizon + 1 if relators else horizon
     empty_row = (-1,) * L
+    # row t fits the budget when (t + 1) * L <= node_budget, that is, exactly
+    # when t < node_budget // L
+    cap = node_budget // L
+    # the mark and wait bits, by letter x, of the rows a visit defines:
+    # marked inside the horizon; on it, born waiting when every relator has
+    # two or more letters and none starts with x ^ 1 or ends with x
+    rim_waits = bytes(bool(relators) and all(first >= 0 and x ^ 1 not in (first, last)
+                                             for _w, _a, _b, first, last in relators)
+                      for x in range(L))
+    rim = bytes(horizon < reach and not b for b in rim_waits), rim_waits
+    inner = b"\1" * L, bytes(L)
     # mark[c] is 1 when c is to be visited: in this pass when c lies past the
     # visited row, else in the next
     mark = bytearray(closure.horizon <= d < reach for d in pdist)
@@ -419,20 +450,6 @@ def _raw_enumerate(
             uf[c] = uf[uf[c]]
             c = uf[c]
         return c
-
-    def new_row(src: int, x: int, d: int) -> int:
-        """Define letter x at src to a new row at distance d."""
-        t = len(uf)
-        if (t + 1) * L > node_budget:
-            raise BudgetExceeded(node_budget, horizon, t)
-        cells.extend(empty_row)
-        uf.append(t)
-        pdist.append(d)
-        mark.append(d < reach)
-        wait.append(0)
-        cells[src * L + x] = t
-        cells[t * L + (x ^ 1)] = src
-        return t
 
     def hold(f: int, c: int) -> None:
         """Make row c wait on row f, where an open trace at c stopped."""
@@ -554,16 +571,25 @@ def _raw_enumerate(
             while j > i + 1:
                 x = w[i]
                 i += 1
+                t = len(uf)
+                if t >= cap:
+                    raise BudgetExceeded(node_budget, horizon, t)
                 d, df = far - i, pdist[f]
                 if d > df:
-                    f = new_row(f, x, df + 1)
-                    continue
-                # nearer to b: settle would have lowered the row to d
-                if d <= watch:
-                    touched = True
-                f = new_row(f, x, d)
-                if d < df - 1:
-                    dirty.append(f)
+                    d = df + 1
+                else:  # nearer to b: settle would have lowered the row to d
+                    if d <= watch:
+                        touched = True
+                    if d < df - 1:
+                        dirty.append(t)
+                cells[f * L + x] = t
+                cells.extend(empty_row)
+                cells[t * L + (x ^ 1)] = f
+                uf.append(t)
+                pdist.append(d)
+                mark.append(d < reach)
+                wait.append(0)
+                f = t
         # one gap left: w[i] should lead from f to b
         x = w[i]
         back = cells[b * L + (x ^ 1)]
@@ -646,14 +672,25 @@ def _raw_enumerate(
             mark[c] = 0
             if uf[c] == c:
                 d = pdist[c]
+                row = c * L
                 if d < horizon:
                     if wait[c]:
                         gain(c)  # c gains its missing edges
+                    marks, waits = inner if d + 1 < horizon else rim
                     for x in range(L):
-                        if cells[c * L + x] < 0:
-                            new_row(c, x, d + 1)
+                        if cells[row + x] < 0:
+                            t = len(uf)
+                            if t >= cap:
+                                raise BudgetExceeded(node_budget, horizon, t)
+                            cells[row + x] = t
+                            cells.extend(empty_row)
+                            cells[t * L + (x ^ 1)] = c
+                            uf.append(t)
+                            pdist.append(d + 1)
+                            mark.append(marks[x])
+                            wait.append(waits[x])
                 if d <= horizon:
-                    inside, row = d < horizon, c * L
+                    inside = d < horizon
                     for w, ahead, behind, x, y in relators:
                         if inside or x < 0 or cells[row + x] >= 0 or cells[row + y] >= 0:
                             scan(c, w, ahead, behind, inside)

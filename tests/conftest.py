@@ -1,11 +1,13 @@
 """Shared presentations and helpers for the test suite."""
 
+import functools
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
 
-from relends import parse_presentation, stallings_fold
+from relends import parse_presentation, rips_construct, stallings_fold
 from relends.presentation import SubgroupSpec, word_from_text
 
 GENUS2 = "generators: a b c d\nrelators: abABcdCD\n"
@@ -25,6 +27,28 @@ short_words = st.text("abAB", min_size=1, max_size=7)
 def sub(p, *texts):
     """Subgroup spec from generator words written in the presentation's letters."""
     return SubgroupSpec(tuple(word_from_text(t, p.generators) for t in texts))
+
+
+@dataclass(frozen=True)
+class RipsOver:
+    """Rips' construction over a quotient presentation; test corpora hold it
+    in place of a presentation text, and kernel_pair builds G and N."""
+
+    quotient: str
+
+
+@functools.cache
+def rips_kernel(quotient):
+    out = rips_construct(parse_presentation(quotient))
+    return out.g_presentation, out.h_generators.words
+
+
+def kernel_pair(text):
+    """(p, words): a presentation text parsed, with no words, or G and the
+    words of the kernel N (its two fresh generators) from Rips' construction."""
+    if isinstance(text, RipsOver):
+        return rips_kernel(text.quotient)
+    return parse_presentation(text), ()
 
 
 def free_group(rank):

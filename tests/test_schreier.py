@@ -7,7 +7,6 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,15 +32,14 @@ from relends import (
     parse_presentation,
     probe_class_history,
     restrict_to_generators,
-    rips_construct,
     stable_ball,
     stallings_fold,
 )
 from relends.presentation import free_reduce, invert
 from relends.schreier import DEFAULT_NODE_BUDGET, _Closure, _finalize, _raw_enumerate
 
-from conftest import (FREE2, GENUS2, LINE, TORUS, seeded_cores, seeded_specs, short_words,
-                      sub, walk)
+from conftest import (FREE2, GENUS2, LINE, TORUS, RipsOver, kernel_pair, rips_kernel,
+                      seeded_cores, seeded_specs, short_words, sub, walk)
 
 # a presentation whose radius-2 ball shrinks once the enumeration digs deeper
 SHIFTY = "generators: a b\nrelators: bbabbb\n"
@@ -84,6 +82,11 @@ CHAIN = ("AbbabABB", "generators: a b\nrelators: AbbabABB\n", (), 5)
 # merge whose survivor crosses the horizon must mark it (CBC-BBCACBB,
 # bABabb).  A merge moves no mark, so in a fresh run's subgroup trace that
 # crossing mark alone marks the row a merge brings within reach (aaaaba-AB).
+# A row that a visit defines onto the horizon, where none of its traces can
+# step, is born waiting on itself and unmarked; it must still be visited once
+# it gains an edge or takes part in a merge (ABA: the row survives a merge,
+# and its scan then deduces an edge).
+BORN_WAITING = ("ABA", "generators: a b\nrelators: ABA\n", (), 2)
 WAKES = [
     ("BAAAbAA-b", "generators: a b\nrelators:\n  BAAAbAA\n  b\n", (), 3),
     ("ABABB", "generators: a b\nrelators: ABABB\n", (), 4),
@@ -96,6 +99,7 @@ WAKES = [
     ("aabaaB", "generators: a b\nrelators: aabaaB\n", (), 3),
     ("aaaaba-AB", FREE2, ("aaaaba", "AB"), 3),
     ("CBC-BBCACBB", "generators: a b c\nrelators:\n  CBC\n  BBCACBB\n", (), 3),
+    BORN_WAITING,
 ]
 # a letter that loops at every row, so that a relator's trace crosses its
 # run in one step: a by the subgroup itself, and a after a coincidence in
@@ -106,14 +110,6 @@ LOOPS = [
 ]
 
 
-@dataclass(frozen=True)
-class RipsOver:
-    """Rips' construction over a quotient presentation, with its H; raw_runs
-    builds it in place of a presentation text."""
-
-    quotient: str
-
-
 # Rips' construction over Z2 (965-985-letter relators) and over F2 (483-495
 # letters, an infinite kernel whose horizon rows keep their long relator
 # loops open)
@@ -122,25 +118,17 @@ RIPS_F2 = ("rips-f2", RipsOver("generators: x y\nrelators: none\n"), (), 4)
 # _finalize digests for CORPUS, pinned from the enumerator that ran a full
 # BFS before every sweep (the finite groups and Rips(Z2) from the one that
 # swept every row, Rips(F2) from the one that queued every open loop of pass
-# 1 for pass 2); no raw table or row count is pinned, so the enumerator may
+# 1 for pass 2, BORN_WAITING from the one that visited every row a visit
+# defined); no raw table or row count is pinned, so the enumerator may
 # renumber its rows
 BALL_DIGESTS = Path(__file__).parent / "golden" / "ball-digests.json"
-
-
-@functools.cache
-def rips_kernel(quotient):
-    out = rips_construct(parse_presentation(quotient))
-    return out.g_presentation, out.h_generators.words
 
 
 def raw_runs(text, gens, horizons=range(5), resumed=False):
     """Each horizon's closure, run fresh or (resumed) grown in place from
     the closure at the horizon before, the first one fresh."""
-    if isinstance(text, RipsOver):
-        p, words = rips_kernel(text.quotient)
-    else:
-        p = parse_presentation(text)
-        words = sub(p, *gens).words
+    p, kernel = kernel_pair(text)
+    words = kernel + sub(p, *gens).words
     closure = _Closure(0) if resumed else None
     for horizon in horizons:
         yield horizon, p, _raw_enumerate(p, words, horizon, DEFAULT_NODE_BUDGET, _closure=closure)
@@ -383,11 +371,18 @@ def test_a_stable_ball_is_the_ball_of_a_deeper_closure(relators):
 
 
 def test_budget_cuts_enumeration_short(genus2, trivial):
-    with pytest.raises(BudgetExceeded) as info:
-        stable_ball(genus2, trivial, 4, node_budget=100)
-    # 8 letters per row: the 13th row would need 104 cells
-    assert (info.value.horizon, info.value.rows) == (4, 12)
-    assert "horizon 4, 12 rows" in str(info.value)
+    # 8 letters per row: a run stops at row budget // 8, the first that would
+    # need more cells than the budget, wherever that row is made
+    cases = [
+        (4, 100, 4, 12),  # in a fill chain
+        (5, 50_000, 5, 6_250),  # in a fill chain
+        (5, 1_000_000, 6, 125_000),  # in a visit's own definitions, extending to horizon 6
+    ]
+    for radius, budget, horizon, rows in cases:
+        with pytest.raises(BudgetExceeded) as info:
+            stable_ball(genus2, trivial, radius, node_budget=budget)
+        assert (info.value.horizon, info.value.rows) == (horizon, rows)
+        assert f"horizon {horizon}, {rows} rows" in str(info.value)
 
 
 TRI237 = "generators: a b c\nrelators:\n  aa\n  bb\n  cc\n  ababab\n  bcbcbcbcbcbcbc\n  caca\n"
@@ -522,7 +517,7 @@ def test_finite_groups_close_to_their_order(text, radius, order):
 
 def finalized_digests(resumed):
     digests = {}
-    cases = [(*case, 4) for case in CORPUS] + FINITE + [RIPS_Z2, RIPS_F2]
+    cases = [(*case, 4) for case in CORPUS] + FINITE + [BORN_WAITING, RIPS_Z2, RIPS_F2]
     for name, text, gens, top in cases:
         runs = raw_runs(text, gens, range(top + 1), resumed)
         for horizon, p, (cells, _uf, _pdist, find) in runs:
