@@ -59,6 +59,9 @@ USAGE = 1
 UNCERT = 2
 BUDGET = 3
 
+# what a subcommand hands back: the JSON payload, the human lines, the exit code
+Outcome = tuple[dict, list[str], int]
+
 
 def _int_at_least(least: int):
     """argparse type: an integer no smaller than least."""
@@ -117,7 +120,7 @@ def _parser(budget_default: str) -> argparse.ArgumentParser:
     def common(
         name: str,
         summary: str,
-        handler: Callable[[Namespace], int],
+        handler: Callable[[Namespace, Presentation, SubgroupSpec], Outcome],
         subgroup: bool = True,
         radius: bool = False,
         max_slack: bool = False,
@@ -155,7 +158,9 @@ def _parser(budget_default: str) -> argparse.ArgumentParser:
                             help="write a DOT rendering here")
         return sp
 
-    common("parse", "parse a file and report its structure", _cmd_parse, subgroup=False)
+    # parse reports, and hashes, the file's own subgroup section
+    common("parse", "parse a file and report its structure", _cmd_parse,
+           subgroup=False).set_defaults(subgroup_from_file=True)
 
     sp = common("word-reduce", "reduce a word; decide if it is the identity", _cmd_word_reduce,
                 subgroup=False)
@@ -300,10 +305,7 @@ def _radius_cap(args: Namespace, p: Presentation, radius: int) -> int | None:
     return args.radius_cap if args.radius_cap is not None else radius + 4
 
 
-def _cmd_parse(args: Namespace) -> int:
-    # inspect the file as written, subgroup section included
-    parsed = parse_file(args.input.read_text())
-    p, h = parsed.presentation, parsed.subgroup
+def _cmd_parse(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
     sc = check_small_cancellation(p)
     lines = [
         f"generators: {' '.join(p.generators)}",
@@ -318,12 +320,10 @@ def _cmd_parse(args: Namespace) -> int:
         "subgroup_words": [p.word_to_text(w) for w in h.words],
         "small_cancellation": asdict(sc),
     }
-    _emit(args, p, h, payload, lines)
-    return OK
+    return payload, lines, OK
 
 
-def _cmd_word_reduce(args: Namespace) -> int:
-    p, h = _load(args)
+def _cmd_word_reduce(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
     word = p.word_from_text(args.word)
     radius = max(len(free_reduce(word)), 1)
     cap = _radius_cap(args, p, radius)
@@ -341,12 +341,10 @@ def _cmd_word_reduce(args: Namespace) -> int:
         "is_identity": not reduced,
         "strategy": "dehn" if cap is None else "bounded_bfs",
     }
-    _emit(args, p, h, payload, lines)
-    return OK
+    return payload, lines, OK
 
 
-def _cmd_ball(args: Namespace) -> int:
-    p, h = _load(args)
+def _cmd_ball(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
     cap = _radius_cap(args, p, args.radius)
     ball = build_ball(p, args.radius, cap, args.node_budget)
     _write_dot(args, ball)
@@ -363,12 +361,10 @@ def _cmd_ball(args: Namespace) -> int:
         "stable": ball.stable,
         "strategy": "dehn" if cap is None else "bounded_bfs",
     }
-    _emit(args, p, h, payload, lines)
-    return OK
+    return payload, lines, OK
 
 
-def _cmd_schreier(args: Namespace) -> int:
-    p, h = _load(args)
+def _cmd_schreier(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
     if args.covering_radius is not None:  # refused before the ball is enumerated
         check_covering_radius(args.covering_radius, args.radius)
     ball = stable_ball(
@@ -400,8 +396,7 @@ def _cmd_schreier(args: Namespace) -> int:
         "subgroup_words": [p.word_to_text(w) for w in h.words],
         "covering": asdict(covering) if covering is not None else None,
     }
-    _emit(args, p, h, payload, lines)
-    return OK if ball.stable else UNCERT
+    return payload, lines, OK if ball.stable else UNCERT
 
 
 def _count_ledger(args: Namespace, p: Presentation) -> tuple[ConstantsLedger, tuple[int, ...]]:
@@ -430,8 +425,7 @@ def _count_ledger(args: Namespace, p: Presentation) -> tuple[ConstantsLedger, tu
     return ledger, probes
 
 
-def _cmd_count(args: Namespace) -> int:
-    p, h = _load(args)
+def _cmd_count(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
     ledger, probes = _count_ledger(args, p)
     payload = {
         "subgroup": [p.word_to_text(w) for w in h.words],
@@ -449,8 +443,7 @@ def _cmd_count(args: Namespace) -> int:
         )
     except UnstableBallError as exc:
         payload.update(class_history=None, verdict=UNCERTIFIED, stable=False)
-        _emit(args, p, h, payload, [f"verdict: {UNCERTIFIED} ({exc})"])
-        return UNCERT
+        return payload, [f"verdict: {UNCERTIFIED} ({exc})"], UNCERT
     payload.update(
         class_history=list(report.class_history),
         verdict=report.count,
@@ -458,12 +451,10 @@ def _cmd_count(args: Namespace) -> int:
     )
     history = ", ".join(f"{r}->{c}" for r, c in zip(probes, report.class_history))
     lines = [f"classes per probe: {history}", f"verdict: {report.count}"]
-    _emit(args, p, h, payload, lines)
-    return UNCERT if report.count == UNCERTIFIED else OK
+    return payload, lines, UNCERT if report.count == UNCERTIFIED else OK
 
 
-def _cmd_check(args: Namespace) -> int:
-    p, h = _load(args)
+def _cmd_check(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
     # the inputs the check refuses are refused before the ball is enumerated
     if args.subcommand == "check-ddag":
         ddag_least_r(args.m, args.k, args.delta, args.r_cap)
@@ -482,12 +473,10 @@ def _cmd_check(args: Namespace) -> int:
         r, x, y = rep.counterexample
         lines.append(f"counterexample at R = {r}: vertices {x}, {y}")
     payload = {**asdict(rep), "radius": ball.radius, "stable": ball.stable}
-    _emit(args, p, h, payload, lines)
-    return OK if ball.stable else UNCERT
+    return payload, lines, OK if ball.stable else UNCERT
 
 
-def _cmd_empirical(args: Namespace) -> int:
-    p, h = _load(args)
+def _cmd_empirical(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
     radius = args.ball_radius if args.ball_radius is not None else args.radii[-1] + 1
     if radius <= args.radii[-1]:
         raise ValueError("--ball-radius must exceed the largest cut radius")
@@ -502,19 +491,14 @@ def _cmd_empirical(args: Namespace) -> int:
         "verdict": rep.verdict,
         "stable": ball.stable,
     }
-    _emit(args, p, h, payload, lines)
-    if not ball.stable or rep.verdict == UNCERTIFIED:
-        return UNCERT
-    return OK
+    return payload, lines, OK if ball.stable and rep.verdict != UNCERTIFIED else UNCERT
 
 
-def _cmd_rips(args: Namespace) -> int:
-    q, h = _load(args)
+def _cmd_rips(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
     try:
-        out = rips_construct(q, block_length=args.block_length)
+        out = rips_construct(p, block_length=args.block_length)
     except RuntimeError as exc:
-        _emit(args, q, h, {"constructed": False}, [f"construction failed: {exc}"])
-        return UNCERT
+        return {"constructed": False}, [f"construction failed: {exc}"], UNCERT
     g = out.g_presentation
     rep = verify_rips(out)
     text = g.to_text(out.h_generators)
@@ -538,12 +522,10 @@ def _cmd_rips(args: Namespace) -> int:
         "out_path": str(args.out_path) if args.out_path else None,
         "verify": {**asdict(rep), "passes": rep.passes},
     }
-    _emit(args, q, h, payload, lines)
-    return OK if rep.passes else UNCERT
+    return payload, lines, OK if rep.passes else UNCERT
 
 
-def _cmd_oracle_fold(args: Namespace) -> int:
-    p, h = _load(args)
+def _cmd_oracle_fold(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
     if not h.words:
         raise ValueError("oracle-fold needs a subgroup (--subgroup-from-file or --subgroup)")
     core = stallings_fold(p, h)
@@ -552,12 +534,10 @@ def _cmd_oracle_fold(args: Namespace) -> int:
     lines = [f"core graph: {core.n_vertices} vertices, {n_edges} edges"]
     payload = {"n_vertices": core.n_vertices, "n_edges": n_edges,
                "generators": list(core.gen_names)}
-    _emit(args, p, h, payload, lines)
-    return OK
+    return payload, lines, OK
 
 
-def _cmd_oracle_compare(args: Namespace) -> int:
-    p, h = _load(args)
+def _cmd_oracle_compare(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
     core = stallings_fold(p, h)
     # the oracle ball has no budget, but the enumerator's ball is at least
     # as large (it only makes identifications that hold in G), so once the
@@ -575,14 +555,16 @@ def _cmd_oracle_compare(args: Namespace) -> int:
         "enumerated_cosets": mine.n_vertices,
         "oracle_cosets": oracle_ball.n_vertices,
     }
-    _emit(args, p, h, payload, lines)
-    return OK if same else UNCERT
+    return payload, lines, OK if same else UNCERT
 
 
 def run(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        p, h = _load(args)
+        payload, lines, code = args.handler(args, p, h)
+        _emit(args, p, h, payload, lines)
+        return code
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for bad arguments; fold the
         # latter into the usage code so 2 stays reserved for uncertified.

@@ -240,8 +240,8 @@ def parse_file(text: str) -> ParsedInput:
     current: str | None = None
     for line in lines[1:]:
         stripped = line.strip()
-        head, _, rest = stripped.partition(":")
-        if head in sections and (stripped.startswith(head + ":") or stripped == head + ":"):
+        head, sep, rest = stripped.partition(":")
+        if sep and head in sections:
             current = head
             rest = rest.strip()
             if rest and rest not in ("none", "(none)"):

@@ -7,7 +7,7 @@ everything else a word is walked through a Cayley ball: `build_ball`
 enumerates the Schreier ball of the trivial subgroup under a radius cap
 (`None` = Dehn: C'(1/6) is required and the slack may reach
 DEFAULT_MAX_SLACK; an int caps it at `radius_cap - radius`) and errs out
-loudly when the cap is too small to certify the ball.  Under the
+loudly when the slack certificate fails inside the cap.  Under the
 canonical BFS labeling a vertex's tree word is its shortlex normal form.
 """
 
@@ -40,11 +40,11 @@ def build_ball(
 ) -> Ball:
     """Radius-R ball of the Cayley graph, exact and stability-certified.
 
-    With no radius_cap (Dehn) the presentation must be C'(1/6) (closure
-    then provably stabilizes; slack escalation is allowed to run).  With a
-    radius_cap the enumeration horizon may not exceed it, and a ball that
-    cannot certify stability inside the cap is an error rather than a
-    guess.
+    With no radius_cap (Dehn) the presentation must be C'(1/6), and slack
+    escalation may run to DEFAULT_MAX_SLACK.  With a radius_cap the
+    enumeration horizon may not exceed it.  Either way the ball carries the
+    same empirical slack certificate as any stable_ball, not a proof, and a
+    ball that cannot certify stability is an error rather than a guess.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, JSON reports, output routing."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -516,14 +517,16 @@ def test_rips_without_a_destination_writes_g_to_stdout(files, tmp_path, capsys):
 @pytest.mark.parametrize("json_args", [[], ["--json", "-"]], ids=["human", "json-stdout"])
 def test_a_failed_rips_construction_keeps_stdout_parseable(files, monkeypatch, capsys,
                                                              json_args):
-    monkeypatch.setattr("relends.rips.MAX_ESCALATIONS", 0)
+    def failing(g):
+        return dataclasses.replace(relends.check_small_cancellation(g), passes=False)
+
+    monkeypatch.setattr("relends.rips.check_small_cancellation", failing)
     assert run(["rips", files["q1"], "--block-length", "8", *json_args]) == 2
     out = capsys.readouterr().out
     if json_args:
         assert json.loads(out)["constructed"] is False
     else:
-        assert out == ("construction failed: no C'(1/6) instance within 0 escalations "
-                       "(last block length 8)\n")
+        assert out == "construction failed: C'(1/6) fails at block length 512\n"
 
 
 def test_bad_radii_are_usage_errors(files, capsys):

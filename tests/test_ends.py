@@ -312,7 +312,7 @@ KNOWN_ENDS = [
                gap=3),
     known_ends("triangle-2-3-7-probes-6-9-gap-4", triangle(2, 3, 7), 1, probes=(6, 7, 8, 9),
                gap=4),
-    # Rips' construction G -> Q (ROADMAP item 11): H is the kernel N = <a, b>,
+    # Known counts over H != 1, from Rips' construction G -> Q: H is the kernel N = <a, b>,
     # plus the lift of a subgroup K of Q, and the Schreier graph of (G, H) is
     # that of (Q, K) with an a- and a b-loop at every vertex, so e(G, H) =
     # e(Q, K).  N is normal, so the conjugation check conjugates K's lift.

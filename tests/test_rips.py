@@ -1,6 +1,7 @@
 """Small cancellation quotient construction and its self-verification."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -122,10 +123,41 @@ def test_small_blocks_escalate_until_the_bound_holds():
     assert verify_rips(out).small_cancellation.passes
 
 
-def test_escalation_budget_is_respected(monkeypatch):
-    monkeypatch.setattr("relends.rips.MAX_ESCALATIONS", 0)
-    with pytest.raises(RuntimeError):
+def test_a_failed_check_raises_without_a_retry(monkeypatch):
+    seen = []
+
+    def failing(g):
+        seen.append(g)
+        return dataclasses.replace(check_small_cancellation(g), passes=False)
+
+    monkeypatch.setattr("relends.rips.check_small_cancellation", failing)
+    with pytest.raises(RuntimeError, match="C'\\(1/6\\) fails at block length 512"):
         rips_construct(parse_presentation(TRIVIAL_Q), block_length=8)
+    assert len(seen) == 1
+
+
+def _seeded_quotients():
+    rng = random.Random(36)
+    for _ in range(35):
+        n = rng.randint(1, 5)
+        relators = tuple(
+            tuple(rng.randrange(2 * n) for _ in range(rng.randint(1, 14)))
+            for _ in range(rng.randint(0, 3))
+        )
+        block_length = rng.choice((8, 9, 12, 16, 24, 40, 64))
+        yield Presentation(tuple("xyzuv"[:n]), relators), block_length
+
+
+@pytest.mark.parametrize("q, block_length", [
+    (parse_presentation("generators: a b c\nrelators: abAB\n"), 8),
+    *_seeded_quotients(),
+])
+def test_every_quotient_constructs_and_verifies(q, block_length):
+    # the block length is doubled until the piece bound fits, with no cap
+    # on the doublings; ⟨a, b, c | abAB⟩ at 8 needs seven of them
+    out = rips_construct(q, block_length=block_length)
+    assert out.block_length >= block_length
+    assert verify_rips(out).passes
 
 
 def test_fresh_names_fall_back_to_numbered_names():
