@@ -34,8 +34,10 @@ from .ends import (
 from .oracle import free_schreier_ball, graphs_isomorphic, stallings_fold
 from .presentation import (
     Presentation,
+    StrategyError,
     SubgroupSpec,
     check_small_cancellation,
+    dehn_reduce,
     free_reduce,
     parse_file,
     word_from_text,
@@ -50,9 +52,9 @@ from .schreier import (
     check_covering_radius,
     covering_degree_check,
     enumerate_cosets,
+    shortlex_normal_form,
     stable_ball,
 )
-from .word_engine import build_ball, dehn_reduce, shortlex_normal_form
 
 OK = 0
 USAGE = 1
@@ -298,11 +300,33 @@ def _sphere_sizes(ball: Ball) -> list[int]:
     return [len(ball.sphere(r)) for r in range(ball.radius + 1)]
 
 
-def _radius_cap(args: Namespace, p: Presentation, radius: int) -> int | None:
-    """The cap build_ball takes; None (Dehn) under auto exactly when C'(1/6) holds."""
-    if args.strategy == "dehn" or (args.strategy == "auto" and check_small_cancellation(p).passes):
-        return None
-    return args.radius_cap if args.radius_cap is not None else radius + 4
+def _dehn(args: Namespace, p: Presentation) -> bool:
+    """Whether --strategy picks Dehn's algorithm: dehn, or auto exactly when
+    C'(1/6) holds."""
+    return args.strategy == "dehn" or (args.strategy == "auto" and check_small_cancellation(p).passes)
+
+
+def _cayley_ball(args: Namespace, p: Presentation, radius: int, dehn: bool) -> Ball:
+    """The radius-R Cayley ball, certified within the strategy's slack cap:
+    DEFAULT_MAX_SLACK under Dehn (C'(1/6) required), else --radius-cap
+    (the ball's default: radius + 4) minus the radius.  A ball that does not
+    certify within its cap is an error, not a guess."""
+    if dehn:
+        if not check_small_cancellation(p).passes:
+            raise StrategyError("dehn strategy needs a C'(1/6) presentation")
+        max_slack = DEFAULT_MAX_SLACK
+    else:
+        cap = args.radius_cap if args.radius_cap is not None else radius + 4
+        if cap < 1:
+            raise ValueError("bounded_bfs needs a positive radius_cap")
+        if cap < radius:
+            raise UnstableBallError(f"radius_cap {cap} is below the requested radius {radius}")
+        max_slack = cap - radius
+    ball = stable_ball(p, SubgroupSpec(()), radius, max_slack=max_slack,
+                       node_budget=args.node_budget)
+    if not ball.stable:
+        raise UnstableBallError(f"closure did not stabilize by slack {ball.slack}")
+    return ball
 
 
 def _cmd_parse(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
@@ -325,12 +349,12 @@ def _cmd_parse(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
 
 def _cmd_word_reduce(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
     word = p.word_from_text(args.word)
-    radius = max(len(free_reduce(word)), 1)
-    cap = _radius_cap(args, p, radius)
-    if cap is None:
+    dehn = _dehn(args, p)
+    if dehn:
         reduced = dehn_reduce(word, p)
     else:
-        reduced = shortlex_normal_form(word, build_ball(p, radius, cap, args.node_budget))
+        radius = max(len(free_reduce(word)), 1)
+        reduced = shortlex_normal_form(word, _cayley_ball(args, p, radius, dehn))
     lines = [
         f"reduced: {p.word_to_text(reduced) if reduced else '1'}",
         f"identity: {'yes' if not reduced else 'no'}",
@@ -339,14 +363,14 @@ def _cmd_word_reduce(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outco
         "word": args.word,
         "reduced": p.word_to_text(reduced),
         "is_identity": not reduced,
-        "strategy": "dehn" if cap is None else "bounded_bfs",
+        "strategy": "dehn" if dehn else "bounded_bfs",
     }
     return payload, lines, OK
 
 
 def _cmd_ball(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
-    cap = _radius_cap(args, p, args.radius)
-    ball = build_ball(p, args.radius, cap, args.node_budget)
+    dehn = _dehn(args, p)
+    ball = _cayley_ball(args, p, args.radius, dehn)
     _write_dot(args, ball)
     sizes = _sphere_sizes(ball)
     lines = [
@@ -359,7 +383,7 @@ def _cmd_ball(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
         "sphere_sizes": sizes,
         "slack": ball.slack,
         "stable": ball.stable,
-        "strategy": "dehn" if cap is None else "bounded_bfs",
+        "strategy": "dehn" if dehn else "bounded_bfs",
     }
     return payload, lines, OK
 

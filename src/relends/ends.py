@@ -117,6 +117,14 @@ def count_relative_ends(
     stable ball with an empty rim is a complete coset table, so it reads 0.
     With H = 1, a finite count that no group has (above 2, or 2 when the
     abelianization has rank 2 or more) is uncertified.
+
+    A cut must be earned too: a finite count k >= 1 is uncertified unless
+    each window probe R0 with room past it (ball radius - R0 at least half
+    the longest relator) has k classes at every cut from its own up to
+    R0 - 1.  A narrow cut lets paths around it join what a wider cut
+    splits: (Z/2)^3 x D-infinity reads 1 at probes 2-5 and has 2 ends.
+    This is a heuristic: half a relator bounds only a single relator
+    loop's depth.
     """
     if not probe_r0s or any(a >= b for a, b in zip(probe_r0s, probe_r0s[1:])):
         raise ValueError("probe_r0s must be nonempty and strictly ascending")
@@ -143,6 +151,12 @@ def count_relative_ends(
             verdict > 2 or (verdict == 2 and _free_rank(p, ()) >= 2)):
         # Hopf, Freudenthal: a group has 0, 1, 2 or infinitely many ends,
         # and a two-ended group is virtually Z, of abelian rank at most 1
+        verdict = UNCERTIFIED
+    depth = max(map(len, p.relators), default=0) // 2  # of a single relator loop
+    if isinstance(verdict, int) and verdict >= 1 and any(
+            len(sphere_classes(ball, r0, cut)) != verdict
+            for r0 in probe_r0s[-stabilization_window:] if radius - r0 >= depth
+            for cut in range(annulus_inner_radius(r0, ledger.inner_offset) + 1, r0)):
         verdict = UNCERTIFIED
     return EndsReport(count=verdict, class_history=tuple(history))
 

@@ -1,4 +1,5 @@
-"""Group presentations, words, and the small cancellation checker.
+"""Group presentations, words, the small cancellation checker, and Dehn's
+algorithm for the presentations that pass it.
 
 A word is a tuple of integer letters: generator i contributes the positive
 letter 2*i and its formal inverse 2*i+1, so inverting a letter is xor with 1.
@@ -8,6 +9,7 @@ indexed name g1, g2, ... (inverse = G1, G2, ...), whitespace-separated.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -18,6 +20,10 @@ Word = tuple[int, ...]
 
 class ParseError(ValueError):
     """Raised on malformed presentation text or unknown symbols."""
+
+
+class StrategyError(ValueError):
+    """Dehn's algorithm does not apply to this presentation."""
 
 
 def invert(word: Sequence[int]) -> Word:
@@ -47,10 +53,15 @@ def cyclic_reduce(word: Sequence[int]) -> Word:
     return tuple(w)
 
 
+def _text(word: Sequence[int]) -> str:
+    """A word as a string of one character chr(x) per letter x."""
+    return "".join(map(chr, word))
+
+
 def _rotation_strings(relators: Iterable[Sequence[int]], k: int | None = None) -> list[str]:
     """The cyclic rotations of each relator and of its inverse, each cut to
     its first k letters (None: kept whole), deduplicated and sorted, as
-    strings of one character chr(x) per letter x.
+    _text strings.
 
     Code-point order is tuple order, so the sort is the words' sort.  A
     string takes a byte or two per letter where a tuple takes eight.  The
@@ -61,7 +72,7 @@ def _rotation_strings(relators: Iterable[Sequence[int]], k: int | None = None) -
     cut: list[str] = []
     for r in relators:
         for w in (r, invert(r)):
-            s = "".join(map(chr, w))
+            s = _text(w)
             n = len(s) if k is None else min(k, len(s))
             ss = s + s[: n - 1]
             cut += [ss[i : i + n] for i in range(len(s))]
@@ -312,3 +323,41 @@ def _scan_pieces(relators: Sequence[Word]) -> SmallCancellationReport:
             max_piece = _common_prefix(a, b, max_piece)
     passes = max_piece < lam * min_len
     return SmallCancellationReport(passes, max_piece, min_len, False, lam)
+
+
+def dehn_reduce(w: Word, p: Presentation) -> Word:
+    """Dehn-irreducible form of w; empty iff w is trivial (C'(1/6) only).
+
+    Rewrites the leftmost subword that is more than half of a symmetrized
+    relator, then starts over; on a C'(1/6) presentation the empty word is
+    reached exactly for trivial elements.  At most one relator matches more
+    than half of itself at a position: two would share a prefix longer
+    than any piece.  That relator shares the longest prefix with the rest
+    of the word, so in the sorted closure (p._rotations) it sits next to
+    the word's insertion point.  The word is searched as _text too; only
+    the replaced piece goes back to letters.  Each replacement strictly
+    shortens the word (the threshold 2|u| > |r| is strict), so the loop
+    terminates.  A letter outside p's alphabet raises ParseError.
+    """
+    p.check_letters((w,), "word")
+    if not check_small_cancellation(p).passes:
+        raise StrategyError("Dehn's algorithm needs a C'(1/6) presentation")
+    sym = p._rotations
+    max_len = max(map(len, sym), default=0)
+    word = free_reduce(w)
+    text = _text(word)
+    i = 0
+    while i < len(word):
+        window = text[i : i + max_len]
+        j = bisect_left(sym, window)
+        for r in sym[max(j - 1, 0) : j + 1]:
+            k = _common_prefix(window, r)
+            if 2 * k > len(r):
+                piece = invert(tuple(map(ord, r[k:])))
+                word = free_reduce(word[:i] + piece + word[i + k :])
+                text = _text(word)
+                i = 0  # leftmost first: rescan from the start
+                break
+        else:
+            i += 1
+    return word

@@ -82,14 +82,14 @@ class Undeclared:
 
 
 sys.meta_path.insert(0, Undeclared())
-from relends import build_ball, parse_presentation, stable_ball
+from relends import parse_presentation, stable_ball
 from relends.cli import run
 from relends.presentation import SubgroupSpec
 
 line = parse_presentation("generators: a\\nrelators: none\\n")
 print("vertices:", stable_ball(line, SubgroupSpec(()), 3).n_vertices)
 torus = parse_presentation("generators: a b\\nrelators: abAB\\n")
-print("torus vertices:", build_ball(torus, 3, radius_cap=12).n_vertices)
+print("torus vertices:", stable_ball(torus, SubgroupSpec(()), 3, max_slack=9).n_vertices)
 sys.exit(run(["count", sys.argv[1], "--probe-r0", "2,3,4,5"]))
 """
 
@@ -320,9 +320,12 @@ def test_a_slack_cap_below_the_start_slack_is_an_error(files, monkeypatch, capsy
     (["count", "z", "--probe-r0", "2,3", "--inner-offset", "0"],
      "need inner_offset > 0 and 0 < R0 < outer_radius, got inner_offset=0"),
     (["count", "z", "--probe-r0", "2,x"], "not a comma-separated integer list: '2,x'"),
+    # the torus's commutator abAB fails C'(1/6)
+    (["ball", "torus", "--radius", "2", "--strategy", "dehn"],
+     "dehn strategy needs a C'(1/6) presentation"),
 ], ids=["covering-radius", "ddag-m", "ddag-k", "ddag-delta", "ddag-r-cap",
         "dag-m", "dag-delta-xh", "dag-r-cap", "count-outer-gap", "count-inner-offset",
-        "count-probe-r0"])
+        "count-probe-r0", "ball-dehn"])
 def test_input_errors_are_refused_before_the_ball_is_enumerated(
         files, tmp_path, monkeypatch, capsys, argv, message):
     def enumerate_nothing(*args, **kwargs):

@@ -1,6 +1,7 @@
 """End counting: sphere classes, stabilization verdicts, annulus conditions."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,6 @@ from relends import (
     SubgroupSpec,
     UnstableBallError,
     annulus_inner_radius,
-    build_ball,
     check_dag,
     check_ddag,
     count_relative_ends,
@@ -253,6 +253,17 @@ def shallow_annulus(history):
             "relator loops that join the sphere (ROADMAP item 2)")
 
 
+def racg(vertices, edges):
+    """The right-angled Coxeter group of a graph: one generator per vertex,
+    the relators x^2 and (xy)^2 for each edge xy."""
+    lines = [f"  {x}{x}" for x in vertices] + [f"  {e}{e}" for e in edges]
+    return f"generators: {' '.join(vertices)}\nrelators:\n" + "\n".join(lines) + "\n"
+
+
+def pairs(vertices):
+    return ["".join(e) for e in combinations(vertices, 2)]
+
+
 DINF = "generators: a b\nrelators:\n  aa\n  bb\n"
 # quotients for Rips' construction, over x, y and z: its kernel takes a and b
 Q_DINF = "generators: x y\nrelators:\n  xx\n  yy\n"
@@ -281,6 +292,16 @@ KNOWN_ENDS = [
     known_ends("torus", TORUS, 1),
     known_ends("abAbb", "generators: a b\nrelators: abAbb\n", 1),
     known_ends("z2-free-z", "generators: a b c\nrelators: abAB\n", INFINITE),
+    # right-angled Coxeter groups (Davis 2008; Mihalik and Tschantz 2009): a
+    # complete graph minus one edge gives (Z/2)^k x D-infinity, 2 ends, and
+    # K3 joined to three points gives (Z/2)^3 x (Z/2 * Z/2 * Z/2), infinitely
+    # many.  Each reads 1 at probes 2-5, and a wider cut splits the sphere
+    known_ends("racg-k5-minus-edge", racg("abcde", [e for e in pairs("abcde") if e != "de"]), 2),
+    known_ends("racg-k3-join-three-points",
+               racg("abcdef", pairs("abc") + [x + y for x in "abc" for y in "def"]), INFINITE),
+    known_ends("racg-k6-minus-edge", racg("abcdef", [e for e in pairs("abcdef") if e != "ef"]),
+               2, xfail=("reads 1 (history 1, 1, 1, 1): the split is at cut 4, past every "
+                         "window probe with room at radius 6 (ROADMAP items 7 and 9)")),
     # F2 has infinitely many ends, but 4, 4, 4 stabilizes at a count no
     # group has: the Hopf gate must leave it uncertified
     known_ends("f2-probes-1-3", FREE2, UNCERTIFIED, probes=(1, 2, 3)),
@@ -434,7 +455,7 @@ def test_quotient_annulus_fails_on_the_collapsed_tree(f2):
 
 @pytest.fixture(scope="module")
 def tree4(f2):
-    return build_ball(f2, 4)
+    return stable_ball(f2, sub(f2), 4)
 
 
 def distance(ball, u, v):

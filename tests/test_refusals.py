@@ -8,7 +8,6 @@ import pytest
 
 from relends import (
     Ball,
-    build_ball,
     canonical_code,
     count_relative_ends,
     covering_degree_check,
@@ -24,7 +23,6 @@ from relends import (
     stable_ball,
     stallings_fold,
 )
-from relends.word_engine import StrategyError
 
 from conftest import FREE2, LINE, TORUS, TRIVIAL_Q_TEXT, sub
 
@@ -83,10 +81,8 @@ CASES = [
      ValueError, "sphere radius 3 exceeds ball radius 2"),
     ("restrict-name", lambda: restrict_to_generators(f2_ball(), ("a", "z")),
      ValueError, "generator 'z' not in ball alphabet"),
-    ("build-ball-radius", lambda: build_ball(parse_presentation(TORUS), -1, 4),
-     ValueError, "radius must be nonnegative"),
-    ("build-ball-dehn", lambda: build_ball(parse_presentation(TORUS), 2),
-     StrategyError, "dehn strategy needs a C'(1/6) presentation"),
+    ("stable-ball-radius", lambda: stable_ball(p := parse_presentation(TORUS), sub(p), -1),
+     ValueError, "radius and start_slack must be nonnegative"),
 ]
 
 

@@ -343,7 +343,7 @@ def test_escalation_respects_max_slack():
     p = parse_presentation(SHIFTY)
     ball = stable_ball(p, sub(p), 2, max_slack=0)
     assert not ball.stable
-    assert ball.slack == 1  # the last attempt is returned for inspection
+    assert ball.slack == 0  # the ball at the cap, never one past it
 
 
 def test_generous_start_slack_is_already_stable():

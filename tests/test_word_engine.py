@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from relends import (
     ParseError,
-    UnstableBallError,
-    build_ball,
     check_small_cancellation,
     dehn_reduce,
     free_reduce,
@@ -17,10 +15,12 @@ from relends import (
     parse_presentation,
     presentation,
     shortlex_normal_form,
+    stable_ball,
 )
-from relends.word_engine import StrategyError
+from relends.cli import run
+from relends.presentation import StrategyError
 
-from conftest import GENUS2, sub
+from conftest import GENUS2, TORUS, sub
 
 
 def test_piece_bound_on_the_surface_relator(genus2):
@@ -132,7 +132,7 @@ def test_identity_checks_on_the_surface_group(genus2):
 
 
 def test_bfs_decides_the_commutator(torus):
-    ball = build_ball(torus, 4, radius_cap=12)
+    ball = stable_ball(torus, sub(torus), 4, max_slack=8)
     assert shortlex_normal_form(torus.word_from_text("abAB"), ball) == ()
     assert shortlex_normal_form(torus.word_from_text("ab"), ball) != ()
 
@@ -140,7 +140,7 @@ def test_bfs_decides_the_commutator(torus):
 @pytest.mark.parametrize("letter", [-1, 4])
 def test_shortlex_normal_form_refuses_letters_outside_the_alphabet(torus, letter):
     # the torus has letters 0 to 3; -1 would read the last column
-    ball = build_ball(torus, 2, radius_cap=12)
+    ball = stable_ball(torus, sub(torus), 2, max_slack=10)
     with pytest.raises(ParseError, match=f"word letter {letter} outside alphabet"):
         shortlex_normal_form((letter,), ball)
 
@@ -152,17 +152,25 @@ def test_dehn_reduce_refuses_letters_outside_the_alphabet(genus2, letter):
         dehn_reduce((letter,), genus2)
 
 
-def test_bfs_gives_up_beyond_its_radius(torus):
-    # a 40-letter word needs a radius-40 ball, past the cap of 12
-    with pytest.raises(UnstableBallError, match="below the requested radius"):
-        build_ball(torus, 40, radius_cap=12)
+def cli_ball(tmp_path, text, *flags):
+    path = tmp_path / "g.grp"
+    path.write_text(text)
+    return run(["ball", str(path), *flags])
 
 
-def test_bfs_gives_up_when_the_cap_leaves_the_ball_unstable():
-    # this ball at radius 2 needs slack 1; a cap of 2 allows none
-    shifty = parse_presentation("generators: a b\nrelators: bbabbb\n")
-    with pytest.raises(UnstableBallError, match="did not stabilize"):
-        build_ball(shifty, 2, radius_cap=2)
+def test_bfs_gives_up_beyond_its_radius(tmp_path, capsys):
+    # a radius-40 ball lies past the cap of 12
+    assert cli_ball(tmp_path, TORUS, "--radius", "40", "--strategy", "bounded-bfs",
+                    "--radius-cap", "12") == 2
+    assert "radius_cap 12 is below the requested radius 40" in capsys.readouterr().err
+
+
+def test_bfs_gives_up_when_the_cap_leaves_the_ball_unstable(tmp_path, capsys):
+    # this ball at radius 2 needs slack 1; a cap of 2 allows none, and the
+    # error names the slack at the cap
+    assert cli_ball(tmp_path, "generators: a b\nrelators: bbabbb\n", "--radius", "2",
+                    "--strategy", "bounded-bfs", "--radius-cap", "2") == 2
+    assert "closure did not stabilize by slack 0" in capsys.readouterr().err
 
 
 def reduced_words(n_letters, upto):
@@ -189,7 +197,7 @@ def test_dehn_and_bfs_agree_on_every_short_word(genus2):
     """
     words = reduced_words(8, 5)
     assert len(words) == 22409
-    ball = build_ball(genus2, 5, radius_cap=9)
+    ball = stable_ball(genus2, sub(genus2), 5, max_slack=4)
     identities = 0
     for w in words:
         a = dehn_reduce(w, genus2) == ()
@@ -219,13 +227,13 @@ def test_dehn_output_is_never_longer(w):
 
 
 def test_shortlex_normal_form_inside_the_ball(f2):
-    ball = build_ball(f2, 3)
+    ball = stable_ball(f2, sub(f2), 3)
     assert shortlex_normal_form(f2.word_from_text("aA"), ball) == ()
     w = f2.word_from_text("abb")
     assert shortlex_normal_form(w, ball) == w
 
 
 def test_shortlex_normal_form_needs_the_whole_walk(f2):
-    ball = build_ball(f2, 2)
+    ball = stable_ball(f2, sub(f2), 2)
     with pytest.raises(ValueError):
         shortlex_normal_form(f2.word_from_text("abb"), ball)
