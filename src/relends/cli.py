@@ -310,7 +310,12 @@ def _cayley_ball(args: Namespace, p: Presentation, radius: int, dehn: bool) -> B
     """The radius-R Cayley ball, certified within the strategy's slack cap:
     DEFAULT_MAX_SLACK under Dehn (C'(1/6) required), else --radius-cap
     (the ball's default: radius + 4) minus the radius.  A ball that does not
-    certify within its cap is an error, not a guess."""
+    certify within its cap is an error, not a guess.  Over even relators
+    with pieces of one letter and no proper power, as in the surface
+    groups, stable_ball proves the first run's ball exact (Strebel's ladder
+    shape of geodesic bigons, appendix to Ghys and de la Harpe 1990, Thm
+    43), under either strategy; other presentations keep the empirical
+    slack certificate, Dehn's among them."""
     if dehn:
         if not check_small_cancellation(p).passes:
             raise StrategyError("dehn strategy needs a C'(1/6) presentation")

@@ -122,11 +122,12 @@ class Presentation:
 
     Relators are freely and cyclically reduced on construction, however
     the presentation is built, and those that reduce to the identity are
-    dropped; no other module reduces them.  The C'(1/6) report and the
+    dropped; no other module reduces them.  The C'(1/6) report, the
     symmetrized closure (the rotations of every relator and of its inverse,
-    as the sorted strings of _rotation_strings) are each computed once, on
-    first use.  The report reads rotation
-    prefixes only, so the closure is built only for Dehn's algorithm.
+    as the sorted strings of _rotation_strings) and the class whose Cayley
+    balls need no certifying extension are each computed once, on first
+    use.  The report reads rotation prefixes only, so the closure is built
+    only for Dehn's algorithm and for that class's last test.
     """
 
     generators: tuple[str, ...]
@@ -161,6 +162,21 @@ class Presentation:
     @cached_property
     def _small_cancellation(self) -> SmallCancellationReport:
         return _scan_pieces(self.relators)
+
+    @cached_property
+    def _exact_cayley_balls(self) -> bool:
+        """Whether the first run of a Cayley ball is exact, so that it needs
+        no certifying extension (the proof is schreier.stable_ball's): at
+        least one relator, every relator of even length, C'(1/6) with every
+        piece of at most one letter, and the 2·Σ|r| rotations of the
+        relators and their inverses distinct, so no relator is a proper
+        power.  The rotations are compared last, once the cheaper tests
+        pass."""
+        if not self.relators or any(len(r) % 2 for r in self.relators):
+            return False
+        sc = self._small_cancellation
+        return (sc.passes and sc.max_piece_len <= 1
+                and len(self._rotations) == 2 * sum(map(len, self.relators)))
 
     def word_to_text(self, word: Sequence[int]) -> str:
         if not word:

@@ -39,14 +39,19 @@ before inverse), so equal balls have equal tables.
 Every closure grows in place: a fresh run is the same growth, started from
 the bare base row at horizon 0.  Stability is certified empirically when
 there are relators: a ball is stable when its closure at slack s, grown by
-one layer to slack s + 1, yields the identical truncated table.  With no
-relators that growth scans nothing: it only defines edges to new rows one
-layer out, with no merge and no distance falling, so it cannot touch the
-ball, and enumerate_cosets flags a relator-free ball stable by that
-argument without growing it.  stable_ball still grows it, because the
-benchmark's harness test (perfbench/test_harness.py) pins the horizons of
-its runs on a relator-free group.  Results from unstable balls must be
-treated as uncertified by callers.
+one layer to slack s + 1, yields the identical truncated table.  Two kinds
+of ball are stable by proof, with no growth.  With no relators that growth
+scans nothing: it only defines edges to new rows one layer out, with no
+merge and no distance falling, so it cannot touch the ball, and
+enumerate_cosets flags a relator-free ball stable by that argument without
+growing it.  stable_ball still grows it, because the benchmark's harness
+test (perfbench/test_harness.py) pins the horizons of its runs on a
+relator-free group.  And a Cayley ball (H = 1) over a presentation with
+even relators, C'(1/6) with pieces of at most one letter and no proper
+power, such as a surface group's, is exact at its first run: stable_ball
+proves it, by the ladder shape of geodesic bigons in such groups, and
+skips the growth.  Results from unstable balls must be treated as
+uncertified by callers.
 """
 
 from __future__ import annotations
@@ -89,9 +94,11 @@ class Ball:
     table[x][v] is the target coset or -1 when the edge leaves the ball (or
     leads out of the enumerated region).  Vertex 0 is the base; dist is the
     BFS distance from it.  stable records whether slack + 1 reproduced the
-    identical ball; a relator-free ball from enumerate_cosets is stable by
-    proof, since growing a closure with no relators cannot touch it.
-    Results from unstable balls are uncertified.
+    identical ball, or that a proof makes that growth needless: a
+    relator-free ball from enumerate_cosets, since growing a closure with
+    no relators cannot touch it, and a Cayley ball over a presentation in
+    the class of Presentation._exact_cayley_balls, which is exact at its
+    first run (stable_ball).  Results from unstable balls are uncertified.
     Because the labeling is canonical, isomorphic balls have equal tables.
     A folded core (oracle.stallings_fold) is a Ball too: its radius is the
     base's eccentricity, and a -1 cell leads into a hanging tree.
@@ -805,7 +812,9 @@ def enumerate_cosets(
     lowers a distance, so it leaves the ball as it is (tests/test_schreier.py
     checks that it never sets touched).  So a relator-free call makes one
     run, and only that run meets the node budget.  stable_ball still
-    extends relator-free balls.
+    extends relator-free balls.  A Cayley ball over a presentation in the
+    class of Presentation._exact_cayley_balls makes one run too, inside
+    stable_ball, which proves it exact.
     """
     if radius < 0 or slack < 0:
         raise ValueError("radius and slack must be nonnegative")
@@ -840,6 +849,104 @@ def stable_ball(
     The certificate is empirical: over <a, b | BaBAB, bb>, where b = 1, the
     radius-0 ball reads stable at slack 0 with every cell -1, while slack 2
     and beyond close b into a loop at the base.
+
+    Cayley balls of even, piece-1 C'(1/6) presentations are stable by
+    proof.  When H = 1 and p is in the class of
+    Presentation._exact_cayley_balls (at least one relator, every relator
+    of even length, C'(1/6) with every piece of at most one letter, and
+    the rotations of the relators and their inverses distinct), the first
+    run's ball comes back flagged stable, with no extension: it is the
+    Cayley ball B(R) with exact distances, at any horizon N >= R, so every
+    extension reproduces it.  Genus-g surface groups over abAB..., g >= 2,
+    are in the class.
+
+    Proof.  Let T be the table at the first run's fixpoint, d(u) the
+    distance of its live row u (exact: settle runs last), and phi(u) the
+    element of G that the word of any path from row 0 to u names: well
+    defined, since every identification T holds is true in G.  A step in T
+    is a step in the Cayley graph, so |phi(u)| <= d(u).
+
+    (a) Parity.  Every relator has even length, so the parity of a word's
+    length depends only on the element it names: the Cayley graph is
+    bipartite, |phi(u)| = d(u) mod 2, and an edge joins spheres k, k + 1.
+
+    (b) Closing.  At the fixpoint no row is marked, so by the invariants
+    of _raw_enumerate's wake rule every live row at d < N is complete with
+    every relator loop closed (I1), and at d = N each relator's trace is
+    closed or open, stopped with a gap of two letters or more (I2).  Each
+    letter is a partial permutation of the live rows, so a word read
+    forward or backward from a row follows one walk.  Now let w be one of
+    p.relators, of n letters, c a live row at d(c) <= N, s the row that
+    w[:k] leads to from c and t the row from which w[k':] leads to c, with
+    k' <= k + 1.  The trace of w at c then reads forward to k at least and
+    backward to k' at most, which leaves a gap of one letter or none, so it
+    is closed (a trace that completes at a row other than c merges the two,
+    even on the horizon).  Its closed walk passes s at k and t at k': for
+    k' = k + 1, T has the edge s -> t by w[k]; for k' = k, s = t.
+
+    (c) Ladders.  Let two geodesic words in G lead from an element g0 to g1
+    = g0 * (either word), meeting only at their ends, and let D be a van
+    Kampen diagram of least area for the first word times the inverse of the
+    second: a reduced disc whose boundary is the two sides.  By Strebel's
+    classification of geodesic bigons in C(6) diagrams (C'(1/6) gives C(7);
+    appendix to Ghys and de la Harpe, Sur les groupes hyperboliques d'apres
+    Mikhael Gromov, 1990, Thm 43), D is one face or a ladder: faces F1, ...,
+    Fl, where consecutive faces share one arc, their rung, and no others
+    meet.  Two faces of a reduced diagram share a piece, and a piece here
+    has at most one letter, so each rung is one edge (and with pieces of
+    none, D is one face).  So D has no inner vertex: one would lie on three
+    faces or more, or on two that share two edges, and every vertex of every
+    face lies on a side.  Each rung joins an inner vertex of one side to one
+    of the other.  Were both its ends on one side (g0 and g1 lie on both),
+    the geodesic arc of that side between them would name the rung's letter
+    z, which is not 1 (a one-letter relation fails Greendlinger's lemma as
+    below), so be one edge y, and that edge and the rung would bound a part
+    of D with a face, whose boundary reads y z^-1.  For y = z that word is
+    freely trivial, against least area.  For y != z it is a relation of two
+    letters, which Greendlinger's lemma rules out: it would hold more than
+    half of a relator, and with pieces of one letter, C'(1/6) needs seven
+    letters or more (Lyndon and Schupp, Combinatorial Group Theory, 1977,
+    ch. V).  So g0 lies on F1 alone and g1 on Fl alone.
+
+    (d) Geodesics meet.  Claim A(m), for m <= R: every geodesic word of m
+    letters or fewer reads from row 0 in T, and all geodesic words for one
+    element end at one row, at distance their length.  A(0) holds.  Given
+    A(m - 1), a geodesic word of m letters reads: its prefix ends at a row
+    at distance m - 1 < N, which is complete by (I1), and it ends at a row
+    at distance m, since |phi| <= d.  Let two geodesic words for one g, |g|
+    = m, last meet at g0 = the element of their first j < m letters; by
+    A(j) both prefixes end at one row.  Give each vertex of the bigon from
+    g0 to g the row that its side's word reaches it at: one row for every
+    vertex but g, where the two sides' rows P and Q are to be shown equal.
+    Every edge on a side is then an edge of T between its vertices' rows,
+    and every row is at distance <= m <= N.  Each face reads some w in
+    p.relators from one of its vertices, in one direction; let c be that
+    vertex's row (at g, the row of the side the reading leaves by).  Along
+    the ladder, F1 has every edge in T but its rung to F2, so (b) puts that
+    rung in T; then F2 has every edge in T but its rung to F3; and so on.
+    Fl has every edge in T, and its reading reaches g by one side and
+    leaves it by the other, so (b) with k' = k gives P = Q.
+
+    (e) Rows are exact.  Claim B(m), for m <= R: every row u at d(u) <= m
+    has |phi(u)| = d(u).  Given B(m - 1) and A(m - 1), let d(u) = m, reached
+    from u' at d(u') = m - 1 by a letter x.  |phi(u)| lies within one of
+    |phi(u')| = m - 1, by B(m - 1), so by (a) it is m or m - 2.  Were it
+    m - 2, A puts phi(u) at a row r at distance m - 2, complete by (I1), whose
+    x^-1 edge ends a geodesic word for phi(u') of m - 1 letters; so does the
+    word of a shortest path in T to u', by B(m - 1); by A(m - 1) both end at
+    u', so u' -> r by x, and u = r, at distance m - 2, which is absurd.
+
+    So phi maps the rows within R onto B(R) by A, with exact distances by
+    B, and one to one by B and A: two rows of one element are ends of
+    geodesic words for it.  By (a) each edge of B(R) leaves a vertex at
+    distance < R <= N, whose complete row holds it.  So the truncated,
+    relabeled table is the canonical B(R) itself, whatever the horizon, and
+    every extension leaves it unchanged.  Step (a) needs the even lengths,
+    and (c) the rest of the class, which small cancellation theory assumes.
+    H != 1, relator-free presentations and every presentation outside the
+    class keep the empirical certificate (tests/test_schreier.py checks the
+    skipped balls against balls three layers deeper, and that the others
+    still pay for the extension).
     """
     if radius < 0 or start_slack < 0:
         raise ValueError("radius and start_slack must be nonnegative")
@@ -847,6 +954,8 @@ def stable_ball(
         raise ValueError(f"max_slack {max_slack} is below start_slack {start_slack}")
     closure = _Closure(radius)
     ball = _grow(p, h, closure, radius + start_slack, node_budget)
+    if not h.words and p.relators and p._exact_cayley_balls:
+        return ball
     while (nxt := _grow(p, h, closure, closure.horizon + 1, node_budget, ball)) is not None:
         if nxt.slack > max_slack:
             ball.stable = False

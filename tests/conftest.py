@@ -11,6 +11,7 @@ from relends import parse_presentation, rips_construct, stallings_fold
 from relends.presentation import SubgroupSpec, word_from_text
 
 GENUS2 = "generators: a b c d\nrelators: abABcdCD\n"
+GENUS3 = "generators: a b c d e f\nrelators: abABcdCDefEF\n"
 FREE2 = "generators: a b\nrelators: none\n"
 LINE = "generators: a\nrelators: none\n"
 TORUS = "generators: a b\nrelators: abAB\n"

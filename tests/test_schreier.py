@@ -38,8 +38,8 @@ from relends import (
 from relends.presentation import free_reduce, invert
 from relends.schreier import DEFAULT_NODE_BUDGET, _Closure, _finalize, _raw_enumerate
 
-from conftest import (FREE2, GENUS2, LINE, TORUS, RipsOver, kernel_pair, rips_kernel,
-                      seeded_cores, seeded_specs, short_words, sub, walk)
+from conftest import (FREE2, GENUS2, GENUS3, LINE, TORUS, RipsOver, kernel_pair,
+                      rips_kernel, seeded_cores, seeded_specs, short_words, sub, walk)
 
 # a presentation whose radius-2 ball shrinks once the enumeration digs deeper
 SHIFTY = "generators: a b\nrelators: bbabbb\n"
@@ -370,19 +370,24 @@ def test_a_stable_ball_is_the_ball_of_a_deeper_closure(relators):
     assert (ball.table, ball.dist) == (deep.table, deep.dist)
 
 
-def test_budget_cuts_enumeration_short(genus2, trivial):
+def test_budget_cuts_enumeration_short(genus2):
     # 8 letters per row: a run stops at row budget // 8, the first that would
     # need more cells than the budget, wherever that row is made
     cases = [
-        (4, 100, 4, 12),  # in a fill chain
-        (5, 50_000, 5, 6_250),  # in a fill chain
-        (5, 1_000_000, 6, 125_000),  # in a visit's own definitions, extending to horizon 6
+        ((), 4, 100, 4, 12),  # in a fill chain
+        ((), 5, 50_000, 5, 6_250),  # in a fill chain
+        # in a visit's own definitions, extending to horizon 6
+        (("a",), 5, 1_000_000, 6, 125_000),
     ]
-    for radius, budget, horizon, rows in cases:
+    for gens, radius, budget, horizon, rows in cases:
         with pytest.raises(BudgetExceeded) as info:
-            stable_ball(genus2, trivial, radius, node_budget=budget)
+            stable_ball(genus2, sub(genus2, *gens), radius, node_budget=budget)
         assert (info.value.horizon, info.value.rows) == (horizon, rows)
         assert f"horizon {horizon}, {rows} rows" in str(info.value)
+    # with H = 1 the primary ball is exact, and no extension is run
+    ball = stable_ball(genus2, sub(genus2), 5, node_budget=1_000_000)
+    assert sphere_sizes(ball) == [1, 8, 56, 392, 2736, 19096]
+    assert (ball.slack, ball.stable) == (0, True)
 
 
 TRI237 = "generators: a b c\nrelators:\n  aa\n  bb\n  cc\n  ababab\n  bcbcbcbcbcbcbc\n  caca\n"
@@ -613,12 +618,8 @@ def test_relator_free_balls_are_stable_without_the_extension():
             assert ball.stable and ball.slack == slack
 
 
-# the horizons of the runs of enumerate_cosets at radius 2 and slack 1
-@pytest.mark.parametrize("text, gens, horizons", [
-    (FREE2, (), [3]), (FREE2, ("ab", "bbA"), [3]), (TORUS, (), [3, 4]), (GENUS2, ("a",), [3, 4]),
-], ids=["f2", "f2-sub", "torus", "genus2-a"])
-def test_only_presentations_with_relators_pay_for_the_extension(
-        monkeypatch, text, gens, horizons):
+def count_runs(monkeypatch):
+    """Record the horizon of every _raw_enumerate call from now on."""
     calls = []
 
     def counted(p, h_words, horizon, *args, **kwargs):
@@ -626,9 +627,88 @@ def test_only_presentations_with_relators_pay_for_the_extension(
         return _raw_enumerate(p, h_words, horizon, *args, **kwargs)
 
     monkeypatch.setattr("relends.schreier._raw_enumerate", counted)
+    return calls
+
+
+# the horizons of the runs of enumerate_cosets at radius 2 and slack 1: the
+# relator-free balls and the surface groups' Cayley balls are stable by proof
+@pytest.mark.parametrize("text, gens, horizons", [
+    (FREE2, (), [3]), (FREE2, ("ab", "bbA"), [3]), (TORUS, (), [3, 4]), (GENUS2, ("a",), [3, 4]),
+    (GENUS2, (), [3]), (GENUS3, (), [3]),
+], ids=["f2", "f2-sub", "torus", "genus2-a", "genus2", "genus3"])
+def test_only_presentations_with_relators_pay_for_the_extension(
+        monkeypatch, text, gens, horizons):
+    calls = count_runs(monkeypatch)
     p = parse_presentation(text)
     enumerate_cosets(p, sub(p, *gens), 2, slack=1)
     assert calls == horizons
+
+
+def seeded_ladder_presentations(seed, count):
+    """The first count presentations in the class of exact Cayley balls
+    among seeded draws: two or three generators, one or two relators of
+    eight to twelve letters, drawn freely reduced.  About one draw in fifty
+    is in the class, each with three generators and one relator."""
+    rng = random.Random(seed)
+    kept = 0
+    while kept < count:
+        n = rng.randint(2, 3)
+        relators = []
+        for _ in range(rng.randint(1, 2)):
+            w, length = [rng.randrange(2 * n)], rng.randint(8, 12)
+            while len(w) < length:
+                if (x := rng.randrange(2 * n)) != w[-1] ^ 1:
+                    w.append(x)
+            relators.append(tuple(w))
+        p = Presentation(tuple("abc"[:n]), tuple(relators))
+        if p._exact_cayley_balls:
+            kept += 1
+            yield p
+
+
+def test_ladder_presentations_need_no_extension(monkeypatch):
+    # in the class (even relators, C'(1/6) with pieces of one letter, no
+    # proper power) and with H = 1, stable_ball returns its first run's
+    # ball, which must be the ball of a closure three layers deeper
+    for p in seeded_ladder_presentations(seed=38, count=30):
+        for radius in range(1, 4):
+            calls = count_runs(monkeypatch)
+            ball = stable_ball(p, sub(p), radius)
+            assert calls == [radius] and (ball.slack, ball.stable) == (0, True)
+            cells, _uf, _pdist, find = _raw_enumerate(p, (), radius + 3, DEFAULT_NODE_BUDGET)
+            assert (ball.table, ball.dist) == _finalize(p, cells, find, radius), (
+                p.relators, radius)
+
+
+# presentations outside the class, or H != 1: ROADMAP item 10's ten balls
+# that one agreement certified wrongly, and one presentation that misses
+# each condition of the class
+NOT_LADDERS = [
+    ("torus", TORUS, ()),  # pieces of one letter, but 4-letter relators fail C'(1/6)
+    ("odd", "generators: a b c\nrelators: bbcbCaCAA\n", ()),  # C'(1/6), pieces of 1
+    ("piece-2", "generators: a b\nrelators: AbbabbbAAbABab\n", ()),  # C'(1/6)
+    ("power", "generators: a b c d\nrelators: abABcdCDabABcdCD\n", ()),
+    ("genus2-a", GENUS2, ("a",)),
+    *((f"late-{k}", "generators: a b\nrelators:" + "".join(f"\n  {w}" for w in ws), ())
+      for k, ws in LATE_LOOPS.items()),
+    ("abbbabab", "generators: a b\nrelators:\n  abbbabab\n  baBAbaB\n", ()),
+    ("bAbabAA", "generators: a b\nrelators:\n  bAbabAA\n  bbAaABBA\n", ()),
+    ("bbABAAba", "generators: a b\nrelators:\n  bbABAAba\n  aBBBAB\n", ("bAAA",)),
+    ("aBAbaa", "generators: a b\nrelators:\n  aBAbaa\n  aAAAA\n", ("BbA",)),
+    ("aBAbb", "generators: a b\nrelators:\n  aBAbb\n  BabbbAB\n", ("b",)),
+    ("AAa", "generators: a b c\nrelators:\n  AAa\n  aa\n  cBAbCAB\n", ("BCac",)),
+    ("CBCbACB", "generators: a b c\nrelators:\n  CBCbACB\n  CBACBca\n  AbC\n", ("Ccbb",)),
+]
+
+
+@pytest.mark.parametrize("name, text, gens", NOT_LADDERS, ids=[c[0] for c in NOT_LADDERS])
+def test_balls_outside_the_class_still_pay_for_the_extension(monkeypatch, name, text, gens):
+    p = parse_presentation(text)
+    if not gens:
+        assert not p._exact_cayley_balls
+    calls = count_runs(monkeypatch)
+    enumerate_cosets(p, sub(p, *gens), 1)
+    assert calls == [1, 2]
 
 
 # random three-generator presentations: up to three relators of two to
@@ -941,9 +1021,6 @@ def test_nielsen_moves_keep_the_ball(case, moves):
             u, v = v, u
     ball = stable_ball(p, SubgroupSpec((u, v)), case[2])
     assert canonical_code(ball) == code
-
-
-GENUS3 = "generators: a b c d e f\nrelators: abABcdCDefEF\n"
 
 
 def exponent_sums(p, word):
