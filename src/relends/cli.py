@@ -190,10 +190,10 @@ def _parser(budget_default: str) -> argparse.ArgumentParser:
     sp.add_argument("--window", type=_int_at_least(1), default=3,
                     help="consecutive equal counts required (default 3)")
     sp.add_argument("--mode", choices=("empirical", "certified"), default="empirical")
-    sp.add_argument("--inner-offset", type=_fraction, default=Fraction(3),
+    sp.add_argument("--inner-offset", type=_fraction,
                     help="excluded-ball offset below each probe R0, clamped at the "
                          "base point (default 3)")
-    sp.add_argument("--outer-gap", type=int, default=1,
+    sp.add_argument("--outer-gap", type=int,
                     help="annulus reach beyond each probe R0 (default 1)")
     sp.add_argument("--delta", type=_fraction, help="hyperbolicity constant estimate")
     sp.add_argument("--epsilon", type=int, help="quasi-convexity constant estimate")
@@ -432,6 +432,8 @@ def _count_ledger(args: Namespace, p: Presentation) -> tuple[ConstantsLedger, tu
     if args.mode == "certified":
         if args.delta is None or args.epsilon is None:
             raise ValueError("certified mode needs --delta and --epsilon")
+        if (args.m, args.inner_offset, args.outer_gap) != (None, None, None):
+            raise ValueError("--m, --inner-offset and --outer-gap are empirical-mode inputs")
         ledger = derive_certified(
             args.delta, args.epsilon, args.eta, args.n0 or 1, args.diam_core or 0,
             n_generators=len(p.generators),
@@ -445,8 +447,8 @@ def _count_ledger(args: Namespace, p: Presentation) -> tuple[ConstantsLedger, tu
     probes = args.probe_r0s
     ledger = empirical_ledger(
         r0=probes[-1],
-        inner_offset=args.inner_offset,
-        outer_radius=probes[-1] + args.outer_gap,
+        inner_offset=Fraction(3) if args.inner_offset is None else args.inner_offset,
+        outer_radius=probes[-1] + (1 if args.outer_gap is None else args.outer_gap),
         delta_x=args.delta,
         epsilon=args.epsilon,
         m=args.m,

@@ -1,57 +1,17 @@
 """Bounded Schreier-graph balls by coset enumeration.
 
-HLT-style bounded Todd-Coxeter: subgroup-generator loops are traced at the
-base coset with unbounded gap-filling (they define the subgroup; the fold of
-that wedge is the Stallings core when there are no relators), then relator
-scans visit cosets whose provisional distance is within radius + slack,
-filling gaps for cosets strictly inside the horizon and closing
-single-edge gaps on the horizon itself.  Coincidences go through a FIFO
-queue over a union-find with path halving; reads resolve stale targets
-lazily via find.  A trace step that loops jumps past every later letter
-that has already looped at its coset (the stretch rule): a trace writes
-nothing, so each such letter reads the same cell at the same coset and
-loops again.  The worklist is one mark bit per coset, read by a cursor that
-sweeps the cosets in ascending order: a coset marked past the cursor is
-visited in this pass, any other in the next, and the run ends when a pass
-leaves none marked.  A coset is marked only when its visit can act: when it
-is new or its distance crosses into reach (the horizon and all inside it
-when there are relators, only inside it when there are none; a coset past
-reach is marked once its distance falls into it), and when it lies on the
-horizon with an open relator loop that may have grown.  An open loop waits
-on the two frontier cosets where its trace stopped.  When either gains an
-edge or takes part in a merge, the waiting coset is marked at once: the
-watched-literal scheme of SAT solvers (Moskewicz et al., Chaff, 2001).  A
-merge moves no mark: a survivor's open loops wait on their own frontier
-cosets.  A new coset that a visit defines onto the horizon holds only its
-edge back, so when every relator has two or more letters and none starts
-with that edge's letter or ends with its inverse, none of its loops can take
-a step: it is born waiting on itself, unmarked, as its visit would leave it.
-The skipped visits are the ones that would change nothing, so the tables are
-those a sweep over every coset in every pass would build.  New rows are
-written in place, a visit's and gap filling's alike, with no call per row.
-A coset that gap filling defines starts at its distance along the relator
-loop it fills, counted from the nearer end of the gap.  Before each pass,
-the distances are settled to exact BFS distances from the rows whose edges
-changed.  The returned ball is truncated to the requested radius and
-relabeled in BFS order (generators in declared order, positive letter
-before inverse), so equal balls have equal tables.
-
-Every closure grows in place: a fresh run is the same growth, started from
-the bare base row at horizon 0.  Stability is certified empirically when
-there are relators: a ball is stable when its closure at slack s, grown by
-one layer to slack s + 1, yields the identical truncated table.  Two kinds
-of ball are stable by proof, with no growth.  With no relators that growth
-scans nothing: it only defines edges to new rows one layer out, with no
-merge and no distance falling, so it cannot touch the ball, and
-enumerate_cosets flags a relator-free ball stable by that argument without
-growing it.  stable_ball still grows it, because the benchmark's harness
-test (perfbench/test_harness.py) pins the horizons of its runs on a
-relator-free group.  And a Cayley ball (H = 1) over a presentation with
-even relators, C'(1/6) with pieces of at most one letter and no proper
-power, such as a surface group's, is exact at its first run: stable_ball
-proves it, by the ladder shape of geodesic bigons in such groups, and
-skips the growth.  Results from unstable balls must be treated as
-uncertified by callers.
+_raw_enumerate grows an HLT-style bounded Todd-Coxeter closure of (G, H)
+out to a horizon: the subgroup words are traced at the base coset, and the
+relators at every coset within reach; its docstring states each of the
+enumerator's rules and why the tables are those of a plain sweep.
+_finalize truncates a table to a radius and relabels it in canonical BFS
+order, so equal balls have equal tables (Ball).  stable_ball certifies a
+ball empirically, by growing the same closure a layer at a time until the
+truncated ball stops changing, or by proof, with no growth, for the Cayley
+balls of a class of small-cancellation presentations; its docstring holds
+that proof.  enumerate_cosets also flags relator-free balls stable by
+proof.  Results from unstable balls must be treated as uncertified by
+callers.
 """
 
 from __future__ import annotations
@@ -294,7 +254,9 @@ def _raw_enumerate(
     is one list grown a row at a time, because L lists growing side by side
     fragment the heap, and peak RSS then rises with every later run in the
     process.  pdist holds exact BFS distances on live rows (uf[c] == c);
-    find resolves a stored target to its live row.
+    find resolves a stored target to its live row.  Coincidences go through
+    a FIFO queue over a union-find with path halving, and a merge keeps the
+    lower row.
 
     A visit to a live row c at provisional distance d defines c's missing
     edges when d < horizon and scans every relator at c when d <= horizon,
@@ -346,42 +308,32 @@ def _raw_enumerate(
       when one is c itself, else an entry holding c on that row's chain.
     A visit leaves c complete and closed below the horizon, and on it each
     trace closed or open with c waiting; a trace that would take no step
-    either way only sets c's bit, without calling scan.  A complete row and
-    a closed loop stay so through any merge.  The cells along an open trace
-    stay filled and lead, through find, to its next rows, so the trace
-    grows only when f or b gains the letter it stopped at or takes part in
-    a merge.  A row gains an edge at either end of an edge a scan closes,
-    in a visit's own definitions, at the first row of a fill chain (its
-    later rows are new) and on both sides of a merge, and there it wakes
-    its waiters and drops them: each row it holds is marked at once, dead
-    or live.  A merge needs nothing else from its dead row b, neither b's
-    mark nor its waits.  The survivor a keeps its cells, so its traces go
-    on only past a frontier row that gained or merged, which wakes a.
-    That happens whenever b's trace of the word goes further: merging a
-    and b merges, pair by pair, the rows that the two traces reach while
-    both rows have the next letter, so the shorter trace's frontier row
-    takes part in a merge; a frontier at a itself is the bit that merge's
-    gain(a) wakes.  A waiter that died is covered by its survivor alike.
-    A survivor that falls into reach or below the horizon gets the
-    crossing mark (pdist[b] <= horizon <= pdist[a]); settle marks a row
-    whose distance crosses the horizon, and a new row that starts in reach
-    is marked unless it is born waiting.
-    So no mark moves between rows.  Waking on any gain, and on a merge
-    whatever it gives, only adds visits the sweep makes at the same point.
-
-    Born waiting.  A row t that a visit defines by letter x onto the
-    horizon holds only its cell x ^ 1 back.  When every relator has two or
-    more letters and none starts with x ^ 1 or ends with x, each trace at t
-    reads an empty cell first either way, so t's visit would only set bit 1
-    of wait[t].  So t is born with that bit and no mark, which is (I2) at
-    birth: every trace open, with both frontier rows t.  Until t gains an
-    edge, takes part in a merge or falls below the horizon, its visit would
-    change nothing.  gain(t) marks it, dead or live, at either of the first
-    two, and the crossing mark of merge or settle at the third.  t lies past
-    the visited row, so when one of these comes before the cursor reaches
-    t, t is visited in this pass, where the sweep visits it; when none
-    does, the sweep's visit would leave t as it was born, unmarked and
-    waiting on itself.
+    either way only sets c's bit, without calling scan.  Waiting on two
+    frontier rows is the watched-literal scheme of SAT solvers (Moskewicz et
+    al., Chaff, 2001).  A complete row and a closed loop stay so through any
+    merge.  The cells along an open trace stay filled and lead, through
+    find, to its next rows, so the trace grows only when f or b gains the
+    letter it stopped at or takes part in a merge.  A row gains an edge at
+    either end of an edge a scan closes, in a visit's own definitions, at
+    the first row of a fill chain (its later rows are new) and on both sides
+    of a merge, and there it wakes its waiters and drops them: each row it
+    holds is marked at once, dead or live.  A merge needs nothing else from
+    its dead row b, neither b's mark nor its waits.  The survivor a keeps
+    its cells, so its traces go on only past a frontier row that gained or
+    merged, which wakes a.  That happens whenever b's trace of the word goes
+    further: merging a and b merges, pair by pair, the rows that the two
+    traces reach while both rows have the next letter, so the shorter
+    trace's frontier row takes part in a merge; a frontier at a itself is
+    the bit that merge's gain(a) wakes.  A waiter that died is covered by
+    its survivor alike.  A survivor that falls into reach or below the
+    horizon gets the crossing mark (pdist[b] <= horizon <= pdist[a]); settle
+    marks a row whose distance crosses the horizon, and a new row that
+    starts in reach is marked.  So a row that a visit defines onto the
+    horizon is visited too; when none of its traces can take a step, that
+    visit only sets its bit 1, which leaves it open on every relator and
+    waiting on itself, as (I2) asks.  No mark moves between rows.  Waking on
+    any gain, and on a merge whatever it gives, only adds visits the sweep
+    makes at the same point.
 
     Growth in place.  Every run grows the table of a closure record
     (_Closure) from the record's horizon h <= horizon.  A fresh run, with no
@@ -444,14 +396,6 @@ def _raw_enumerate(
     # row t fits the budget when (t + 1) * L <= node_budget, that is, exactly
     # when t < node_budget // L
     cap = node_budget // L
-    # the mark and wait bits, by letter x, of the rows a visit defines:
-    # marked inside the horizon; on it, born waiting when every relator has
-    # two or more letters and none starts with x ^ 1 or ends with x
-    rim_waits = bytes(bool(relators) and all(first >= 0 and x ^ 1 not in (first, last)
-                                             for _w, _a, _b, first, last in relators)
-                      for x in range(L))
-    rim = bytes(horizon < reach and not b for b in rim_waits), rim_waits
-    inner = b"\1" * L, bytes(L)
     # mark[c] is 1 when c is to be visited: in this pass when c lies past the
     # visited row, else in the next
     mark = bytearray(closure.horizon <= d < reach for d in pdist)
@@ -702,7 +646,6 @@ def _raw_enumerate(
                 if d < horizon:
                     if wait[c]:
                         gain(c)  # c gains its missing edges
-                    marks, waits = inner if d + 1 < horizon else rim
                     for x in range(L):
                         if cells[row + x] < 0:
                             t = len(uf)
@@ -713,8 +656,8 @@ def _raw_enumerate(
                             cells[t * L + (x ^ 1)] = c
                             uf.append(t)
                             pdist.append(d + 1)
-                            mark.append(marks[x])
-                            wait.append(waits[x])
+                            mark.append(d + 1 < reach)
+                            wait.append(0)
                 if d <= horizon:
                     inside = d < horizon
                     for w, ahead, behind, x, y in relators:
@@ -733,7 +676,9 @@ def _raw_enumerate(
 
 
 def _relabel(cells: list[int], L: int, find, radius: int):
-    """Truncate to the radius around row 0 and relabel in canonical BFS order.
+    """Truncate to the radius around row 0 and relabel in canonical BFS order
+    (letters in column order: generators as declared, each before its
+    inverse).
 
     cells holds L cells per row, as _raw_enumerate returns them; find
     resolves a stored target to its live representative.  Row 0 is the

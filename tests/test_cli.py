@@ -320,12 +320,18 @@ def test_a_slack_cap_below_the_start_slack_is_an_error(files, monkeypatch, capsy
     (["count", "z", "--probe-r0", "2,3", "--inner-offset", "0"],
      "need inner_offset > 0 and 0 < R0 < outer_radius, got inner_offset=0"),
     (["count", "z", "--probe-r0", "2,x"], "not a comma-separated integer list: '2,x'"),
+    # without --probe-r0, a certified count would ask for a horizon no
+    # budget holds (exit 3)
+    *[(["count", "z", "--mode", "certified", "--delta", "1", "--epsilon", "0", *flag],
+       "--m, --inner-offset and --outer-gap are empirical-mode inputs")
+      for flag in (["--m", "3"], ["--inner-offset", "2"], ["--outer-gap", "2"])],
     # the torus's commutator abAB fails C'(1/6)
     (["ball", "torus", "--radius", "2", "--strategy", "dehn"],
      "dehn strategy needs a C'(1/6) presentation"),
 ], ids=["covering-radius", "ddag-m", "ddag-k", "ddag-delta", "ddag-r-cap",
         "dag-m", "dag-delta-xh", "dag-r-cap", "count-outer-gap", "count-inner-offset",
-        "count-probe-r0", "ball-dehn"])
+        "count-probe-r0", "certified-m", "certified-inner-offset",
+        "certified-outer-gap", "ball-dehn"])
 def test_input_errors_are_refused_before_the_ball_is_enumerated(
         files, tmp_path, monkeypatch, capsys, argv, message):
     def enumerate_nothing(*args, **kwargs):
@@ -582,8 +588,8 @@ CLI_SURFACE = {
         ("--probe-r0",): (False, None, None),
         ("--window",): (False, None, 3),
         ("--mode",): (False, ("empirical", "certified"), "empirical"),
-        ("--inner-offset",): (False, None, Fraction(3)),
-        ("--outer-gap",): (False, None, 1),
+        ("--inner-offset",): (False, None, None),
+        ("--outer-gap",): (False, None, None),
         ("--delta",): (False, None, None),
         ("--epsilon",): (False, None, None),
         ("--eta",): (False, None, None),

@@ -82,11 +82,12 @@ CHAIN = ("AbbabABB", "generators: a b\nrelators: AbbabABB\n", (), 5)
 # merge whose survivor crosses the horizon must mark it (CBC-BBCACBB,
 # bABabb).  A merge moves no mark, so in a fresh run's subgroup trace that
 # crossing mark alone marks the row a merge brings within reach (aaaaba-AB).
-# A row that a visit defines onto the horizon, where none of its traces can
-# step, is born waiting on itself and unmarked; it must still be visited once
-# it gains an edge or takes part in a merge (ABA: the row survives a merge,
-# and its scan then deduces an edge).
-BORN_WAITING = ("ABA", "generators: a b\nrelators: ABA\n", (), 2)
+# A row that a visit defines onto the horizon is marked at birth, also when
+# none of its traces can step (ABA: such rows take part in a merge before
+# their first visit, and the survivor's scan then deduces an edge).  The
+# first visit to a row whose traces cannot step leaves it waiting on itself,
+# and it wakes on a gain or a merge like any waiting row (bA-b, bAb-bbb).
+MARKED_AT_BIRTH = ("ABA", "generators: a b\nrelators: ABA\n", (), 2)
 WAKES = [
     ("BAAAbAA-b", "generators: a b\nrelators:\n  BAAAbAA\n  b\n", (), 3),
     ("ABABB", "generators: a b\nrelators: ABABB\n", (), 4),
@@ -99,7 +100,7 @@ WAKES = [
     ("aabaaB", "generators: a b\nrelators: aabaaB\n", (), 3),
     ("aaaaba-AB", FREE2, ("aaaaba", "AB"), 3),
     ("CBC-BBCACBB", "generators: a b c\nrelators:\n  CBC\n  BBCACBB\n", (), 3),
-    BORN_WAITING,
+    MARKED_AT_BIRTH,
 ]
 # a letter that loops at every row, so that a relator's trace crosses its
 # run in one step: a by the subgroup itself, and a after a coincidence in
@@ -118,9 +119,9 @@ RIPS_F2 = ("rips-f2", RipsOver("generators: x y\nrelators: none\n"), (), 4)
 # _finalize digests for CORPUS, pinned from the enumerator that ran a full
 # BFS before every sweep (the finite groups and Rips(Z2) from the one that
 # swept every row, Rips(F2) from the one that queued every open loop of pass
-# 1 for pass 2, BORN_WAITING from the one that visited every row a visit
-# defined); no raw table or row count is pinned, so the enumerator may
-# renumber its rows
+# 1 for pass 2, ABA from one that visited every row a visit defined, as
+# the enumerator does); no raw table or row count is pinned, so the
+# enumerator may renumber its rows
 BALL_DIGESTS = Path(__file__).parent / "golden" / "ball-digests.json"
 
 
@@ -522,7 +523,7 @@ def test_finite_groups_close_to_their_order(text, radius, order):
 
 def finalized_digests(resumed):
     digests = {}
-    cases = [(*case, 4) for case in CORPUS] + FINITE + [BORN_WAITING, RIPS_Z2, RIPS_F2]
+    cases = [(*case, 4) for case in CORPUS] + FINITE + [MARKED_AT_BIRTH, RIPS_Z2, RIPS_F2]
     for name, text, gens, top in cases:
         runs = raw_runs(text, gens, range(top + 1), resumed)
         for horizon, p, (cells, _uf, _pdist, find) in runs:
