@@ -30,6 +30,7 @@ from .ends import (
     dag_least_r,
     ddag_least_r,
     empirical_ends,
+    group_ends_gate,
 )
 from .oracle import free_schreier_ball, graphs_isomorphic, stallings_fold
 from .presentation import (
@@ -288,10 +289,9 @@ def _write_dot(args: Namespace, graph: Ball, with_dist: bool = True) -> None:
         label = f"{v} ({graph.dist[v]})" if with_dist else str(v)
         lines.append(f'  {v} [label="{label}"];')
     for i, name in enumerate(graph.gen_names):
-        col = graph.table[2 * i]
-        for v in range(graph.n_vertices):
-            if col[v] >= 0:
-                lines.append(f'  {v} -> {col[v]} [label="{name}"];')
+        for v, t in enumerate(graph.table[2 * i::graph.n_letters]):
+            if t >= 0:
+                lines.append(f'  {v} -> {t} [label="{name}"];')
     lines.append("}")
     args.dot_path.write_text("\n".join(lines) + "\n")
 
@@ -513,16 +513,17 @@ def _cmd_empirical(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome
         raise ValueError("--ball-radius must exceed the largest cut radius")
     ball = stable_ball(p, h, radius, max_slack=args.max_slack, node_budget=args.node_budget)
     rep = empirical_ends(ball, list(args.radii), window=args.window)
+    verdict = group_ends_gate(p, h, rep.verdict)
     counts = ", ".join(f"{r}->{c}" for r, c in zip(args.radii, rep.counts))
-    lines = [f"components per radius: {counts}", f"verdict: {rep.verdict}"]
+    lines = [f"components per radius: {counts}", f"verdict: {verdict}"]
     payload = {
         "radii": list(args.radii),
         "counts": list(rep.counts),
         "window": args.window,
-        "verdict": rep.verdict,
+        "verdict": verdict,
         "stable": ball.stable,
     }
-    return payload, lines, OK if ball.stable and rep.verdict != UNCERTIFIED else UNCERT
+    return payload, lines, OK if ball.stable and verdict != UNCERTIFIED else UNCERT
 
 
 def _cmd_rips(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outcome:
@@ -561,7 +562,7 @@ def _cmd_oracle_fold(args: Namespace, p: Presentation, h: SubgroupSpec) -> Outco
         raise ValueError("oracle-fold needs a subgroup (--subgroup-from-file or --subgroup)")
     core = stallings_fold(p, h)
     _write_dot(args, core, with_dist=False)
-    n_edges = sum(1 for col in core.table[::2] for t in col if t >= 0)
+    n_edges = sum(1 for t in core.table[::2] if t >= 0)  # L is even: the generators' cells
     lines = [f"core graph: {core.n_vertices} vertices, {n_edges} edges"]
     payload = {"n_vertices": core.n_vertices, "n_edges": n_edges,
                "generators": list(core.gen_names)}

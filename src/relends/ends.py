@@ -78,6 +78,16 @@ def stabilization_verdict(history: list[int], window: int) -> int | str:
     return UNCERTIFIED
 
 
+def group_ends_gate(p: Presentation, h: SubgroupSpec, verdict: int | str) -> int | str:
+    """The verdict, or uncertified when H = 1 and no group has that many
+    ends: by Hopf and Freudenthal, a group has 0, 1, 2 or infinitely many,
+    and a two-ended group is virtually Z, of abelian rank at most 1."""
+    if not h.words and isinstance(verdict, int) and (
+            verdict > 2 or (verdict == 2 and _free_rank(p, ()) >= 2)):
+        return UNCERTIFIED
+    return verdict
+
+
 @dataclass(frozen=True)
 class EndsReport:
     count: int | str
@@ -115,8 +125,8 @@ def count_relative_ends(
     enumerated out to the largest probe's outer radius and escalated until
     stable; an unstable ball at max_slack is an error, not a number.  A
     stable ball with an empty rim is a complete coset table, so it reads 0.
-    With H = 1, a finite count that no group has (above 2, or 2 when the
-    abelianization has rank 2 or more) is uncertified.
+    With H = 1, a finite count that no group has is uncertified
+    (group_ends_gate).
 
     A cut must be earned too: a finite count k >= 1 is uncertified unless
     each window probe R0 with room past it (ball radius - R0 at least half
@@ -147,11 +157,7 @@ def count_relative_ends(
         # every row below the horizon is complete and closed: a complete
         # coset table, so H has finite index and the graph no ends
         verdict = 0
-    if not h.words and isinstance(verdict, int) and (
-            verdict > 2 or (verdict == 2 and _free_rank(p, ()) >= 2)):
-        # Hopf, Freudenthal: a group has 0, 1, 2 or infinitely many ends,
-        # and a two-ended group is virtually Z, of abelian rank at most 1
-        verdict = UNCERTIFIED
+    verdict = group_ends_gate(p, h, verdict)
     depth = max(map(len, p.relators), default=0) // 2  # of a single relator loop
     if isinstance(verdict, int) and verdict >= 1 and any(
             len(sphere_classes(ball, r0, cut)) != verdict

@@ -107,7 +107,7 @@ def free_schreier_ball(core: Ball, radius: int) -> Ball:
     Every missing direction at a vertex carries an infinite tree; geodesics
     never shortcut through those trees, so one BFS over the core and its
     hanging trees, out to the radius, walks the true metric ball.  It hands
-    out labels in discovery order, letters in column order, which is the
+    out labels in discovery order, letters in row order, which is the
     canonical labeling, so it writes the table as it goes and relabels
     nothing.  Label i is core vertex src[i] >= 0, or the tree vertex
     ~src[i] = u * L + x entered by letter x from label u.  A tree row is a
@@ -116,17 +116,16 @@ def free_schreier_ball(core: Ball, radius: int) -> Ball:
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    L = core.n_letters
-    rows = list(zip(*core.table))
+    L, cells = core.n_letters, core.table
     canon = [-1] * core.n_vertices
     canon[0] = 0
-    src, dist, flat = [0], [0], []
+    src, dist, table = [0], [0], []
     head = 0
     while head < len(src) and (d := dist[head]) < radius:
         s, n = src[head], len(src)
         if s >= 0:
             row = []
-            for x, t in enumerate(rows[s]):
+            for x, t in enumerate(cells[s * L:s * L + L]):
                 if t < 0:
                     src.append(~(head * L + x))
                 elif canon[t] < 0:
@@ -144,33 +143,34 @@ def free_schreier_ball(core: Ball, radius: int) -> Ball:
             src += range(~(head * L), ~(head * L + L), -1)
             del src[back - L]  # a child by every letter but the way back
         dist += [d + 1] * (len(src) - n)
-        flat += row
+        table += row
         head += 1
     # every row left lies on the radius, and nothing new gets a label
-    flat += [-1] * (L * (len(src) - head))
+    table += [-1] * (L * (len(src) - head))
     for i in range(head, len(src)):
         if (s := src[i]) >= 0:
-            flat[i * L:i * L + L] = [canon[t] if t >= 0 else -1 for t in rows[s]]
+            table[i * L:i * L + L] = [canon[t] if t >= 0 else -1 for t in cells[s * L:s * L + L]]
         else:
             u, x = divmod(~s, L)
-            flat[i * L + (x ^ 1)] = u
-    return Ball(core.gen_names, [flat[x::L] for x in range(L)], dist, radius)
+            table[i * L + (x ^ 1)] = u
+    return Ball(core.gen_names, table, dist, radius)
 
 
 def canonical_code(ball: Ball) -> tuple[int, ...]:
     """Base-rooted BFS certificate; equal codes mean label-preserving iso.
 
     The vertices are numbered in the order Ball.layers(0) discovers them,
-    letters in column order; the code is L followed by every vertex's row
+    letters in row order; the code is L followed by every vertex's row
     under that numbering, -1 for a cell that leaves the ball.
     """
     order = [v for layer in ball.layers(0) for v in layer]
     if len(order) != ball.n_vertices:
         raise ValueError("ball has vertices unreachable from the base")
     canon = {v: i for i, v in enumerate(order)}
-    code = [ball.n_letters]
+    table, L = ball.table, ball.n_letters
+    code = [L]
     for v in order:
-        code += [canon[t] if (t := col[v]) >= 0 else -1 for col in ball.table]
+        code += [canon[t] if t >= 0 else -1 for t in table[v * L:v * L + L]]
     return tuple(code)
 
 

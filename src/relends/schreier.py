@@ -9,9 +9,9 @@ order, so equal balls have equal tables (Ball).  stable_ball certifies a
 ball empirically, by growing the same closure a layer at a time until the
 truncated ball stops changing, or by proof, with no growth, for the Cayley
 balls of a class of small-cancellation presentations; its docstring holds
-that proof.  enumerate_cosets also flags relator-free balls stable by
-proof.  Results from unstable balls must be treated as uncertified by
-callers.
+that proof.  enumerate_cosets takes only relator-free presentations, whose
+balls it flags stable by proof.  Results from unstable balls must be
+treated as uncertified by callers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 
 from .presentation import ParseError, Presentation, SubgroupSpec, Word, free_reduce
 
@@ -50,8 +49,9 @@ class BudgetExceeded(RuntimeError):
 class Ball:
     """A truncated, canonically labeled Schreier ball of (G, H).
 
-    The Cayley ball is the case H = 1.  table has one column per letter;
-    table[x][v] is the target coset or -1 when the edge leaves the ball (or
+    The Cayley ball is the case H = 1.  table holds one row of L cells per
+    vertex, row after row, as the enumerator's cells do: table[v * L + x]
+    is the target of letter x at v, or -1 when the edge leaves the ball (or
     leads out of the enumerated region).  Vertex 0 is the base; dist is the
     BFS distance from it.  stable records whether slack + 1 reproduced the
     identical ball, or that a proof makes that growth needless: a
@@ -64,16 +64,16 @@ class Ball:
     base's eccentricity, and a -1 cell leads into a hanging tree.
 
     Every constructor keeps two invariants, which tests/test_schreier.py
-    checks for each of them.  The table is symmetric: table[x][v] == w >= 0
-    exactly when table[x ^ 1][w] == v.  And labels ascend with distance
-    (canonical BFS order), so dist is nondecreasing and every distance
-    region is a label range: the sphere S(r), every band r <= dist <= s,
-    and every region {dist > r}, which is the labels from
+    checks for each of them.  The table is symmetric: table[v * L + x] ==
+    w >= 0 exactly when table[w * L + (x ^ 1)] == v.  And labels ascend
+    with distance (canonical BFS order), so dist is nondecreasing and every
+    distance region is a label range: the sphere S(r), every band
+    r <= dist <= s, and every region {dist > r}, which is the labels from
     bisect_right(dist, r) up.
     """
 
     gen_names: tuple[str, ...]
-    table: list[list[int]]
+    table: list[int]
     dist: list[int]
     radius: int
     slack: int = 0
@@ -96,10 +96,10 @@ class Ball:
         has a neighbour there, and labels ascend with distance, so every
         neighbour in v's own layer or past it has a greater label.
         """
-        table = self.table
+        table, L = self.table, self.n_letters
         out: list[int] = []
         while v != 0:
-            v, x = min((u, y ^ 1) for y, col in enumerate(table) if (u := col[v]) >= 0)
+            v, x = min((u, y ^ 1) for y, u in enumerate(table[v * L:v * L + L]) if u >= 0)
             out.append(x)
         return tuple(reversed(out))
 
@@ -112,8 +112,8 @@ class Ball:
     def leaf(self) -> bytes:
         """leaf[v] is 1 when v has at most one cell >= 0 (in a truncated
         ball, nearly every rim vertex)."""
-        L = self.n_letters
-        return bytes(map((L - 1).__le__, map(tuple.count, zip(*self.table), repeat(-1))))
+        table, L = self.table, self.n_letters
+        return bytes(table[i:i + L].count(-1) >= L - 1 for i in range(0, len(table), L))
 
     def layers(self, src: int, lo: int = 0):
         """In-ball BFS from src: yields the vertices at distance 0, 1, ...
@@ -121,22 +121,21 @@ class Ball:
         Only labels >= lo are entered, src included (nothing when src < lo);
         lo = bisect_right(dist, r) confines the BFS to {dist > r}.  As
         lo >= 0, the one test t >= lo also keeps out every -1 cell.  Within
-        a layer, vertices come in discovery order, letters in column order.
+        a layer, vertices come in discovery order, letters in row order.
         The row of a leaf other than src is not read: the table is
         symmetric, so a leaf's one cell is the edge the BFS entered it by,
         which leads back into seen vertices.
         """
         if src < lo:
             return
-        table, leaf = self.table, self.leaf
+        table, leaf, L = self.table, self.leaf, self.n_letters
         seen = {src}
         layer = read = [src]
         while layer:
             yield layer
             nxt = []
             for v in read:
-                for col in table:
-                    t = col[v]
+                for t in table[v * L:v * L + L]:
                     if t >= lo and t not in seen:
                         seen.add(t)
                         nxt.append(t)
@@ -155,9 +154,9 @@ def shortlex_normal_form(w: Word, ball: Ball) -> Word:
     """
     if bad := [x for x in w if not 0 <= x < ball.n_letters]:
         raise ParseError(f"word letter {bad[0]} outside alphabet")
-    v = 0
+    v, L = 0, ball.n_letters
     for x in free_reduce(w):
-        v = ball.table[x][v]
+        v = ball.table[v * L + x]
         if v < 0:
             raise ValueError("element outside ball (walk left the enumerated region)")
     return ball.word_to(v)
@@ -677,7 +676,7 @@ def _raw_enumerate(
 
 def _relabel(cells: list[int], L: int, find, radius: int):
     """Truncate to the radius around row 0 and relabel in canonical BFS order
-    (letters in column order: generators as declared, each before its
+    (letters in row order: generators as declared, each before its
     inverse).
 
     cells holds L cells per row, as _raw_enumerate returns them; find
@@ -688,13 +687,13 @@ def _relabel(cells: list[int], L: int, find, radius: int):
     every row one layer nearer, so when it is read, every row within one
     step of it that lies inside the radius has its label; a target still
     unlabeled from a row on the radius lies outside the ball, and its cell
-    is -1.  Returns (table, dist).
+    is -1.  Returns (table, dist), the table in Ball's row-major layout.
     """
     canon = [-1] * (len(cells) // L)
     canon[0] = 0
     order = [0]
     dist = [0]
-    flat: list[int] = []
+    table: list[int] = []
     head = 0
     while head < len(order) and (d := dist[head]) < radius:
         v = order[head]
@@ -708,11 +707,11 @@ def _relabel(cells: list[int], L: int, find, radius: int):
                     order.append(t)
                     dist.append(d + 1)
                 row[x] = canon[t]
-        flat += row
+        table += row
     # every row left lies on the radius, and nothing new gets a label
-    flat += [canon[find(t)] if t >= 0 else -1
-             for v in order[head:] for t in cells[v * L:v * L + L]]
-    return [flat[x::L] for x in range(L)], dist
+    table += [canon[find(t)] if t >= 0 else -1
+              for v in order[head:] for t in cells[v * L:v * L + L]]
+    return table, dist
 
 
 def _finalize(p: Presentation, cells: list[int], find, radius: int):
@@ -742,30 +741,21 @@ def enumerate_cosets(
     p: Presentation,
     h: SubgroupSpec,
     radius: int,
-    slack: int = 0,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Ball:
-    """Ball of the Schreier graph of (G, H) out to the given radius.
+    """Ball of the Schreier graph of (G, H) out to the given radius, for a
+    relator-free p (stable_ball takes the rest), flagged stable by proof.
 
-    Cosets are enumerated to radius + slack, closed under subgroup loops at
-    the base and relator loops wherever they fit, truncated, and relabeled.
-    With relators this is stable_ball with its slack pinned at slack: the
-    closure is extended in place to slack + 1, and the slack-s ball comes
-    back, flagged stable exactly when the extension leaves it identical.
-    With no relators the flag is set without the extension, which could
-    only define edges to new rows one layer out: nothing scans, merges or
-    lowers a distance, so it leaves the ball as it is (tests/test_schreier.py
-    checks that it never sets touched).  So a relator-free call makes one
-    run, and only that run meets the node budget.  stable_ball still
-    extends relator-free balls.  A Cayley ball over a presentation in the
-    class of Presentation._exact_cayley_balls makes one run too, inside
-    stable_ball, which proves it exact.
+    The extension could only define edges to new rows one layer out:
+    nothing scans, merges or lowers a distance, so it never sets touched
+    (tests/test_schreier.py checks this), and no slack changes the ball.  So
+    a call makes one run, and only that run meets the node budget.
     """
-    if radius < 0 or slack < 0:
-        raise ValueError("radius and slack must be nonnegative")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     if p.relators:
-        return stable_ball(p, h, radius, slack, slack, node_budget)
-    return _grow(p, h, _Closure(radius), radius + slack, node_budget)
+        raise ValueError("enumerate_cosets takes no relators; use stable_ball")
+    return _grow(p, h, _Closure(radius), radius, node_budget)
 
 
 class UnstableBallError(RuntimeError):
@@ -956,8 +946,7 @@ def covering_degree_check(ball: Ball, exclusion_radius: int) -> CoveringReport:
         for v in ball.sphere(d):
             checked += 1
             seen: dict[int, int] = {}
-            for x in range(L):
-                t = ball.table[x][v]
+            for x, t in enumerate(ball.table[v * L:v * L + L]):
                 if t < 0:
                     violations.append(CoveringViolation(v, d, "missing_edge", x))
                 elif t == v:
@@ -977,14 +966,16 @@ def restrict_to_generators(ball: Ball, names: tuple[str, ...]) -> Ball:
     to compare a Schreier ball against a quotient's Cayley ball when the
     remaining generators act trivially.
     """
-    keep = []
+    if not names or len(set(names)) < len(names):
+        raise ValueError(f"generators {names!r} must be one or more distinct names")
+    letters = []
     for name in names:
         try:
             i = ball.gen_names.index(name)
         except ValueError:
             raise ValueError(f"generator {name!r} not in ball alphabet") from None
-        keep.append(i)
-    cols = [ball.table[x] for i in keep for x in (2 * i, 2 * i + 1)]
-    cells = [col[v] for v in range(ball.n_vertices) for col in cols]
-    table, dist = _relabel(cells, len(cols), int, ball.radius)
+        letters += (2 * i, 2 * i + 1)
+    L = ball.n_letters
+    cells = [ball.table[v * L + x] for v in range(ball.n_vertices) for x in letters]
+    table, dist = _relabel(cells, len(letters), int, ball.radius)
     return Ball(tuple(names), table, dist, ball.radius, ball.slack, ball.stable)

@@ -75,11 +75,11 @@ def seeded_cores(seed=28, per_rank=40):
 
 
 def walk(ball, text):
-    # table rows are letters, columns are vertices; uppercase means inverse
-    v = 0
+    # each vertex's row holds its target by every letter; uppercase means inverse
+    v, L = 0, ball.n_letters
     for ch in text:
         i = ball.gen_names.index(ch.lower())
-        v = ball.table[2 * i + (1 if ch.isupper() else 0)][v]
+        v = ball.table[v * L + 2 * i + (1 if ch.isupper() else 0)]
         assert v >= 0, f"walk fell off the ball at {ch!r}"
     return v
 

@@ -121,21 +121,26 @@ def test_a_rim_vertex_with_two_edges_joins_classes(trivial):
     # S(2); a BFS that read no rim row would see two classes and (2, 2, 2)
     ball = stable_ball(parse_presentation("generators: a\nrelators: aaaaaa\n"), trivial, 3)
     assert ball.dist == [0, 1, 1, 2, 2, 3]
-    assert ball.table[0][3] == 5 and ball.table[1][4] == 5
+    assert ball.table[3 * 2 + 0] == 5 and ball.table[4 * 2 + 1] == 5
     assert sphere_classes(ball, 2, 1) == [(3, 4)]
     assert empirical_ends(ball, [0, 1, 2]).counts == (1, 1, 1)
 
 
 def test_empirical_ignores_branches_that_stop_short_of_the_rim():
     # the a-line out to the rim at 3, plus a b-branch that dead-ends at
-    # distance 2; letter columns are a, A, b, B
+    # distance 2; each line is a vertex's row, letters a, A, b, B
     ball = Ball(
         gen_names=("a", "b"),
         table=[
-            [1, 4, 0, -1, 7, 2, -1, -1, 5],
-            [2, 0, 5, -1, 1, 8, -1, 4, -1],
-            [3, -1, -1, 6, -1, -1, -1, -1, -1],
-            [-1, -1, -1, 0, -1, -1, 3, -1, -1],
+            1, 2, 3, -1,
+            4, 0, -1, -1,
+            0, 5, -1, -1,
+            -1, -1, 6, 0,
+            7, 1, -1, -1,
+            2, 8, -1, -1,
+            -1, -1, -1, 3,
+            -1, 4, -1, -1,
+            5, -1, -1, -1,
         ],
         dist=[0, 1, 1, 1, 2, 2, 2, 3, 3],
         radius=3,

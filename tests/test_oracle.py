@@ -22,8 +22,9 @@ from conftest import FREE2, free_group, seeded_cores, short_words, sub
 
 def is_folded(core):
     """Every defined edge of the core has its inverse defined."""
-    return all(core.table[x ^ 1][t] == v
-               for x, col in enumerate(core.table) for v, t in enumerate(col) if t >= 0)
+    L = core.n_letters
+    return all(core.table[t * L + (x ^ 1)] == v for v in range(core.n_vertices)
+               for x, t in enumerate(core.table[v * L:v * L + L]) if t >= 0)
 
 
 def test_fold_needs_a_free_ambient_group(genus2):
@@ -34,8 +35,8 @@ def test_fold_needs_a_free_ambient_group(genus2):
 def test_single_generator_folds_to_one_loop(f2):
     core = stallings_fold(f2, sub(f2, "a"))
     assert core.n_vertices == 1
-    assert core.table[0][0] == 0  # a-loop at the base
-    assert core.table[2][0] == -1  # no b-edge anywhere
+    assert core.table[0] == 0  # a-loop at the base
+    assert core.table[2] == -1  # no b-edge anywhere
     assert is_folded(core)
 
 
@@ -48,13 +49,13 @@ def test_square_generator_folds_to_two_vertices(f2):
 def test_conjugate_plus_square(f2):
     core = stallings_fold(f2, sub(f2, "abA", "bb"))
     assert core.n_vertices == 3
-    assert sum(1 for col in core.table for t in col if t >= 0) == 8  # 4 edges
+    assert sum(1 for t in core.table if t >= 0) == 8  # 4 edges
 
 
 def test_trivial_subgroup_is_a_point(f2, trivial):
     core = stallings_fold(f2, trivial)
     assert core.n_vertices == 1
-    assert all(t == -1 for col in core.table for t in col)
+    assert all(t == -1 for t in core.table)
 
 
 def test_membership_after_folding(f2):
@@ -70,9 +71,9 @@ def test_membership_after_folding(f2):
         ("ab", False),
     ]:
         # a word of H traces a loop at the base; a missing edge leads off the core
-        v = 0
+        v, L = 0, core.n_letters
         for x in f2.word_from_text(text):
-            v = core.table[x][v] if v >= 0 else -1
+            v = core.table[v * L + x] if v >= 0 else -1
         assert (v == 0) is inside, text
 
 
@@ -134,8 +135,9 @@ def test_isomorphism_rejects_different_balls(f2, trivial):
 
 
 def flattened(ball):
-    """L, then each vertex's targets in letter order: canonical_code's layout."""
-    return (ball.n_letters, *(col[v] for v in range(ball.n_vertices) for col in ball.table))
+    """L, then each vertex's targets in letter order: canonical_code's layout,
+    which is the table's own."""
+    return (ball.n_letters, *ball.table)
 
 
 @settings(max_examples=100, deadline=None)
@@ -150,7 +152,7 @@ def test_every_ball_is_canonically_labeled(relators, gens, radius, names):
     ball = stable_ball(p, h, radius, max_slack=2)
     balls = [
         ball,
-        enumerate_cosets(p, h, radius),
+        enumerate_cosets(FREE[2], sub(FREE[2], *gens), radius),
         restrict_to_generators(ball, names),
         free_schreier_ball(stallings_fold(FREE[2], sub(FREE[2], *gens)), radius),
         stallings_fold(FREE[2], sub(FREE[2], *gens)),
@@ -183,7 +185,7 @@ def grafted_ball(core, radius):
     """The reference construction: graft a fresh tree row on each missing
     letter of every row below the radius, then relabel the result."""
     L = core.n_letters
-    cells = [t for row in zip(*core.table) for t in row]
+    cells = list(core.table)
     depth = list(core.dist)
     for v, d in enumerate(depth):  # reaches the grafted rows as they are appended
         if d < radius:
@@ -200,7 +202,7 @@ def grafted_ball(core, radius):
 def truncated(ball, radius):
     """The ball cut down to a smaller radius; BFS labels make it a prefix."""
     n = sum(1 for d in ball.dist if d <= radius)
-    table = [[t if t < n else -1 for t in col[:n]] for col in ball.table]
+    table = [t if t < n else -1 for t in ball.table[:n * ball.n_letters]]
     return Ball(ball.gen_names, table, ball.dist[:n], radius)
 
 

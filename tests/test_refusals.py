@@ -13,6 +13,7 @@ from relends import (
     covering_degree_check,
     derive_certified,
     empirical_ledger,
+    enumerate_cosets,
     free_schreier_ball,
     graphs_isomorphic,
     parse_presentation,
@@ -44,7 +45,7 @@ def certified_count_without_an_outer_radius():
 
 
 def a_point(name):
-    return Ball((name,), [[-1], [-1]], [0], 0)
+    return Ball((name,), [-1, -1], [0], 0)
 
 
 CASES = [
@@ -66,7 +67,7 @@ CASES = [
      ValueError, "ledger template needs an outer_radius"),
     ("free-ball-radius", lambda: free_schreier_ball(f2_core(), -1),
      ValueError, "radius must be nonnegative"),
-    ("code-unreachable", lambda: canonical_code(Ball(("a",), [[-1, -1], [-1, -1]], [0, 1], 1)),
+    ("code-unreachable", lambda: canonical_code(Ball(("a",), [-1, -1, -1, -1], [0, 1], 1)),
      ValueError, "ball has vertices unreachable from the base"),
     ("iso-alphabets", lambda: graphs_isomorphic(a_point("a"), a_point("b")),
      ValueError, "balls are over different generator alphabets"),
@@ -81,6 +82,13 @@ CASES = [
      ValueError, "sphere radius 3 exceeds ball radius 2"),
     ("restrict-name", lambda: restrict_to_generators(f2_ball(), ("a", "z")),
      ValueError, "generator 'z' not in ball alphabet"),
+    ("restrict-no-names", lambda: restrict_to_generators(f2_ball(), ()),
+     ValueError, "generators () must be one or more distinct names"),
+    ("restrict-repeated-name", lambda: restrict_to_generators(f2_ball(), ("a", "a")),
+     ValueError, "generators ('a', 'a') must be one or more distinct names"),
+    ("enumerate-cosets-relators",
+     lambda: enumerate_cosets(p := parse_presentation(TORUS), sub(p), 1),
+     ValueError, "enumerate_cosets takes no relators; use stable_ball"),
     ("stable-ball-radius", lambda: stable_ball(p := parse_presentation(TORUS), sub(p), -1),
      ValueError, "radius and start_slack must be nonnegative"),
 ]

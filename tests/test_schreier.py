@@ -202,10 +202,10 @@ def test_layers_stay_inside_the_allowed_region(genus2):
         lo = bisect_right(ball.dist, cut)
         # reference components: a union-find over the edges inside the region
         root = list(range(ball.n_vertices))
-        for col in ball.table:
-            for v, t in enumerate(col):
-                if t >= 0 and allowed[v] and allowed[t]:
-                    root[find(root, v)] = find(root, t)
+        for i, t in enumerate(ball.table):
+            v = i // ball.n_letters
+            if t >= 0 and allowed[v] and allowed[t]:
+                root[find(root, v)] = find(root, t)
         for src in range(ball.n_vertices):
             reached = [v for layer in ball.layers(src, lo) for v in layer]
             assert all(allowed[v] for v in reached)
@@ -221,13 +221,12 @@ def plain_layers(ball, src, allowed):
     enters only the vertices that allowed marks."""
     if not allowed[src]:
         return []
-    out, seen, layer = [], {src}, [src]
+    out, seen, layer, L = [], {src}, [src], ball.n_letters
     while layer:
         out.append(layer)
         nxt = []
         for v in layer:
-            for col in ball.table:
-                t = col[v]
+            for t in ball.table[v * L:v * L + L]:
                 if t >= 0 and t not in seen and allowed[t]:
                     seen.add(t)
                     nxt.append(t)
@@ -237,15 +236,18 @@ def plain_layers(ball, src, allowed):
 
 @functools.cache
 def balls_of_every_constructor():
-    """(name, ball) from the enumerator, the fold, the oracle and
-    restrict_to_generators."""
+    """(name, ball) from every constructor: stable_ball, enumerate_cosets,
+    the fold, the oracle and restrict_to_generators."""
     genus2 = parse_presentation(GENUS2)
     balls = [(name, stable_ball(genus2, sub(genus2, *gens), 4))
              for name, gens in (("genus2", ()), ("genus2-a", ("a",)))]
     # small enumerated balls beside genus 2, each at its own horizon
     for name, text, gens, top in [(*case, 3) for case in CORPUS[2:]] + FINITE + WAKES:
         p = parse_presentation(text)
-        balls.append((name, enumerate_cosets(p, sub(p, *gens), top)))
+        h = sub(p, *gens)
+        # at slack 0; enumerate_cosets takes the relator-free ones
+        balls.append((name, stable_ball(p, h, top, 0, 0) if p.relators
+                      else enumerate_cosets(p, h, top)))
     for i, core in enumerate(seeded_cores(seed=32, per_rank=4)):
         balls += [(f"core-{i}", core), (f"free-ball-{i}", free_schreier_ball(core, 4))]
     balls.append(("restricted", restrict_to_generators(stable_ball(genus2, sub(genus2), 3),
@@ -257,9 +259,11 @@ def test_every_ball_is_symmetric_and_labeled_by_distance():
     # Ball.layers skips the rows of leaves and Ball.sphere reads a label
     # range; both rest on these two invariants
     for name, ball in balls_of_every_constructor():
-        for x, col in enumerate(ball.table):
-            back = ball.table[x ^ 1]
-            assert all(w < 0 or back[w] == v for v, w in enumerate(col)), (name, x)
+        table, L = ball.table, ball.n_letters
+        assert len(table) == ball.n_vertices * L, name
+        for v in range(ball.n_vertices):
+            for x, w in enumerate(table[v * L:v * L + L]):
+                assert w < 0 or table[w * L + (x ^ 1)] == v, (name, v, x)
         assert all(a <= b for a, b in zip(ball.dist, ball.dist[1:])), name
         for r in range(ball.radius + 1):
             assert ball.sphere(r) == [v for v, d in enumerate(ball.dist) if d == r], (name, r)
@@ -283,7 +287,7 @@ def test_layers_match_a_bfs_that_reads_every_row():
 def walk_letters(ball, word):
     v = 0
     for x in word:
-        v = ball.table[x][v]
+        v = ball.table[v * ball.n_letters + x]
         if v < 0:
             return None
     return v
@@ -328,10 +332,10 @@ def test_tree_word_is_the_shortlex_least_geodesic(case, genus2, f2, torus, trivi
 def test_shallow_truncation_is_detected():
     p = parse_presentation(SHIFTY)
     h = sub(p)
-    raw = enumerate_cosets(p, h, 2, slack=0)
+    raw = stable_ball(p, h, 2, 0, 0)
     assert raw.n_vertices == 16
     assert not raw.stable
-    assert enumerate_cosets(p, h, 2, slack=1).stable
+    assert stable_ball(p, h, 2, 1, 1).stable
 
 
 def test_escalation_stops_at_the_first_stable_slack():
@@ -367,7 +371,7 @@ def test_a_stable_ball_is_the_ball_of_a_deeper_closure(relators):
     p = parse_presentation("generators: a b\nrelators:" + "".join(f"\n  {w}" for w in relators))
     ball = stable_ball(p, sub(p), 0)
     assert (ball.slack, ball.stable) == (0, True)
-    deep = enumerate_cosets(p, sub(p), 0, slack=8)
+    deep = stable_ball(p, sub(p), 0, 8, 8)
     assert (ball.table, ball.dist) == (deep.table, deep.dist)
 
 
@@ -510,7 +514,7 @@ def test_a_letter_that_loops_everywhere_leaves_a_line(name, text, gens, top):
     p = parse_presentation(text)
     ball = stable_ball(p, sub(p, *gens), top)
     assert sphere_sizes(ball) == [1] + [2] * top
-    assert ball.table[0] == list(range(ball.n_vertices))
+    assert ball.table[::ball.n_letters] == list(range(ball.n_vertices))  # a's cells
 
 
 @pytest.mark.parametrize("text, radius, order", [(A5, 11, 60), (S3, 3, 6)], ids=["a5", "s3"])
@@ -519,6 +523,11 @@ def test_finite_groups_close_to_their_order(text, radius, order):
     ball = stable_ball(p, sub(p), radius)
     assert ball.stable and ball.n_vertices == order
     assert max(ball.dist) < radius  # the whole group, with room to spare
+
+
+def columns(table, L):
+    """The table as one list per letter, the layout the digests were pinned in."""
+    return [table[x::L] for x in range(L)]
 
 
 def finalized_digests(resumed):
@@ -530,7 +539,7 @@ def finalized_digests(resumed):
             # slack 0 and slack 1, so the unstable shifty run at r2 s0 is in
             for radius in range(max(horizon - 1, 0), horizon + 1):
                 table, dist = _finalize(p, cells, find, radius)
-                blob = json.dumps([table, dist]).encode()
+                blob = json.dumps([columns(table, p.n_letters), dist]).encode()
                 digests[f"{name} h{horizon} r{radius}"] = hashlib.sha256(blob).hexdigest()
     return digests
 
@@ -552,7 +561,7 @@ def test_rips_kernel_balls_match_pinned_digests(quotient, digest):
     # enumerator that crossed only runs of one letter in one step
     p, words = rips_kernel(quotient)
     ball = stable_ball(p, SubgroupSpec(words), 6)
-    blob = json.dumps([ball.table, ball.dist, ball.slack]).encode()
+    blob = json.dumps([columns(ball.table, ball.n_letters), ball.dist, ball.slack]).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
@@ -609,14 +618,16 @@ def test_growing_a_relator_free_closure_touches_nothing(spec, h):
 
 def test_relator_free_balls_are_stable_without_the_extension():
     # enumerate_cosets skips the extension that cannot touch a relator-free
-    # ball; stable_ball still runs it, and the two must agree
+    # ball; stable_ball still runs it, and from any start slack its ball
+    # must be enumerate_cosets' ball
     for p, h in seeded_specs(seed=34, per_rank=6):
-        for radius, slack in itertools.product(range(6), (0, 1)):
-            ball = enumerate_cosets(p, h, radius, slack)
-            ref = stable_ball(p, h, radius, start_slack=slack)
-            assert (ball.table, ball.dist, ball.slack, ball.stable) == (
-                ref.table, ref.dist, ref.slack, ref.stable), (p.generators, h.words, radius)
-            assert ball.stable and ball.slack == slack
+        for radius in range(6):
+            ball = enumerate_cosets(p, h, radius)
+            assert ball.stable and ball.slack == 0
+            for slack in (0, 1):
+                ref = stable_ball(p, h, radius, start_slack=slack)
+                assert (ref.table, ref.dist, ref.slack, ref.stable) == (
+                    ball.table, ball.dist, slack, True), (p.generators, h.words, radius)
 
 
 def count_runs(monkeypatch):
@@ -631,17 +642,22 @@ def count_runs(monkeypatch):
     return calls
 
 
-# the horizons of the runs of enumerate_cosets at radius 2 and slack 1: the
-# relator-free balls and the surface groups' Cayley balls are stable by proof
+# the horizons of the runs that make a radius-2 ball: enumerate_cosets for
+# the relator-free ones, and stable_ball at slack 1, capped there, for the
+# rest; the relator-free balls and the surface groups' Cayley balls are
+# stable by proof
 @pytest.mark.parametrize("text, gens, horizons", [
-    (FREE2, (), [3]), (FREE2, ("ab", "bbA"), [3]), (TORUS, (), [3, 4]), (GENUS2, ("a",), [3, 4]),
+    (FREE2, (), [2]), (FREE2, ("ab", "bbA"), [2]), (TORUS, (), [3, 4]), (GENUS2, ("a",), [3, 4]),
     (GENUS2, (), [3]), (GENUS3, (), [3]),
 ], ids=["f2", "f2-sub", "torus", "genus2-a", "genus2", "genus3"])
 def test_only_presentations_with_relators_pay_for_the_extension(
         monkeypatch, text, gens, horizons):
     calls = count_runs(monkeypatch)
     p = parse_presentation(text)
-    enumerate_cosets(p, sub(p, *gens), 2, slack=1)
+    if p.relators:
+        stable_ball(p, sub(p, *gens), 2, 1, 1)
+    else:
+        enumerate_cosets(p, sub(p, *gens), 2)
     assert calls == horizons
 
 
@@ -708,7 +724,7 @@ def test_balls_outside_the_class_still_pay_for_the_extension(monkeypatch, name, 
     if not gens:
         assert not p._exact_cayley_balls
     calls = count_runs(monkeypatch)
-    enumerate_cosets(p, sub(p, *gens), 1)
+    stable_ball(p, sub(p, *gens), 1, 0, 0)
     assert calls == [1, 2]
 
 
@@ -784,7 +800,7 @@ def test_restrict_to_generators_reaches_fewer_cosets(genus2, trivial):
     ball = stable_ball(genus2, trivial, 2)
     small = restrict_to_generators(ball, ("a", "b"))
     assert small.gen_names == ("a", "b")
-    assert len(small.table) == 4
+    assert small.n_letters == 4 and len(small.table) == 4 * small.n_vertices
     # only what the kept letters reach survives; distances carry over
     assert small.n_vertices == 17
     assert max(small.dist) == 2
@@ -827,11 +843,12 @@ def test_covering_check_flags_tampering(f2, trivial):
 
     ball = stable_ball(f2, trivial, 3)
     # pick a coset strictly between the excluded core and the rim
+    L = ball.n_letters
     victim = next(
-        v for v in range(ball.n_vertices) if ball.dist[v] == 2 and ball.table[0][v] >= 0
+        v for v in range(ball.n_vertices) if ball.dist[v] == 2 and ball.table[v * L] >= 0
     )
-    table = [list(col) for col in ball.table]
-    table[0][victim] = -1
+    table = list(ball.table)
+    table[victim * L] = -1
     bad = dataclasses.replace(ball, table=table)
     report = covering_degree_check(bad, 1)
     assert not report.passed
@@ -868,9 +885,9 @@ def orbit_ball(p, perms):
                 order.append(q[v])
                 dist.append(dist[index[v]] + 1)
                 tree.append(tree[index[v]] + (x,))
-    table = [[index[q[v]] for v in order] for q in act]
+    table = [index[q[v]] for v in order for q in act]
     ball = Ball(p.generators, table, dist, max(dist) + 1)
-    words = [free_reduce(tree[i] + (2 * g,) + invert(tree[table[2 * g][i]]))
+    words = [free_reduce(tree[i] + (2 * g,) + invert(tree[table[i * len(act) + 2 * g]]))
              for i in range(len(order)) for g in range(len(perms))]
     return ball, SubgroupSpec(tuple(words))
 
@@ -1041,7 +1058,7 @@ def dehn_ball(p, radius):
     """
     words, dist = [()], [0]
     buckets = {exponent_sums(p, ()): [0]}
-    table = [[] for _ in range(p.n_letters)]
+    table = []
     for v, u in enumerate(words):  # words grows while the loop runs
         for x in range(p.n_letters):
             w = u + (x,)
@@ -1053,7 +1070,7 @@ def dehn_ball(p, radius):
                 words.append(w)
                 dist.append(dist[v] + 1)
                 buckets.setdefault(key, []).append(t)
-            table[x].append(t)
+            table.append(t)
     return Ball(p.generators, table, dist, radius)
 
 
